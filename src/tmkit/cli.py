@@ -26,14 +26,7 @@ from .match import (
 )
 from .model import AssemblyError, TMModel, assemble_model
 from .render import RenderOptions, to_dot
-from .sim import (
-    ConfigError,
-    ExploreConfig,
-    NoInitialEventsError,
-    SimConfig,
-    explore_state_space,
-    simulate,
-)
+from .sim import ExploreConfig, SimConfig, explore_state_space, simulate
 from .validate import check_static, has_errors
 
 OK, DIAG_ERRORS, USAGE, LIMIT = 0, 1, 2, 3
@@ -50,123 +43,77 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _say_diag_summary(diags: list[Diagnostic]) -> None:
-    errors = sum(1 for d in diags if d.severity is Severity.ERROR)
-    warnings = len(diags) - errors
-    text = f"{errors} error(s), {warnings} warning(s)"
-    if _color_enabled() and errors:
-        text = f"\x1b[31m{text}\x1b[0m"
-    _say(text)
+class _InvalidModel(TMError):
+    """The model has Error-severity static diagnostics, so the analysis
+    that needs a valid model does not run."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        super().__init__("the model has static errors")
+        self.diagnostics = diagnostics
 
 
 def _read_source(spec: str) -> str:
     if spec.startswith("fixture:"):
         return corpus.fixture_source(spec[len("fixture:") :])
-    path = Path(spec)
-    return path.read_text(encoding="utf-8")
+    try:
+        return Path(spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{spec}: not UTF-8 text ({exc.reason})") from None
 
 
-def _load_model(spec: str) -> TMModel:
-    return assemble_model(parse(_read_source(spec)))
-
-
-def _print_diags(diags: list[Diagnostic]) -> None:
-    for diag in diags:
-        print(diag.to_json())
+def _load(spec: str, valid: bool = True) -> TMModel:
+    """Parse and assemble a model; with `valid`, also require that it has
+    no Error-severity static diagnostics."""
+    model = assemble_model(parse(_read_source(spec)))
+    if valid:
+        static = check_static(model)
+        if has_errors(static):
+            raise _InvalidModel(static)
+    return model
 
 
 def _error_diag(code: str, message: str, span=None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, span=span)
 
 
+def _report(diags: list[Diagnostic]) -> int:
+    """Diagnostics as JSON lines on stdout, their tally on stderr."""
+    for diag in diags:
+        print(diag.to_json())
+    errors = sum(1 for d in diags if d.severity is Severity.ERROR)
+    text = f"{errors} error(s), {len(diags) - errors} warning(s)"
+    if _color_enabled() and errors:
+        text = f"\x1b[31m{text}\x1b[0m"
+    _say(text)
+    return DIAG_ERRORS if errors else OK
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        source = _read_source(args.file)
-    except (OSError, corpus.UnknownFixtureError) as exc:
-        _say(str(exc))
-        return USAGE
-    try:
-        decls = parse(source)
-    except ParseError as exc:
-        _print_diags(exc.diagnostics)
-        _say_diag_summary(exc.diagnostics)
-        return DIAG_ERRORS
-    try:
-        model = assemble_model(decls)
-    except AssemblyError as exc:
-        diags = [_error_diag(exc.code, str(exc), exc.span)]
-        _print_diags(diags)
-        _say_diag_summary(diags)
-        return DIAG_ERRORS
+    model = _load(args.file, valid=False)
     diags = list(check_static(model))
     diags.extend(check_all_events(model))
     try:
         diags.extend(check_behavior(model))
     except OverlapAmbiguityError as exc:
+        # Reported beside the other findings rather than instead of them.
         diags.append(_error_diag("E_REGION_OVERLAP", str(exc)))
-    diags = sort_diagnostics(diags)
-    _print_diags(diags)
-    _say_diag_summary(diags)
-    return DIAG_ERRORS if has_errors(diags) else OK
+    return _report(sort_diagnostics(diags))
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.file)
-    except (OSError, corpus.UnknownFixtureError) as exc:
-        _say(str(exc))
-        return USAGE
-    except (ParseError, AssemblyError) as exc:
-        _say(str(exc))
-        return DIAG_ERRORS
-    sys.stdout.write(format_model(model))
+    sys.stdout.write(format_model(_load(args.file, valid=False)))
     return OK
 
 
-def _valid_model_or_exit(spec: str) -> tuple[int, TMModel | None]:
-    try:
-        model = _load_model(spec)
-    except (OSError, corpus.UnknownFixtureError) as exc:
-        _say(str(exc))
-        return USAGE, None
-    except (ParseError, AssemblyError) as exc:
-        _say(str(exc))
-        return DIAG_ERRORS, None
-    static = check_static(model)
-    if has_errors(static):
-        _print_diags(static)
-        _say_diag_summary(static)
-        return DIAG_ERRORS, None
-    return OK, model
-
-
 def cmd_simplify(args: argparse.Namespace) -> int:
-    status, model = _valid_model_or_exit(args.file)
-    if model is None:
-        return status
-    try:
-        graph = simplify(model)
-    except AmbiguousSpliceError as exc:
-        diags = [_error_diag("E_AMBIGUOUS_SPLICE", str(exc))]
-        _print_diags(diags)
-        return DIAG_ERRORS
-    sys.stdout.write(graph.edge_list_text())
+    sys.stdout.write(simplify(_load(args.file)).edge_list_text())
     return OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    status, model = _valid_model_or_exit(args.file)
-    if model is None:
-        return status
+    model = _load(args.file)
     opts = RenderOptions(view=args.view, show_thing_labels=not args.no_thing_labels)
-    if args.view == "simplified":
-        try:
-            dot = to_dot(simplify(model), opts)
-        except AmbiguousSpliceError as exc:
-            _print_diags([_error_diag("E_AMBIGUOUS_SPLICE", str(exc))])
-            return DIAG_ERRORS
-    else:
-        dot = to_dot(model, opts)
+    dot = to_dot(simplify(model) if args.view == "simplified" else model, opts)
     if args.output:
         Path(args.output).write_text(dot, encoding="utf-8")
         _say(f"wrote {args.output}")
@@ -176,38 +123,23 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    status, model = _valid_model_or_exit(args.file)
-    if model is None:
-        return status
     config = SimConfig(
         capacities=args.capacity,
         max_steps=args.max_steps,
         seed=args.seed,
         channels=args.channels,
     )
-    try:
-        trace = simulate(model, config)
-    except (ConfigError, NoInitialEventsError, OverlapAmbiguityError) as exc:
-        _say(str(exc))
-        return DIAG_ERRORS
-    sys.stdout.write(trace.to_jsonl())
+    sys.stdout.write(simulate(_load(args.file), config).to_jsonl())
     return OK
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    status, model = _valid_model_or_exit(args.file)
-    if model is None:
-        return status
     config = ExploreConfig(
         capacities=args.capacity,
         max_states=args.max_states,
         channels=args.channels,
     )
-    try:
-        result = explore_state_space(model, config)
-    except (ConfigError, OverlapAmbiguityError) as exc:
-        _say(str(exc))
-        return DIAG_ERRORS
+    result = explore_state_space(_load(args.file), config)
     print(result.to_json())
     if not result.bounded:
         _say(f"state limit {args.max_states} exceeded; results are partial")
@@ -216,17 +148,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
-    graphs = []
-    names = []
+    graphs, names = [], []
     for spec in (args.file1, args.file2):
-        status, model = _valid_model_or_exit(spec)
-        if model is None:
-            return status
-        try:
-            graphs.append(simplify(model))
-        except AmbiguousSpliceError as exc:
-            _say(str(exc))
-            return DIAG_ERRORS
+        model = _load(spec)
+        graphs.append(simplify(model))
         names.append(model.name or spec)
     policy = MatchPolicy(match_thing_labels=True, match_role_names=args.match_roles)
     mapping = isomorphic(graphs[0], graphs[1], policy)
@@ -353,8 +278,19 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         _say("a subcommand is required; see --help")
         return USAGE
+    # The one place where failures become exit codes.  Model errors are
+    # diagnostics (JSON lines, exit 1); unreadable input is exit 2.
     try:
         return args.func(args)
+    except (OSError, corpus.UnknownFixtureError) as exc:
+        _say(str(exc))
+        return USAGE
+    except (ParseError, _InvalidModel) as exc:
+        return _report(exc.diagnostics)
+    except AssemblyError as exc:
+        return _report([_error_diag(exc.code, str(exc), exc.span)])
+    except AmbiguousSpliceError as exc:
+        return _report([_error_diag("E_AMBIGUOUS_SPLICE", str(exc))])
     except TMError as exc:
         _say(str(exc))
         return DIAG_ERRORS

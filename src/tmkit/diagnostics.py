@@ -21,12 +21,10 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Line/column range of a statement or token (1-based, inclusive start)."""
+    """Line/column of the start of a statement or token (1-based)."""
 
     line: int
     col: int
-    end_line: int | None = None
-    end_col: int | None = None
 
 
 @dataclass(frozen=True)

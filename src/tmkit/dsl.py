@@ -30,6 +30,7 @@ from .model import (
     FlowDecl,
     KIND_ORDER,
     ModelDecl,
+    StageKind,
     StageRef,
     ThimacDecl,
     TMModel,
@@ -276,70 +277,67 @@ class _Parser:
 
     def parse_thimac(self) -> ThimacDecl | None:
         start = self.advance()
-        path = self.parse_path()
-        if path is None:
+        parts = self.dotted("a name")
+        if parts is None:
             return None
+        path = ".".join(t.value for t in parts)
         stages: list = []
         if self.accept("{"):
             while not self.match("}") and not self.match("EOF"):
                 tok = self.expect("IDENT", "stage kind")
                 if tok is None:
                     return None
-                kind = kind_from_name(tok.value)
+                kind = self._kind(tok)
                 if kind is None:
-                    self.error(
-                        f"{tok.value!r} is not a stage kind "
-                        f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
-                        "E_UNKNOWN_KIND",
-                        tok,
-                    )
                     return None
                 stages.append(kind)
             if self.expect("}", "'}' closing stage list") is None:
                 return None
         return ThimacDecl(path, tuple(stages), start.span())
 
-    def parse_path(self) -> str | None:
-        tok = self.expect("IDENT", "a name")
+    def dotted(self, what: str) -> list[_Token] | None:
+        """Read `IDENT ('.' IDENT)*`; `what` names the expected first token."""
+        tok = self.expect("IDENT", what)
         if tok is None:
             return None
-        parts = [tok.value]
-        while self.match("."):
-            self.advance()
+        parts = [tok]
+        while self.accept("."):
             tok = self.expect("IDENT", "name after '.'")
             if tok is None:
                 return None
-            parts.append(tok.value)
-        return ".".join(parts)
+            parts.append(tok)
+        return parts
 
-    def parse_stage_ref(self) -> StageRef | None:
-        first = self.expect("IDENT", "a stage reference")
-        if first is None:
-            return None
-        parts = [(first.value, first)]
-        while self.match("."):
-            self.advance()
-            tok = self.expect("IDENT", "name after '.'")
-            if tok is None:
-                return None
-            parts.append((tok.value, tok))
-        if len(parts) < 2:
-            self.error(
-                f"stage reference needs a thimac and a stage kind, got {first.value!r}",
-                tok=first,
-            )
-            return None
-        last_value, last_tok = parts[-1]
-        kind = kind_from_name(last_value)
+    def _kind(self, tok: _Token) -> StageKind | None:
+        """The stage kind `tok` names, or None after reporting it."""
+        kind = kind_from_name(tok.value)
         if kind is None:
             self.error(
-                f"{last_value!r} is not a stage kind "
+                f"{tok.value!r} is not a stage kind "
                 f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
                 "E_UNKNOWN_KIND",
-                last_tok,
+                tok,
+            )
+        return kind
+
+    def stage_ref(self, parts: list[_Token]) -> StageRef | None:
+        """`thimac.path.kind` from dotted tokens, at least two of them."""
+        kind = self._kind(parts[-1])
+        if kind is None:
+            return None
+        return StageRef(".".join(t.value for t in parts[:-1]), kind)
+
+    def parse_stage_ref(self) -> StageRef | None:
+        parts = self.dotted("a stage reference")
+        if parts is None:
+            return None
+        if len(parts) < 2:
+            self.error(
+                f"stage reference needs a thimac and a stage kind, got {parts[0].value!r}",
+                tok=parts[0],
             )
             return None
-        return StageRef(".".join(p for p, _ in parts[:-1]), kind)
+        return self.stage_ref(parts)
 
     def parse_flow(self) -> FlowDecl | None:
         start = self.advance()
@@ -394,10 +392,16 @@ class _Parser:
             return None
         members: list[StageRef | str] = []
         while True:
-            member = self.parse_member()
-            if member is None:
+            parts = self.dotted("a region member")
+            if parts is None:
                 return None
-            members.append(member)
+            if len(parts) == 1:
+                members.append(parts[0].value)  # arc id reference
+            else:
+                ref = self.stage_ref(parts)
+                if ref is None:
+                    return None
+                members.append(ref)
             if self.accept(","):
                 continue
             break
@@ -412,31 +416,6 @@ class _Parser:
         return EventDecl(
             name.value, tuple(members), description, time, start.span()
         )
-
-    def parse_member(self) -> StageRef | str | None:
-        first = self.expect("IDENT", "a region member")
-        if first is None:
-            return None
-        if not self.match("."):
-            return first.value  # arc id reference
-        parts = [(first.value, first)]
-        while self.match("."):
-            self.advance()
-            tok = self.expect("IDENT", "name after '.'")
-            if tok is None:
-                return None
-            parts.append((tok.value, tok))
-        last_value, last_tok = parts[-1]
-        kind = kind_from_name(last_value)
-        if kind is None:
-            self.error(
-                f"{last_value!r} is not a stage kind "
-                f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
-                "E_UNKNOWN_KIND",
-                last_tok,
-            )
-            return None
-        return StageRef(".".join(p for p, _ in parts[:-1]), kind)
 
     def parse_behavior(self) -> BehaviorDecl | None:
         start = self.advance()
@@ -494,9 +473,11 @@ def format_model(model: TMModel) -> str:
             lines.append(f"thimac {path} {{ {kinds} }}")
         else:
             lines.append(f"thimac {path}")
-    for chain in _stitch_flow_chains(model):
-        refs = " -> ".join(str(ref) for ref in chain["refs"])
-        lines.append(f"flow {chain['label']}: {refs}")
+    for chain in _stitch(
+        model.flows, lambda a: (a.label, a.source), lambda a: (a.label, a.target)
+    ):
+        refs = [chain[0].source] + [arc.target for arc in chain]
+        lines.append(f"flow {chain[0].label}: " + " -> ".join(map(str, refs)))
     for trig in model.triggers:
         lines.append(f"trigger {trig.source} ~> {trig.target}")
     for event in model.events.values():
@@ -510,8 +491,9 @@ def format_model(model: TMModel) -> str:
             for ref in sorted(event.region, key=lambda r: (r.thimac, r.kind.value))
         )
         lines.append(f"{' '.join(parts)} {{ {members} }}")
-    for chain in _stitch_behavior_chains(model.behavior):
-        lines.append("behavior " + " -> ".join(chain))
+    for chain in _stitch(model.behavior.edges, lambda e: e[0], lambda e: e[1]):
+        names = [chain[0][0]] + [edge[1] for edge in chain]
+        lines.append("behavior " + " -> ".join(names))
     if not lines:
         return f"model {name} {{ }}\n"
     body = "\n".join(f"  {line}" for line in lines)
@@ -523,38 +505,25 @@ def _quote(text: str) -> str:
     return f'"{escaped}"'
 
 
-def _stitch_flow_chains(model: TMModel) -> list[dict]:
-    """Greedily rebuild `->` chains from individual arcs, preserving order."""
-    unused = list(model.flows)
+def _stitch(arcs: tuple, head, tail) -> list[list]:
+    """Greedily rebuild `->` chains from arcs, preserving order: an arc
+    extends a chain when it is the only unused arc whose head equals the
+    chain's tail."""
+    by_head: dict = {}
+    for i, arc in enumerate(arcs):
+        by_head.setdefault(head(arc), []).append(i)
+    used = [False] * len(arcs)
     chains = []
-    while unused:
-        arc = unused.pop(0)
-        refs = [arc.source, arc.target]
+    for i, arc in enumerate(arcs):
+        if used[i]:
+            continue
+        used[i] = True
+        chain = [arc]
         while True:
-            nexts = [
-                a for a in unused if a.label == arc.label and a.source == refs[-1]
-            ]
+            nexts = [j for j in by_head.get(tail(chain[-1]), ()) if not used[j]]
             if len(nexts) != 1:
                 break
-            arc = nexts[0]
-            unused.remove(arc)
-            refs.append(arc.target)
-        chains.append({"label": arc.label, "refs": refs})
-    return chains
-
-
-def _stitch_behavior_chains(behavior) -> list[list[str]]:
-    unused = list(behavior.edges)
-    chains = []
-    while unused:
-        a, b = unused.pop(0)
-        chain = [a, b]
-        while True:
-            nexts = [e for e in unused if e[0] == chain[-1]]
-            if len(nexts) != 1:
-                break
-            edge = nexts[0]
-            unused.remove(edge)
-            chain.append(edge[1])
+            used[nexts[0]] = True
+            chain.append(arcs[nexts[0]])
         chains.append(chain)
     return chains

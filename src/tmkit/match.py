@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .diagnostics import TMError
 from .model import FlowArc, StageKind, StageRef, TMModel
@@ -76,13 +76,10 @@ class SimplifiedGraph:
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
 
-    def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
-
     def node_by_id(self, node_id: str) -> Node:
         return self._index[node_id]
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, Node]:
         return {n.id: n for n in self.nodes}
 
@@ -282,9 +279,12 @@ def signature(g: SimplifiedGraph, policy: MatchPolicy = STRICT) -> str:
     Equal graphs up to renumbering get equal signatures; unequal
     signatures prove non-isomorphism (the converse does not hold).
     """
+    return _signature(g, _refine_colors(g, policy))
+
+
+def _signature(g: SimplifiedGraph, colors: dict[str, str]) -> str:
     if not g.nodes:
         return "tmg:0:0:empty"
-    colors = _refine_colors(g, policy)
     descriptors = sorted(colors[n.id] for n in g.nodes)
     return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + _digest("|".join(descriptors))
 
@@ -309,6 +309,21 @@ def _edge_label_multiset(
     return out
 
 
+def _consistent(
+    edges1: dict, edges2: dict, mapping: dict[str, str], u: str, w: str
+) -> bool:
+    """Whether mapping u to w keeps every edge between u and the already
+    mapped nodes (and u's self-loops) label-for-label."""
+    if edges1.get((u, u)) != edges2.get((w, w)):
+        return False
+    for v, x in mapping.items():
+        if edges1.get((u, v)) != edges2.get((w, x)):
+            return False
+        if edges1.get((v, u)) != edges2.get((x, w)):
+            return False
+    return True
+
+
 def isomorphic(
     g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy = STRICT
 ) -> NodeMapping | None:
@@ -321,11 +336,11 @@ def isomorphic(
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return None
-    if signature(g1, policy) != signature(g2, policy):
-        return None
-
     colors1 = _refine_colors(g1, policy)
     colors2 = _refine_colors(g2, policy)
+    if _signature(g1, colors1) != _signature(g2, colors2):
+        return None
+
     by_color: dict[str, list[str]] = {}
     for node in g2.nodes:
         by_color.setdefault(colors2[node.id], []).append(node.id)
@@ -339,20 +354,12 @@ def isomorphic(
     mapping: dict[str, str] = {}
     used: set[str] = set()
 
-    def consistent(u: str, w: str) -> bool:
-        for v, x in mapping.items():
-            if edges1.get((u, v)) != edges2.get((w, x)):
-                return False
-            if edges1.get((v, u)) != edges2.get((x, w)):
-                return False
-        return edges1.get((u, u)) == edges2.get((w, w))
-
     def backtrack(i: int) -> bool:
         if i == len(order):
             return True
         u = order[i]
         for w in by_color.get(colors1[u], []):
-            if w in used or not consistent(u, w):
+            if w in used or not _consistent(edges1, edges2, mapping, u, w):
                 continue
             mapping[u] = w
             used.add(w)
@@ -439,23 +446,12 @@ def find_shared_functionality(
         adj1[e.src].add(e.dst)
         adj1[e.dst].add(e.src)
 
-    def consistent(mapping: dict[str, str], u: str, w: str) -> bool:
-        if labels1[u] != labels2[w]:
-            return False
-        if edges1.get((u, u)) != edges2.get((w, w)):
-            return False
-        for v, x in mapping.items():
-            if edges1.get((u, v)) != edges2.get((w, x)):
-                return False
-            if edges1.get((v, u)) != edges2.get((x, w)):
-                return False
-        return True
-
     seeds = [
         (u.id, w.id)
         for u in g1.nodes
         for w in g2.nodes
-        if consistent({}, u.id, w.id)
+        if labels1[u.id] == labels2[w.id]
+        and _consistent(edges1, edges2, {}, u.id, w.id)
     ]
 
     visited: set[frozenset[tuple[str, str]]] = set()
@@ -471,9 +467,10 @@ def find_shared_functionality(
         out = []
         for u in sorted(frontier):
             for w in sorted(labels2):
-                if w in used2:
+                # The cheap label test rejects most pairs, so it goes first.
+                if w in used2 or labels1[u] != labels2[w]:
                     continue
-                if consistent(mapping, u, w):
+                if _consistent(edges1, edges2, mapping, u, w):
                     out.append((u, w))
         return out
 

@@ -67,16 +67,12 @@ class StageRef:
 
 @dataclass(frozen=True)
 class Thimac:
-    """A thing/machine node in the hierarchy.  `path` doubles as its id."""
+    """A thing/machine node in the hierarchy, keyed by its `path`."""
 
     path: str
     name: str
     children: tuple[str, ...] = ()
     stages: frozenset[StageKind] = frozenset()
-
-    @property
-    def id(self) -> str:
-        return self.path
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dsl import _quote
 from .model import BehaviorGraph, KIND_ORDER, StageRef, TMModel
 from .match import FLOW, SimplifiedGraph
 
@@ -46,10 +47,6 @@ def to_dot(
     raise ValueError(f"unknown view {opts.view!r}")
 
 
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
 def _static_dot(model: TMModel, opts: RenderOptions) -> str:
     name = model.name or "untitled"
     lines = [_HEADER + f"digraph {_quote(name)} {{"]
@@ -79,12 +76,8 @@ def _static_dot(model: TMModel, opts: RenderOptions) -> str:
         for top in model.thimacs[""].children:
             emit_cluster(top, 0)
     else:
-        for path in sorted(model.thimacs):
-            if path:
-                for kind in KIND_ORDER:
-                    if kind in model.thimacs[path].stages:
-                        ref = StageRef(path, kind)
-                        lines.append(f"  {_quote(str(ref))} [label={_quote(str(ref))}];")
+        for ref in model.stage_refs():
+            lines.append(f"  {_quote(str(ref))} [label={_quote(str(ref))}];")
 
     for arc in model.flows:
         attrs = []

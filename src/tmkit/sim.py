@@ -75,12 +75,6 @@ class Trace:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for f in self.firings:
-            out[f.event] = out.get(f.event, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -7,6 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tmkit import cli, corpus
 
 CLI = [sys.executable, "-m", "tmkit"]
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -218,3 +222,124 @@ def test_stdout_is_machine_parseable_stderr_is_prose():
     for line in result.stdout.splitlines():
         json.loads(line)
     assert "error" in result.stderr
+
+
+def test_render_to_unwritable_path_is_io_error(tmp_path):
+    out = tmp_path / "no-such-dir" / "x.dot"
+    result = run_tm(["render", "fixture:pump", "-o", str(out)])
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert str(out) in result.stderr
+
+
+def test_undecodable_file_is_io_error(tmp_path):
+    f = tmp_path / "binary.tm"
+    f.write_bytes(b"\xff\xfe flow")
+    result = run_tm(["check", str(f)])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert str(f) in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["fmt"],
+        ["simplify"],
+        ["render"],
+        ["simulate"],
+        ["explore"],
+        ["dedup", "fixture:pump"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_reports_model_errors_as_jsonl(tmp_path, command):
+    bad = tmp_path / "bad.tm"
+    bad.write_text("flow X: A.create -> A.store\n", encoding="utf-8")
+    result = run_tm(command + [str(bad)])
+    assert result.returncode == 1
+    payloads = [json.loads(line) for line in result.stdout.splitlines()]
+    assert payloads[0]["code"] == "E_UNKNOWN_KIND"
+    assert "1 error(s)" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simplify"], ["render", "--view", "simplified"], ["dedup", "fixture:pump"]],
+    ids=lambda argv: argv[0],
+)
+def test_ambiguous_splice_is_one_diagnostic(tmp_path, command):
+    f = tmp_path / "splice.tm"
+    f.write_text(
+        "flow X: A.create -> A.release -> A.transfer -> B.transfer -> B.receive -> B.process\n"
+        "flow Y: A.release -> A.transfer -> C.transfer -> C.receive -> C.process\n",
+        encoding="utf-8",
+    )
+    result = run_tm(command + [str(f)])
+    assert result.returncode == 1
+    codes = [json.loads(line)["code"] for line in result.stdout.splitlines()]
+    assert codes == ["E_AMBIGUOUS_SPLICE"]
+    assert "1 error(s)" in result.stderr
+
+
+# Fragments the fuzz splices into corpus text: the DSL's punctuation and
+# keywords, stage kinds (and a non-kind), arc ids and odd characters.
+_PIECES = [
+    "->", "~>", "{", "}", ":", ",", "@", ".", '"', "\n", " ", "#", "\\",
+    "model", "thimac", "flow", "trigger", "event", "behavior",
+    "create", "process", "release", "transfer", "receive", "store",
+    "A", "A.B", "F1", "T1", "E1", "é", "\t", "1",
+]
+
+_FUZZ_COMMANDS = [
+    ["check"],
+    ["fmt"],
+    ["simplify"],
+    ["render"],
+    ["render", "--view", "behavior"],
+    ["render", "--view", "simplified"],
+    ["simulate", "--max-steps", "20"],
+    ["explore", "--max-states", "200"],
+    ["dedup", "fixture:pay-service"],
+]
+
+
+@st.composite
+def mutated_corpus_text(draw):
+    text = corpus.fixture_source(draw(st.sampled_from(corpus.ALL_NAMES)))
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True)
+        op = draw(st.sampled_from(["splice", "drop-line", "copy-line", "swap-lines"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "drop-line":
+            del lines[i]
+        elif op == "copy-line":
+            lines.insert(j, lines[i])
+        elif op == "swap-lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            start = draw(st.integers(0, len(text)))
+            end = draw(st.integers(start, min(len(text), start + 30)))
+            insert = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=4)))
+            lines = [text[:start], insert, text[end:]]
+        text = "".join(lines)
+    return text
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=mutated_corpus_text(), command=st.sampled_from(_FUZZ_COMMANDS))
+def test_fuzzed_models_end_with_a_documented_exit_code(tmp_path, capsys, text, command):
+    f = tmp_path / "fuzz.tm"
+    f.write_text(text, encoding="utf-8")
+    assert cli.run([command[0], str(f), *command[1:]]) in (0, 1, 2, 3)
+    capsys.readouterr()

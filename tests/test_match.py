@@ -178,6 +178,23 @@ def test_pay_service_duplicates_add_service_alt():
     assert isomorphic(gp, ga, STRICT) is None
 
 
+def test_isomorphic_refines_each_graph_once(monkeypatch):
+    from tmkit import match
+
+    calls = []
+    refine = match._refine_colors
+
+    def counting(g, policy):
+        calls.append(g)
+        return refine(g, policy)
+
+    monkeypatch.setattr(match, "_refine_colors", counting)
+    gp = simplify(load_model("pay-service"))
+    ga = simplify(load_model("add-service-alt"))
+    assert isomorphic(gp, ga, ROLES_OFF) is not None
+    assert calls == [gp, ga]
+
+
 def test_returned_mapping_is_lexicographically_least():
     # Two disconnected identical 2-cycles: the least mapping keeps the
     # lexicographically first candidates for the first nodes.
