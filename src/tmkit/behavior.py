@@ -7,7 +7,7 @@ from collections import deque
 from typing import Iterable, Mapping
 
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
-from .model import BehaviorGraph, Event, FlowArc, StageRef, TMModel, TriggerArc
+from .model import BehaviorGraph, Event, StageRef, TMModel
 
 
 class OverlapAmbiguityError(TMError):
@@ -23,19 +23,6 @@ class OverlapAmbiguityError(TMError):
 
 class UnknownGoalError(TMError):
     pass
-
-
-def region_arcs(model: TMModel, event: Event) -> list[FlowArc | TriggerArc]:
-    """Arcs belonging to an event's region: those with both endpoints in it."""
-    stages = set(event.region)
-    arcs: list[FlowArc | TriggerArc] = []
-    for arc in model.flows:
-        if arc.source in stages and arc.target in stages:
-            arcs.append(arc)
-    for trig in model.triggers:
-        if trig.source in stages and trig.target in stages:
-            arcs.append(trig)
-    return arcs
 
 
 def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
@@ -70,9 +57,11 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
 
     stages = set(event.region)
     neighbors: dict[StageRef, set[StageRef]] = {ref: set() for ref in stages}
-    for arc in region_arcs(model, event):
-        neighbors[arc.source].add(arc.target)
-        neighbors[arc.target].add(arc.source)
+    for ref in stages:
+        for arc in model.arcs_from(ref):
+            if arc.target in stages:
+                neighbors[ref].add(arc.target)
+                neighbors[arc.target].add(ref)
     seen: set[StageRef] = set()
     queue = deque([event.region[0]])
     seen.add(event.region[0])

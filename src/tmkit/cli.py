@@ -176,14 +176,19 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     return OK
 
 
-def _min_size(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a seeded token simulation")
     p_sim.add_argument("file")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--max-steps", type=int, default=100)
-    p_sim.add_argument("--capacity", type=int, default=1)
+    p_sim.add_argument("--max-steps", type=_int_at_least(0), default=100)
+    p_sim.add_argument("--capacity", type=_int_at_least(1), default=1)
     p_sim.add_argument(
         "--channels", choices=("declared", "inferred"), default="declared"
     )
@@ -234,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_explore = sub.add_parser("explore", help="enumerate reachable markings")
     p_explore.add_argument("file")
-    p_explore.add_argument("--max-states", type=int, default=10_000)
-    p_explore.add_argument("--capacity", type=int, default=1)
+    p_explore.add_argument("--max-states", type=_int_at_least(1), default=10_000)
+    p_explore.add_argument("--capacity", type=_int_at_least(1), default=1)
     p_explore.add_argument(
         "--channels", choices=("declared", "inferred"), default="declared"
     )
@@ -248,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dedup.add_argument("file2")
     p_dedup.add_argument(
         "--min-size",
-        type=_min_size,
+        type=_int_at_least(2),
         default=2,
         metavar="K",
         help="smallest shared fragment to report (at least 2)",

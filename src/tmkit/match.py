@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .diagnostics import TMError
 from .model import FlowArc, StageKind, StageRef, TMModel
@@ -128,11 +128,9 @@ def simplify(model: TMModel) -> SimplifiedGraph:
     interior elided stage with two distinct create/process successors
     raises AmbiguousSpliceError rather than picking one.
     """
-    out_flows: dict[StageRef, list[FlowArc]] = {}
-    in_flows: dict[StageRef, list[FlowArc]] = {}
-    for arc in model.flows:
-        out_flows.setdefault(arc.source, []).append(arc)
-        in_flows.setdefault(arc.target, []).append(arc)
+    def flows(ref: StageRef, forward: bool) -> list[FlowArc]:
+        arcs = model.arcs_from(ref) if forward else model.arcs_into(ref)
+        return [arc for arc in arcs if isinstance(arc, FlowArc)]
 
     all_refs = model.stage_refs()
     kept = [ref for ref in all_refs if ref.kind in _KEEP]
@@ -160,7 +158,7 @@ def simplify(model: TMModel) -> SimplifiedGraph:
         stack = [(ref, frozenset({ref}))]
         while stack:
             cur, on_path = stack.pop()
-            arcs = out_flows.get(cur, []) if forward else in_flows.get(cur, [])
+            arcs = flows(cur, forward)
             if not arcs:
                 result.add(cur)
                 continue
@@ -198,10 +196,10 @@ def simplify(model: TMModel) -> SimplifiedGraph:
     starts = [
         ref
         for ref in all_refs
-        if ref.kind in _KEEP or not in_flows.get(ref)
+        if ref.kind in _KEEP or not flows(ref, forward=False)
     ]
     for start in starts:
-        for arc in out_flows.get(start, []):
+        for arc in flows(start, forward=True):
             src = str(start) if start.kind in _KEEP else env_node(start)
             dst = splice(arc.target, forward=True)
             add_edge(src, dst, FLOW, arc.label)
@@ -351,26 +349,26 @@ def isomorphic(
     edges2 = _edge_label_multiset(g2.edges, policy)
     order = sorted(colors1)
 
+    # Depth-first search with an explicit stack, so graphs of any size stay
+    # clear of the recursion limit: pending[i] yields the untried candidates
+    # for order[i], and mapping holds order[:len(mapping)] in that order.
     mapping: dict[str, str] = {}
     used: set[str] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        for w in by_color.get(colors1[u], []):
-            if w in used or not _consistent(edges1, edges2, mapping, u, w):
-                continue
-            mapping[u] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del mapping[u]
-            used.remove(w)
-        return False
-
-    if not backtrack(0):
-        return None
+    pending: list[Iterator[str]] = []
+    while len(mapping) < len(order):
+        u = order[len(mapping)]
+        if len(pending) == len(mapping):
+            pending.append(iter(by_color.get(colors1[u], ())))
+        for w in pending[-1]:
+            if w not in used and _consistent(edges1, edges2, mapping, u, w):
+                mapping[u] = w
+                used.add(w)
+                break
+        else:
+            if not mapping:
+                return None
+            pending.pop()
+            used.remove(mapping.popitem()[1])
     return NodeMapping(tuple(sorted(mapping.items())))
 
 

@@ -9,9 +9,10 @@ assembled models are immutable and safe to share between analyses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .diagnostics import SourceSpan, TMError
 
@@ -116,7 +117,14 @@ class BehaviorGraph:
     edges: tuple[tuple[str, str], ...] = ()
 
     def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(b for a, b in self.edges if a == name)
+        return tuple(self._successors.get(name, ()))
+
+    @cached_property
+    def _successors(self) -> dict[str, list[str]]:
+        succ: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            succ.setdefault(a, []).append(b)
+        return succ
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,23 @@ class TMModel:
                 if kind in thimac.stages:
                     refs.append(StageRef(path, kind))
         return refs
+
+    def arcs_from(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
+        """Arcs whose source is `ref`: flows, then triggers, in model order."""
+        return tuple(self._arcs_by_end[0].get(ref, ()))
+
+    def arcs_into(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
+        """Arcs whose target is `ref`: flows, then triggers, in model order."""
+        return tuple(self._arcs_by_end[1].get(ref, ()))
+
+    @cached_property
+    def _arcs_by_end(self) -> tuple[dict[StageRef, list], dict[StageRef, list]]:
+        by_source: dict[StageRef, list] = {}
+        by_target: dict[StageRef, list] = {}
+        for arc in self.flows + self.triggers:
+            by_source.setdefault(arc.source, []).append(arc)
+            by_target.setdefault(arc.target, []).append(arc)
+        return by_source, by_target
 
 
 # ---------------------------------------------------------------------------
@@ -245,23 +270,17 @@ class _ThimacBuilder:
         self.explicit = explicit
 
 
-def assemble_model(
-    decls: Sequence[Declaration],
-    *,
-    implicit_decls: bool = True,
-    name: str | None = None,
-) -> TMModel:
+def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     """Assemble declarations into an immutable model.
 
     Stages referenced by flow and trigger arcs are implicitly added to
-    their thimac; with `implicit_decls` (the default) missing thimacs are
-    created on first reference, otherwise a reference to an undeclared
-    thimac raises DanglingRefError.  Event regions are carried as written
-    and checked later by `tmkit.behavior.check_event_region`, so a model
-    with unresolved event members can still be assembled and diagnosed.
+    their thimac, and missing thimacs are created on first reference.
+    Event regions are carried as written and checked later by
+    `tmkit.behavior.check_event_region`, so a model with unresolved event
+    members can still be assembled and diagnosed.
     """
     builders: dict[str, _ThimacBuilder] = {"": _ThimacBuilder("", True)}
-    model_name = name
+    model_name: str | None = None
 
     def declare(path: str, span: SourceSpan | None) -> None:
         existing = builders.get(path)
@@ -279,10 +298,6 @@ def assemble_model(
 
     def touch(ref: StageRef, span: SourceSpan | None) -> None:
         if ref.thimac not in builders:
-            if not implicit_decls:
-                raise DanglingRefError(
-                    f"reference to undeclared thimac {ref.thimac!r}", span
-                )
             # Create the thimac and any missing ancestors.
             parts = ref.thimac.split(".")
             for i in range(1, len(parts) + 1):
@@ -293,9 +308,11 @@ def assemble_model(
 
     flows: list[FlowArc] = []
     triggers: list[TriggerArc] = []
+    arcs_by_id: dict[str, FlowArc | TriggerArc] = {}
     events: dict[str, Event] = {}
-    behavior_nodes: list[str] = []
-    behavior_edges: list[tuple[str, str]] = []
+    # Insertion-ordered dicts used as sets: first declaration wins the place.
+    behavior_nodes: dict[str, None] = {}
+    behavior_edges: dict[tuple[str, str], None] = {}
     seen_flow_keys: set[tuple[str, StageRef, StageRef]] = set()
     seen_trigger_keys: set[tuple[StageRef, StageRef]] = set()
 
@@ -318,9 +335,9 @@ def assemble_model(
                         decl.span,
                     )
                 seen_flow_keys.add(key)
-                flows.append(
-                    FlowArc(f"F{len(flows) + 1}", decl.label, src, dst, decl.span)
-                )
+                arc = FlowArc(f"F{len(flows) + 1}", decl.label, src, dst, decl.span)
+                flows.append(arc)
+                arcs_by_id[arc.id] = arc
         elif isinstance(decl, TriggerDecl):
             if decl.source == decl.target:
                 raise InvalidArcError(
@@ -335,29 +352,28 @@ def assemble_model(
                     f"duplicate trigger {decl.source} ~> {decl.target}", decl.span
                 )
             seen_trigger_keys.add(key)
-            triggers.append(
-                TriggerArc(f"T{len(triggers) + 1}", decl.source, decl.target, decl.span)
+            trig = TriggerArc(
+                f"T{len(triggers) + 1}", decl.source, decl.target, decl.span
             )
+            triggers.append(trig)
+            arcs_by_id[trig.id] = trig
         elif isinstance(decl, EventDecl):
             if decl.name in events:
                 raise DuplicateEventError(
                     f"event {decl.name!r} declared twice", decl.span
                 )
-            region: list[StageRef] = []
+            region: dict[StageRef, None] = {}
             for member in decl.members:
                 if isinstance(member, StageRef):
-                    if member not in region:
-                        region.append(member)
+                    region[member] = None
                 else:
-                    arc = _find_arc(flows, triggers, member)
+                    arc = arcs_by_id.get(member)
                     if arc is None:
                         raise DanglingRefError(
                             f"event {decl.name!r} names unknown arc {member!r}",
                             decl.span,
                         )
-                    for ref in (arc.source, arc.target):
-                        if ref not in region:
-                            region.append(ref)
+                    region[arc.source] = region[arc.target] = None
             events[decl.name] = Event(
                 decl.name, tuple(region), decl.description, decl.time, decl.span
             )
@@ -367,15 +383,13 @@ def assemble_model(
                     raise DanglingRefError(
                         f"behavior names undeclared event {evt_name!r}", decl.span
                     )
-                if evt_name not in behavior_nodes:
-                    behavior_nodes.append(evt_name)
+                behavior_nodes[evt_name] = None
             for a, b in zip(decl.chain, decl.chain[1:]):
                 if a == b:
                     raise InvalidArcError(
                         f"behavior edge {a} -> {b} is a self-loop", decl.span
                     )
-                if (a, b) not in behavior_edges:
-                    behavior_edges.append((a, b))
+                behavior_edges[a, b] = None
         else:
             raise AssemblyError(f"unknown declaration type: {decl!r}")
 
@@ -404,14 +418,3 @@ def assemble_model(
         behavior=BehaviorGraph(tuple(behavior_nodes), tuple(behavior_edges)),
     )
 
-
-def _find_arc(
-    flows: Iterable[FlowArc], triggers: Iterable[TriggerArc], arc_id: str
-) -> FlowArc | TriggerArc | None:
-    for arc in flows:
-        if arc.id == arc_id:
-            return arc
-    for arc in triggers:
-        if arc.id == arc_id:
-            return arc
-    return None

@@ -21,7 +21,6 @@ _HEADER = "// generated by tmkit; do not edit\n"
 @dataclass(frozen=True)
 class RenderOptions:
     view: str = "static"  # static | behavior | simplified
-    cluster_by_thimac: bool = True
     show_thing_labels: bool = True
 
 
@@ -61,23 +60,18 @@ def _static_dot(model: TMModel, opts: RenderOptions) -> str:
                 out.append(f"{indent}{_quote(str(ref))} [label={_quote(kind.value)}];")
         return out
 
-    if opts.cluster_by_thimac:
+    def emit_cluster(path: str, depth: int) -> None:
+        indent = "  " * (depth + 1)
+        thimac = model.thimacs[path]
+        lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
+        lines.append(f"{indent}  label={_quote(thimac.name)};")
+        lines.extend(stage_lines(path, indent + "  "))
+        for child in thimac.children:
+            emit_cluster(child, depth + 1)
+        lines.append(f"{indent}}}")
 
-        def emit_cluster(path: str, depth: int) -> None:
-            indent = "  " * (depth + 1)
-            thimac = model.thimacs[path]
-            lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
-            lines.append(f"{indent}  label={_quote(thimac.name)};")
-            lines.extend(stage_lines(path, indent + "  "))
-            for child in thimac.children:
-                emit_cluster(child, depth + 1)
-            lines.append(f"{indent}}}")
-
-        for top in model.thimacs[""].children:
-            emit_cluster(top, 0)
-    else:
-        for ref in model.stage_refs():
-            lines.append(f"  {_quote(str(ref))} [label={_quote(str(ref))}];")
+    for top in model.thimacs[""].children:
+        emit_cluster(top, 0)
 
     for arc in model.flows:
         attrs = []

@@ -9,7 +9,7 @@ conventions (orphan stages, unusual trigger sources) are Warnings.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
-from .model import StageKind, StageRef, TMModel
+from .model import StageKind, TMModel
 
 _C = StageKind.CREATE
 _P = StageKind.PROCESS
@@ -132,15 +132,8 @@ def check_static(model: TMModel) -> list[Diagnostic]:
                 )
             )
 
-    incident: set[StageRef] = set()
-    for arc in model.flows:
-        incident.add(arc.source)
-        incident.add(arc.target)
-    for trig in model.triggers:
-        incident.add(trig.source)
-        incident.add(trig.target)
     for ref in model.stage_refs():
-        if ref not in incident:
+        if not model.arcs_from(ref) and not model.arcs_into(ref):
             diags.append(
                 Diagnostic(
                     Severity.WARNING,

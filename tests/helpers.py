@@ -181,6 +181,31 @@ def brute_force_reach_goal(edges, nodes, goals) -> set:
     return {n for n in nodes if reaches(n)}
 
 
+def scan_arcs_from(model: TMModel, ref) -> tuple:
+    """Arcs whose source is `ref`, by a full scan: flows, then triggers."""
+    return tuple(a for a in model.flows + model.triggers if a.source == ref)
+
+
+def scan_arcs_into(model: TMModel, ref) -> tuple:
+    """Arcs whose target is `ref`, by a full scan: flows, then triggers."""
+    return tuple(a for a in model.flows + model.triggers if a.target == ref)
+
+
+def scan_region_arcs(model: TMModel, region) -> list:
+    """Arcs with both endpoints in `region`, by a full scan."""
+    stages = set(region)
+    return [
+        a
+        for a in model.flows + model.triggers
+        if a.source in stages and a.target in stages
+    ]
+
+
+def scan_successors(behavior, name: str) -> tuple:
+    """Successors of `name` in a behavior graph, by scanning every edge."""
+    return tuple(b for a, b in behavior.edges if a == name)
+
+
 def bitmap_dependencies(model: TMModel) -> set[tuple[str, str]]:
     """Second, independent dependency computation: per-event membership
     bitmaps intersected against each arc's endpoints."""

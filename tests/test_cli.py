@@ -139,13 +139,20 @@ def test_dedup_pay_vs_full_add_finds_alt_fragment():
 
 
 def test_dedup_min_size_below_two_is_usage_error():
-    result = run_tm(
-        ["dedup", "fixture:pay-service", "fixture:add-service", "--min-size", "1"]
-    )
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert "--min-size" in result.stderr
-    assert "Traceback" not in result.stderr
+    # Every out-of-range numeric option is rejected the same way.
+    for argv in (
+        ["dedup", "fixture:pay-service", "fixture:add-service", "--min-size", "1"],
+        ["explore", "fixture:pump", "--max-states", "0"],
+        ["explore", "fixture:pump", "--max-states", "-5"],
+        ["explore", "fixture:pump", "--capacity", "0"],
+        ["simulate", "fixture:pump", "--max-steps", "-1"],
+        ["simulate", "fixture:pump", "--capacity", "0"],
+    ):
+        result = run_tm(argv)
+        assert result.returncode == 2, argv
+        assert result.stdout == ""
+        assert argv[-2] in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_fmt_is_stable(tmp_path):

@@ -209,6 +209,36 @@ def test_returned_mapping_is_lexicographically_least():
     mapping = isomorphic(g, g, ROLES_OFF)
     assert mapping.as_dict() == {"a1": "a1", "a2": "a2", "b1": "b1", "b2": "b2"}
 
+    # Two directed 6-cycles, every node one colour.  v1 sits three steps
+    # from v0; its least candidate w2 (two steps) fits v0 alone, but then
+    # v2 has nowhere to go, so the search must back up and take w3.
+    cycle1 = ["v0", "v2", "v3", "v1", "v4", "v5"]
+    cycle2 = [f"w{i}" for i in range(6)]
+    g1, g2 = (
+        make_graph(
+            [(v, "X", C) for v in cycle],
+            [(a, b, "flow", "") for a, b in zip(cycle, cycle[1:] + cycle[:1])],
+        )
+        for cycle in (cycle1, cycle2)
+    )
+    assert isomorphic(g1, g2).as_dict() == {
+        "v0": "w0", "v1": "w3", "v2": "w1", "v3": "w2", "v4": "w4", "v5": "w5"
+    }
+
+
+def test_isomorphic_maps_graphs_deeper_than_the_recursion_limit():
+    # One search level per node: a 1,300-node chain maps without a
+    # RecursionError.  Distinct thing labels give every node its own
+    # colour after one refinement round, so the test stays fast.
+    n = 1300
+    nodes = [(f"v{i}", "X", P) for i in range(n)]
+    edges = [(f"v{i}", f"v{i + 1}", "flow", f"t{i}") for i in range(n - 1)]
+    g = make_graph(nodes, edges)
+    permuted = permute_graph(g, random.Random(8))
+    mapping = isomorphic(g, permuted)
+    assert mapping is not None and len(mapping) == n
+    assert verify_mapping(g, permuted, mapping)
+
 
 def test_non_isomorphic_small_digraphs_rejected():
     g1 = make_graph(

@@ -66,13 +66,6 @@ def test_nested_clusters_for_subthimacs():
     assert '"cluster_Mill.Motor"' in dot
 
 
-def test_no_cluster_mode_is_flat():
-    model = load_model("coffee-mill")
-    dot = to_dot(model, RenderOptions(view="static", cluster_by_thimac=False))
-    assert check_dot_syntax(dot)
-    assert "subgraph" not in dot
-
-
 def test_thing_labels_can_be_hidden():
     model = load_model("pump")
     dot = to_dot(model, RenderOptions(view="static", show_thing_labels=False))
