@@ -20,7 +20,8 @@ its endpoints do, so regions never need to enumerate arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, TMError
 from .model import (
@@ -38,10 +39,6 @@ from .model import (
     kind_from_name,
 )
 
-_STATEMENT_KEYWORDS = frozenset(
-    {"model", "thimac", "flow", "trigger", "event", "behavior"}
-)
-
 
 class ParseError(TMError):
     """Raised when parsing fails; carries every diagnostic found in the pass."""
@@ -54,8 +51,7 @@ class ParseError(TMError):
         super().__init__(f"{where}{first.message}{more}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT | STRING | -> | ~> | { | } | : | , | @ | . | EOF
     value: str
     line: int
@@ -65,94 +61,53 @@ class _Token:
         return SourceSpan(self.line, self.col)
 
 
+# The lexical grammar, tried in order at each offset.  A string ends at its
+# closing quote or at the end of its line; `\"` and `\\` are its only escapes.
+_LEXEME = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("blank", r"[ \t\r]+"),
+            ("comment", r"#[^\n]*"),
+            ("newline", r"\n"),
+            ("punct", r"->|~>|[{}:,@.]"),
+            ("string", r'"(?P<body>(?:\\["\\]|[^"\n])*)(?P<closed>"?)'),
+            ("word", r"[^\W\d]\w*"),
+            ("other", r"."),
+        )
+    )
+)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def _tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "-" and text[i : i + 2] == "->":
-            tokens.append(_Token("->", "->", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch == "~" and text[i : i + 2] == "~>":
-            tokens.append(_Token("~>", "~>", start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in "{}:,@.":
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            if not closed:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "E_SYNTAX",
-                        "unterminated string literal",
-                        span=SourceSpan(start_line, start_col),
-                    )
-                )
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        diags.append(
-            Diagnostic(
-                Severity.ERROR,
-                "E_SYNTAX",
-                f"unexpected character {ch!r}",
-                span=SourceSpan(start_line, start_col),
-            )
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+    line, line_start, pos, end = 1, 0, 0, len(text)
+    while pos < len(text):
+        m = _LEXEME.match(text, pos)
+        kind, start, pos = m.lastgroup, pos, m.end()
+        col = start - line_start + 1
+        if kind == "word" and (text[start].isalpha() or text[start] == "_"):
+            tokens.append(_Token("IDENT", m[kind], line, col))
+        elif kind == "punct":
+            tokens.append(_Token(m[kind], m[kind], line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "string":
+            if not m["closed"]:
+                diags.append(_syntax_error("unterminated string literal", line, col))
+            tokens.append(_Token("STRING", _ESCAPE.sub(r"\1", m["body"]), line, col))
+        elif kind == "comment" and pos == len(text):
+            end = start  # columns stop at a comment, so EOF sits at its '#'
+        elif kind in ("word", "other"):
+            pos = start + 1  # `\w` also admits '²', '½': report one, go on
+            diags.append(_syntax_error(f"unexpected character {text[start]!r}", line, col))
+    tokens.append(_Token("EOF", "", line, end - line_start + 1))
     return tokens
+
+
+def _syntax_error(message: str, line: int, col: int) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, "E_SYNTAX", message, span=SourceSpan(line, col))
 
 
 class _Parser:
@@ -181,10 +136,10 @@ class _Parser:
             return self.advance()
         return None
 
-    def expect(self, kind: str, what: str) -> _Token | None:
+    def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> _Token | None:
         if self.match(kind):
             return self.advance()
-        self.error(f"expected {what}, found {self._describe(self.cur)}")
+        self.error(f"expected {what}, found {self._describe(self.cur)}", code)
         return None
 
     @staticmethod
@@ -206,7 +161,7 @@ class _Parser:
         while not self.match("EOF"):
             if self.match("}"):
                 return
-            if self.match("IDENT") and self.cur.value in _STATEMENT_KEYWORDS:
+            if self.match("IDENT") and self.cur.value in _STATEMENTS:
                 return
             self.advance()
 
@@ -230,36 +185,16 @@ class _Parser:
                 self.advance()
                 self.sync()
                 continue
-            keyword = tok.value
             before = len(self.diags)
-            if keyword == "model":
-                decl = self.parse_model_header()
-                if decl is not None:
-                    decls.append(decl)
-                    in_model_block = True
-            elif keyword == "thimac":
-                decl = self.parse_thimac()
-                if decl is not None:
-                    decls.append(decl)
-            elif keyword == "flow":
-                decl = self.parse_flow()
-                if decl is not None:
-                    decls.append(decl)
-            elif keyword == "trigger":
-                decl = self.parse_trigger()
-                if decl is not None:
-                    decls.append(decl)
-            elif keyword == "event":
-                decl = self.parse_event()
-                if decl is not None:
-                    decls.append(decl)
-            elif keyword == "behavior":
-                decl = self.parse_behavior()
-                if decl is not None:
-                    decls.append(decl)
-            else:
-                self.error(f"unknown statement {keyword!r}")
+            statement = _STATEMENTS.get(tok.value)
+            if statement is None:
+                self.error(f"unknown statement {tok.value!r}")
                 self.advance()
+            else:
+                decl = statement(self)
+                if decl is not None:
+                    decls.append(decl)
+                    in_model_block = in_model_block or isinstance(decl, ModelDecl)
             if len(self.diags) > before:
                 self.sync()
         if in_model_block:
@@ -391,7 +326,8 @@ class _Parser:
         if self.expect("{", "'{' opening the event region") is None:
             return None
         members: list[StageRef | str] = []
-        while True:
+        more = not self.match("}")  # `{ }` is an empty region
+        while more:
             parts = self.dotted("a region member")
             if parts is None:
                 return None
@@ -402,16 +338,8 @@ class _Parser:
                 if ref is None:
                     return None
                 members.append(ref)
-            if self.accept(","):
-                continue
-            break
-        if self.expect("}", "'}' closing the event region") is None:
-            self.diags[-1] = Diagnostic(
-                Severity.ERROR,
-                "E_UNTERMINATED_BLOCK",
-                self.diags[-1].message,
-                span=self.diags[-1].span,
-            )
+            more = self.accept(",") is not None
+        if self.expect("}", "'}' closing the event region", "E_UNTERMINATED_BLOCK") is None:
             return None
         return EventDecl(
             name.value, tuple(members), description, time, start.span()
@@ -433,6 +361,16 @@ class _Parser:
             self.error("behavior chain needs at least two event names", tok=start)
             return None
         return BehaviorDecl(tuple(chain), start.span())
+
+
+_STATEMENTS = {
+    "model": _Parser.parse_model_header,
+    "thimac": _Parser.parse_thimac,
+    "flow": _Parser.parse_flow,
+    "trigger": _Parser.parse_trigger,
+    "event": _Parser.parse_event,
+    "behavior": _Parser.parse_behavior,
+}
 
 
 def parse(text: str) -> list[Declaration]:

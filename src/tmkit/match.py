@@ -382,7 +382,8 @@ def verify_mapping(
     policy-selected labels, and carries g1's (induced) edge multiset
     exactly onto g2's."""
     pairs = mapping.as_dict()
-    if len(set(pairs.values())) != len(pairs):
+    image = set(pairs.values())
+    if len(image) != len(pairs):
         return False
     idx1, idx2 = g1._index, g2._index
     for u, w in pairs.items():
@@ -396,12 +397,7 @@ def verify_mapping(
         (e for e in g1.edges if e.src in pairs and e.dst in pairs), policy
     )
     edges2 = _edge_label_multiset(
-        (
-            e
-            for e in g2.edges
-            if e.src in set(pairs.values()) and e.dst in set(pairs.values())
-        ),
-        policy,
+        (e for e in g2.edges if e.src in image and e.dst in image), policy
     )
     mapped = {
         (pairs[a], pairs[b]): labels for (a, b), labels in edges1.items()

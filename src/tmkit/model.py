@@ -362,6 +362,12 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                 raise DuplicateEventError(
                     f"event {decl.name!r} declared twice", decl.span
                 )
+            if "\n" in (decl.description or "") + (decl.time or ""):
+                raise AssemblyError(
+                    f"event {decl.name!r}: .tm text cannot hold a line break "
+                    "in a description or time",
+                    decl.span,
+                )
             region: dict[StageRef, None] = {}
             for member in decl.members:
                 if isinstance(member, StageRef):

@@ -1,20 +1,74 @@
-"""Shared test helpers: fixture loading, independent oracles, a DOT
-grammar checker, and random graph generators."""
+"""Shared test helpers: fixture loading, the CLI runner, independent
+oracles, a DOT grammar checker, and random graph and text generators."""
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import strategies as st
 
 from tmkit import assemble_model, parse
-from tmkit.corpus import fixture_source
+from tmkit.corpus import ALL_NAMES, fixture_source
+from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
+from tmkit.dsl import _Token
 from tmkit.match import Edge, MatchPolicy, Node, SimplifiedGraph
 from tmkit.model import StageKind, TMModel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_model(name: str) -> TMModel:
     return assemble_model(parse(fixture_source(name)))
+
+
+def run_tm(args, **kwargs):
+    # The child sees a minimal environment, but always imports the tmkit of
+    # this checkout (first on PYTHONPATH), installed or not.
+    inherited = os.environ.get("PYTHONPATH")
+    pythonpath = str(SRC) + (os.pathsep + inherited if inherited else "")
+    return subprocess.run(
+        [sys.executable, "-m", "tmkit", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={
+            "TM_COLOR": "never",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": pythonpath,
+        },
+        **kwargs,
+    )
+
+
+@st.composite
+def mutated_corpus_text(draw, pieces):
+    """Corpus text with 1-4 edits: `pieces` spliced in, or lines dropped,
+    copied or swapped."""
+    text = fixture_source(draw(st.sampled_from(ALL_NAMES)))
+    for _ in range(draw(st.integers(1, 4))):
+        lines = text.splitlines(keepends=True)
+        op = draw(st.sampled_from(["splice", "drop-line", "copy-line", "swap-lines"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "drop-line":
+            del lines[i]
+        elif op == "copy-line":
+            lines.insert(j, lines[i])
+        elif op == "swap-lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            start = draw(st.integers(0, len(text)))
+            end = draw(st.integers(start, min(len(text), start + 30)))
+            insert = "".join(draw(st.lists(st.sampled_from(pieces), max_size=4)))
+            lines = [text[:start], insert, text[end:]]
+        text = "".join(lines)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +121,97 @@ def random_digraph(rng: random.Random, n: int, labels=("a",), things=("",)) -> S
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
+    """The character-at-a-time tokenizer that `tmkit.dsl._tokenize` replaced."""
+    tokens: list[_Token] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch == "-" and text[i : i + 2] == "->":
+            tokens.append(_Token("->", "->", start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch == "~" and text[i : i + 2] == "~>":
+            tokens.append(_Token("~>", "~>", start_line, start_col))
+            i += 2
+            col += 2
+            continue
+        if ch in "{}:,@.":
+            tokens.append(_Token(ch, ch, start_line, start_col))
+            i += 1
+            col += 1
+            continue
+        if ch == '"':
+            i += 1
+            col += 1
+            buf = []
+            closed = False
+            while i < n:
+                c = text[i]
+                if c == "\n":
+                    break
+                if c == "\\" and i + 1 < n and text[i + 1] in '"\\':
+                    buf.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                if c == '"':
+                    i += 1
+                    col += 1
+                    closed = True
+                    break
+                buf.append(c)
+                i += 1
+                col += 1
+            if not closed:
+                diags.append(
+                    Diagnostic(
+                        Severity.ERROR,
+                        "E_SYNTAX",
+                        "unterminated string literal",
+                        span=SourceSpan(start_line, start_col),
+                    )
+                )
+            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("IDENT", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "E_SYNTAX",
+                f"unexpected character {ch!r}",
+                span=SourceSpan(start_line, start_col),
+            )
+        )
+        i += 1
+        col += 1
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
 
 def brute_force_isomorphic(
     g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy = MatchPolicy()

@@ -7,7 +7,6 @@ criterion carries its runtime budget and tolerance inline.
 import itertools
 import json
 import random
-import subprocess
 import sys
 import time
 
@@ -46,6 +45,7 @@ from helpers import (
     load_model,
     permute_graph,
     random_digraph,
+    run_tm,
 )
 
 ROLES_OFF = MatchPolicy(match_role_names=False)
@@ -112,13 +112,7 @@ def test_criterion_05_duplication_detection():
     mapping = isomorphic(pay, alt, ROLES_OFF)
     assert mapping is not None
 
-    result = subprocess.run(
-        [sys.executable, "-m", "tmkit", "dedup", "fixture:pay-service",
-         "fixture:add-service-alt"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_tm(["dedup", "fixture:pay-service", "fixture:add-service-alt"])
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["isomorphic"] is True
 

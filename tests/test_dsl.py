@@ -1,9 +1,23 @@
 """Parser and formatter behavior, including error recovery."""
 
-import pytest
+from collections import Counter
 
-from tmkit import ParseError, StageKind, assemble_model, format_model, parse
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tmkit import (
+    AssemblyError,
+    ParseError,
+    StageKind,
+    assemble_model,
+    format_model,
+    parse,
+)
+from tmkit.behavior import check_all_events
+from tmkit.dsl import _tokenize
 from tmkit.model import (
+    KIND_ORDER,
     BehaviorDecl,
     EventDecl,
     FlowDecl,
@@ -13,7 +27,7 @@ from tmkit.model import (
     TriggerDecl,
 )
 
-from helpers import load_model
+from helpers import load_model, mutated_corpus_text, reference_tokenize
 
 
 def test_empty_input_parses_to_nothing():
@@ -150,6 +164,25 @@ def test_unterminated_string():
     assert any(d.code == "E_SYNTAX" for d in exc_info.value.diagnostics)
 
 
+def test_empty_region_parses_and_is_reported_by_check():
+    (decl,) = parse("event E { }")
+    assert decl.members == ()
+    model = assemble_model(parse("flow X: A.create -> A.process\nevent E {  }"))
+    assert [d.code for d in check_all_events(model)] == ["E_EMPTY_REGION"]
+    with pytest.raises(ParseError, match="expected a region member"):
+        parse("event E { A.create, }")
+
+
+def test_line_break_in_description_or_time_is_an_assembly_error():
+    region = (StageRef("A", StageKind.CREATE),)
+    for decl in (
+        EventDecl("E", region, description="two\nlines"),
+        EventDecl("E", region, time="t\n0"),
+    ):
+        with pytest.raises(AssemblyError, match="line break"):
+            assemble_model([decl])
+
+
 def test_unterminated_model_block():
     with pytest.raises(ParseError) as exc_info:
         parse("model m {\nthimac A\n")
@@ -201,3 +234,100 @@ def test_format_idempotent_on_all_fixtures(name):
     once = format_model(model)
     twice = format_model(assemble_model(parse(once)))
     assert once == twice
+
+
+# ---------------------------------------------------------------------------
+# Properties: the lexer against the character-at-a-time reference, and the
+# formatter's round trip over generated declaration lists
+# ---------------------------------------------------------------------------
+
+# DSL punctuation, quotes, escapes, comments, blanks, ASCII words and digits,
+# and characters whose class differs between `str.isalpha` and `\w`.
+_LEX_ALPHABET = '{}:,@.->~"\\# \t\r\naxZ_09é١²½Ⅻ'
+
+
+def _lexed(tokenize, text):
+    diags = []
+    tokens = tokenize(text, diags)
+    return [(t.kind, t.value, t.line, t.col) for t in tokens], diags
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=60))
+def test_tokenize_matches_reference_on_text(text):
+    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated_corpus_text(list(_LEX_ALPHABET) + ["->", "~>", '\\"', "event"]))
+def test_tokenize_matches_reference_on_corpus_text(text):
+    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+
+
+_NAMES = ["A", "b_2", "Mill", "é", "_x", "create", "model", "thimac", "flow",
+          "trigger", "event", "behavior"]
+# Descriptions and times: quotes, backslashes, '#', '\r' and non-ASCII, no '\n'.
+_TEXT = st.none() | st.text(alphabet='ab #"\\\r\té→{}', max_size=8)
+
+
+@st.composite
+def _declarations(draw):
+    """Declaration lists that assemble: explicit thimacs (parents first),
+    flow chains legal or not, triggers, events whose regions mix stage refs
+    and arc ids (or are empty), and behavior chains."""
+    name = st.sampled_from(_NAMES)
+    roots = draw(st.lists(name, unique=True, max_size=3))
+    paths = roots + [f"{r}.{c}" for r in roots for c in draw(st.lists(name, max_size=1))]
+    decls = [ModelDecl(draw(name))] if draw(st.booleans()) else []
+    kinds = st.lists(st.sampled_from(KIND_ORDER), unique=True)
+    decls += [ThimacDecl(path, tuple(draw(kinds))) for path in paths]
+    ref = st.builds(
+        StageRef, st.sampled_from(paths + ["Z", "Z.y"]), st.sampled_from(KIND_ORDER)
+    )
+
+    flow_arcs: set = set()
+    flow = st.tuples(name, st.lists(ref, min_size=2, max_size=4))
+    for label, chain in draw(st.lists(flow, max_size=4)):
+        arcs = [(label, a, b) for a, b in zip(chain, chain[1:])]
+        if len(set(arcs)) == len(arcs) and flow_arcs.isdisjoint(arcs):
+            flow_arcs.update(arcs)
+            decls.append(FlowDecl(label, tuple(chain)))
+    trigger = st.tuples(ref, ref).filter(lambda t: t[0] != t[1])
+    triggers = draw(st.lists(trigger, unique=True, max_size=3))
+    decls += [TriggerDecl(src, dst) for src, dst in triggers]
+
+    arc_ids = [f"F{i + 1}" for i in range(len(flow_arcs))]
+    arc_ids += [f"T{i + 1}" for i in range(len(triggers))]
+    member = st.one_of(ref, st.sampled_from(arc_ids)) if arc_ids else ref
+    events = draw(st.lists(name, unique=True, min_size=1, max_size=4))
+    decls += [
+        EventDecl(
+            event, tuple(draw(st.lists(member, max_size=3))), draw(_TEXT), draw(_TEXT)
+        )
+        for event in events
+    ]
+    behavior = st.lists(st.sampled_from(events), min_size=2, max_size=4)
+    for chain in draw(st.lists(behavior, max_size=3)):
+        if all(a != b for a, b in zip(chain, chain[1:])):
+            decls.append(BehaviorDecl(tuple(chain)))
+    return decls
+
+
+def _structure(model):
+    return (
+        {path: thimac.stages for path, thimac in model.thimacs.items()},
+        Counter((arc.label, arc.source, arc.target) for arc in model.flows),
+        Counter((arc.source, arc.target) for arc in model.triggers),
+        {e.name: (set(e.region), e.description, e.time) for e in model.events.values()},
+        set(model.behavior.edges),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_declarations())
+def test_format_round_trips_generated_models(decls):
+    model = assemble_model(decls)
+    text = format_model(model)
+    again = assemble_model(parse(text))
+    assert format_model(again) == text
+    assert _structure(again) == _structure(model)
