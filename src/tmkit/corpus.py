@@ -74,6 +74,7 @@ GOLDEN_ANALYSES: tuple[str, ...] = (
     "dot-simplified",
     "trace",
     "explore",
+    "signature",
 )
 
 

@@ -12,9 +12,11 @@ from pathlib import Path
 
 from tmkit import (
     ExploreConfig,
+    MatchPolicy,
     RenderOptions,
     SimConfig,
     assemble_model,
+    canonical_signature,
     check_behavior,
     check_static,
     explore_state_space,
@@ -27,6 +29,7 @@ from tmkit import (
 )
 from tmkit.behavior import check_all_events
 from tmkit.corpus import ALL_NAMES, fixture_source
+from tmkit.match import signature
 
 
 def compute_goldens(name: str) -> dict[str, str]:
@@ -44,6 +47,10 @@ def compute_goldens(name: str) -> dict[str, str]:
         "dot-simplified": to_dot(graph, RenderOptions(view="simplified")),
         "trace": simulate(model, SimConfig(max_steps=8, seed=0)).to_jsonl(),
         "explore": explore_state_space(model, ExploreConfig()).to_json() + "\n",
+        "signature": canonical_signature(graph)
+        + "\n"
+        + signature(graph, MatchPolicy(match_role_names=False))
+        + "\n",
     }
     return goldens
 
