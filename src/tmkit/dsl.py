@@ -156,14 +156,23 @@ class _Parser:
             Diagnostic(Severity.ERROR, code, message, span=tok.span())
         )
 
-    def sync(self) -> None:
-        """Skip ahead to the next statement so later errors are still found."""
+    def sync(self, start: int) -> None:
+        """Skip the rest of the failed statement that began at token
+        `start`, so later errors are still found: stop at a statement
+        keyword that starts a line or at an enclosing block's `}`, or just
+        after the `}` that closes the last brace the statement opened."""
+        depth = sum(_BRACES.get(t.kind, 0) for t in self.tokens[start : self.pos])
         while not self.match("EOF"):
-            if self.match("}"):
+            tok = self.cur
+            starts_line = self.tokens[self.pos - 1].line < tok.line
+            if tok.kind == "}" and depth == 0:
                 return
-            if self.match("IDENT") and self.cur.value in _STATEMENTS:
+            if tok.kind == "IDENT" and tok.value in _STATEMENTS and starts_line:
                 return
             self.advance()
+            depth += _BRACES.get(tok.kind, 0)
+            if tok.kind == "}" and depth == 0:
+                return
 
     # -- grammar ------------------------------------------------------------
 
@@ -179,11 +188,11 @@ class _Parser:
                 self.error("unmatched '}'")
                 self.advance()
                 continue
-            tok = self.cur
+            tok, start = self.cur, self.pos
             if tok.kind != "IDENT":
                 self.error(f"expected a statement, found {self._describe(tok)}")
                 self.advance()
-                self.sync()
+                self.sync(start)
                 continue
             before = len(self.diags)
             statement = _STATEMENTS.get(tok.value)
@@ -196,7 +205,7 @@ class _Parser:
                     decls.append(decl)
                     in_model_block = in_model_block or isinstance(decl, ModelDecl)
             if len(self.diags) > before:
-                self.sync()
+                self.sync(start)
         if in_model_block:
             self.error("missing '}' at end of model block", "E_UNTERMINATED_BLOCK")
         return decls
@@ -362,6 +371,8 @@ class _Parser:
             return None
         return BehaviorDecl(tuple(chain), start.span())
 
+
+_BRACES = {"{": 1, "}": -1}
 
 _STATEMENTS = {
     "model": _Parser.parse_model_header,

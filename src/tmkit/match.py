@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .diagnostics import TMError
 from .model import FlowArc, StageKind, StageRef, TMModel
@@ -70,6 +70,9 @@ class MatchPolicy:
 
 STRICT = MatchPolicy()
 
+#: Neighbour id -> {edge label: count}: out-neighbours, then in-neighbours.
+Adjacency = tuple[dict[str, dict[tuple, int]], dict[str, dict[tuple, int]]]
+
 
 @dataclass(frozen=True)
 class SimplifiedGraph:
@@ -82,6 +85,26 @@ class SimplifiedGraph:
     @cached_property
     def _index(self) -> dict[str, Node]:
         return {n.id: n for n in self.nodes}
+
+    def adjacency(self, policy: MatchPolicy = STRICT) -> dict[str, Adjacency]:
+        """Per node id: its out-neighbours and its in-neighbours, each
+        mapped to the multiset of edge labels (under `policy`) between the
+        two.  Built on first use per thing-label setting, then cached."""
+        things = policy.match_thing_labels
+        if things not in self._adjacency:
+            index = {n.id: ({}, {}) for n in self.nodes}
+            for e in self.edges:
+                label = e.label(things)
+                outs = index[e.src][0].setdefault(e.dst, {})
+                outs[label] = outs.get(label, 0) + 1
+                ins = index[e.dst][1].setdefault(e.src, {})
+                ins[label] = ins.get(label, 0) + 1
+            self._adjacency[things] = index
+        return self._adjacency[things]
+
+    @cached_property
+    def _adjacency(self) -> dict[bool, dict[str, Adjacency]]:
+        return {}
 
     def edge_list_text(self) -> str:
         """The sorted-edge-list form used in golden files: one line per
@@ -227,48 +250,38 @@ def _refine_colors(g: SimplifiedGraph, policy: MatchPolicy) -> dict[str, str]:
     """Stable per-node colors from iterated neighborhood refinement.
 
     Colors are content hashes, so equal structures get equal colors even
-    across different graphs.
+    across different graphs.  A new color hashes the old one, so a round
+    can only split classes: refinement is stable once their number stops
+    growing.
     """
     colors = {
         n.id: _digest(json.dumps(n.label(policy.match_role_names)))
         for n in g.nodes
     }
-    out_adj: dict[str, list[Edge]] = {n.id: [] for n in g.nodes}
-    in_adj: dict[str, list[Edge]] = {n.id: [] for n in g.nodes}
-    for e in g.edges:
-        out_adj[e.src].append(e)
-        in_adj[e.dst].append(e)
+    adjacency = g.adjacency(policy)
 
+    def tally(neighbours: dict[str, dict[tuple, int]]) -> list:
+        return sorted(
+            (list(label), colors[v])
+            for v, labels in neighbours.items()
+            for label, count in labels.items()
+            for _ in range(count)
+        )
+
+    classes = len(set(colors.values()))
     for _ in range(max(1, len(g.nodes))):
-        new_colors = {}
-        for n in g.nodes:
-            outs = sorted(
-                (list(e.label(policy.match_thing_labels)), colors[e.dst])
-                for e in out_adj[n.id]
-            )
-            ins = sorted(
-                (list(e.label(policy.match_thing_labels)), colors[e.src])
-                for e in in_adj[n.id]
-            )
-            new_colors[n.id] = _digest(
-                json.dumps([colors[n.id], outs, ins], sort_keys=True)
-            )
-        if _partition(new_colors) == _partition(colors):
-            colors = new_colors
+        colors = {
+            node: _digest(json.dumps([colors[node], tally(outs), tally(ins)]))
+            for node, (outs, ins) in adjacency.items()
+        }
+        previous, classes = classes, len(set(colors.values()))
+        if classes == previous:
             break
-        colors = new_colors
     return colors
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _partition(colors: dict[str, str]) -> frozenset[tuple[str, ...]]:
-    groups: dict[str, list[str]] = {}
-    for node, color in colors.items():
-        groups.setdefault(color, []).append(node)
-    return frozenset(tuple(sorted(members)) for members in groups.values())
 
 
 def signature(g: SimplifiedGraph, policy: MatchPolicy = STRICT) -> str:
@@ -296,28 +309,28 @@ def canonical_signature(g: SimplifiedGraph) -> str:
 # Isomorphism
 # ---------------------------------------------------------------------------
 
-def _edge_label_multiset(
-    edges: Iterable[Edge], policy: MatchPolicy
-) -> dict[tuple[str, str], dict[tuple, int]]:
-    out: dict[tuple[str, str], dict[tuple, int]] = {}
-    for e in edges:
-        labels = out.setdefault((e.src, e.dst), {})
-        lab = e.label(policy.match_thing_labels)
-        labels[lab] = labels.get(lab, 0) + 1
-    return out
-
-
 def _consistent(
-    edges1: dict, edges2: dict, mapping: dict[str, str], u: str, w: str
+    adj1: dict[str, Adjacency],
+    adj2: dict[str, Adjacency],
+    mapping: dict[str, str],
+    used: set[str],
+    u: str,
+    w: str,
 ) -> bool:
-    """Whether mapping u to w keeps every edge between u and the already
-    mapped nodes (and u's self-loops) label-for-label."""
-    if edges1.get((u, u)) != edges2.get((w, w)):
+    """Whether mapping u to w keeps u's self-loops and every edge between
+    u and the mapped nodes label-for-label.  Only neighbours are read: each
+    mapped neighbour of u meets its image with the same labels, and w has
+    no other mapped neighbour (VF2's feasibility rule)."""
+    if adj1[u][0].get(u) != adj2[w][0].get(w):
         return False
-    for v, x in mapping.items():
-        if edges1.get((u, v)) != edges2.get((w, x)):
-            return False
-        if edges1.get((v, u)) != edges2.get((x, w)):
+    for nbrs1, nbrs2 in zip(adj1[u], adj2[w]):
+        mapped = 0
+        for v, labels in nbrs1.items():
+            if v in mapping:
+                if nbrs2.get(mapping[v]) != labels:
+                    return False
+                mapped += 1
+        if mapped != sum(x in used for x in nbrs2):
             return False
     return True
 
@@ -340,13 +353,10 @@ def isomorphic(
         return None
 
     by_color: dict[str, list[str]] = {}
-    for node in g2.nodes:
-        by_color.setdefault(colors2[node.id], []).append(node.id)
-    for members in by_color.values():
-        members.sort()
+    for node in sorted(colors2):
+        by_color.setdefault(colors2[node], []).append(node)
 
-    edges1 = _edge_label_multiset(g1.edges, policy)
-    edges2 = _edge_label_multiset(g2.edges, policy)
+    adj1, adj2 = g1.adjacency(policy), g2.adjacency(policy)
     order = sorted(colors1)
 
     # Depth-first search with an explicit stack, so graphs of any size stay
@@ -360,7 +370,7 @@ def isomorphic(
         if len(pending) == len(mapping):
             pending.append(iter(by_color.get(colors1[u], ())))
         for w in pending[-1]:
-            if w not in used and _consistent(edges1, edges2, mapping, u, w):
+            if w not in used and _consistent(adj1, adj2, mapping, used, u, w):
                 mapping[u] = w
                 used.add(w)
                 break
@@ -386,23 +396,16 @@ def verify_mapping(
     if len(image) != len(pairs):
         return False
     idx1, idx2 = g1._index, g2._index
-    for u, w in pairs.items():
-        if u not in idx1 or w not in idx2:
-            return False
-        if idx1[u].label(policy.match_role_names) != idx2[w].label(
-            policy.match_role_names
-        ):
-            return False
-    edges1 = _edge_label_multiset(
-        (e for e in g1.edges if e.src in pairs and e.dst in pairs), policy
+    roles = policy.match_role_names
+    adj1, adj2 = g1.adjacency(policy), g2.adjacency(policy)
+    return all(
+        u in idx1
+        and w in idx2
+        and idx1[u].label(roles) == idx2[w].label(roles)
+        and {pairs[v]: labels for v, labels in adj1[u][0].items() if v in pairs}
+        == {x: labels for x, labels in adj2[w][0].items() if x in image}
+        for u, w in pairs.items()
     )
-    edges2 = _edge_label_multiset(
-        (e for e in g2.edges if e.src in image and e.dst in image), policy
-    )
-    mapped = {
-        (pairs[a], pairs[b]): labels for (a, b), labels in edges1.items()
-    }
-    return mapped == edges2
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +435,14 @@ def find_shared_functionality(
 
     labels1 = {n.id: n.label(policy.match_role_names) for n in g1.nodes}
     labels2 = {n.id: n.label(policy.match_role_names) for n in g2.nodes}
-    edges1 = _edge_label_multiset(g1.edges, policy)
-    edges2 = _edge_label_multiset(g2.edges, policy)
-
-    adj1: dict[str, set[str]] = {n.id: set() for n in g1.nodes}
-    for e in g1.edges:
-        adj1[e.src].add(e.dst)
-        adj1[e.dst].add(e.src)
+    adj1, adj2 = g1.adjacency(policy), g2.adjacency(policy)
 
     seeds = [
         (u.id, w.id)
         for u in g1.nodes
         for w in g2.nodes
         if labels1[u.id] == labels2[w.id]
-        and _consistent(edges1, edges2, {}, u.id, w.id)
+        and _consistent(adj1, adj2, {}, set(), u.id, w.id)
     ]
 
     visited: set[frozenset[tuple[str, str]]] = set()
@@ -455,16 +452,18 @@ def find_shared_functionality(
     def extensions(mapping: dict[str, str]) -> list[tuple[str, str]]:
         frontier = set()
         for u in mapping:
-            frontier.update(adj1[u])
+            frontier.update(*adj1[u])
         frontier -= set(mapping)
         used2 = set(mapping.values())
         out = []
         for u in sorted(frontier):
-            for w in sorted(labels2):
+            # w has to neighbour the image of any mapped neighbour v of u.
+            v = next(v for nbrs in adj1[u] for v in nbrs if v in mapping)
+            for w in sorted(set().union(*adj2[mapping[v]]) - used2):
                 # The cheap label test rejects most pairs, so it goes first.
-                if w in used2 or labels1[u] != labels2[w]:
+                if labels1[u] != labels2[w]:
                     continue
-                if _consistent(edges1, edges2, mapping, u, w):
+                if _consistent(adj1, adj2, mapping, used2, u, w):
                     out.append((u, w))
         return out
 

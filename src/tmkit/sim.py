@@ -191,7 +191,13 @@ def build_net(
         return cap
 
     channels = [Channel(a, b, capacity((a, b))) for a, b in edges]
-    incoming = {n: tuple(c for c in channels if c.dst == n) for n in nodes}
+    incoming: dict[str, list[Channel]] = {n: [] for n in nodes}
+    outgoing: dict[str, list[Channel]] = {n: [] for n in nodes}
+    for ch in channels:
+        if ch.dst in incoming:
+            incoming[ch.dst].append(ch)
+        if ch.src in outgoing:
+            outgoing[ch.src].append(ch)
 
     initial = config.initial_events
     if initial is None:
@@ -217,15 +223,15 @@ def build_net(
         else:
             start = Channel("", name, 1)
             channels.append(start)
+            incoming[name].append(start)
             tokens[start] = 1
 
-    all_channels = tuple(channels)
     return _Net(
         nodes=nodes,
-        channels=all_channels,
-        incoming={n: tuple(c for c in all_channels if c.dst == n) for n in nodes},
-        outgoing={n: tuple(c for c in all_channels if c.src == n) for n in nodes},
-        initial=tuple(tokens[ch] for ch in all_channels),
+        channels=tuple(channels),
+        incoming={n: tuple(chs) for n, chs in incoming.items()},
+        outgoing={n: tuple(chs) for n, chs in outgoing.items()},
+        initial=tuple(tokens[ch] for ch in channels),
     )
 
 

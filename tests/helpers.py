@@ -3,13 +3,17 @@ oracles, a DOT grammar checker, and random graph and text generators."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
@@ -17,7 +21,7 @@ from tmkit import assemble_model, parse
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
 from tmkit.dsl import _Token
-from tmkit.match import Edge, MatchPolicy, Node, SimplifiedGraph
+from tmkit.match import STRICT, Edge, MatchPolicy, Node, NodeMapping, SimplifiedGraph
 from tmkit.model import StageKind, TMModel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,8 +106,11 @@ def permute_graph(g: SimplifiedGraph, rng: random.Random) -> SimplifiedGraph:
     return SimplifiedGraph(nodes, edges)
 
 
-def random_digraph(rng: random.Random, n: int, labels=("a",), things=("",)) -> SimplifiedGraph:
-    """A random labeled digraph with `n` nodes (no parallel edges)."""
+def random_digraph(
+    rng: random.Random, n: int, labels=("a",), things=("",), loops=False, parallel=False
+) -> SimplifiedGraph:
+    """A random labeled digraph with `n` nodes: self-loops only if `loops`,
+    and up to two edges per ordered pair only if `parallel`."""
     nodes = [
         (f"v{i}", rng.choice(labels), rng.choice((StageKind.CREATE, StageKind.PROCESS)))
         for i in range(n)
@@ -111,11 +118,43 @@ def random_digraph(rng: random.Random, n: int, labels=("a",), things=("",)) -> S
     edges = []
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < 0.35:
-                kind = rng.choice(("flow", "trigger"))
-                thing = rng.choice(things) if kind == "flow" else ""
-                edges.append((f"v{i}", f"v{j}", kind, thing))
+            if (i != j or loops) and rng.random() < 0.35:
+                for _ in range(rng.randint(1, 2) if parallel else 1):
+                    kind = rng.choice(("flow", "trigger"))
+                    thing = rng.choice(things) if kind == "flow" else ""
+                    edges.append((f"v{i}", f"v{j}", kind, thing))
     return make_graph(nodes, edges)
+
+
+@st.composite
+def digraph_pairs(draw):
+    """Two small labeled digraphs with self-loops and parallel edges: the
+    second a renumbered copy of the first, such a copy with one edge
+    changed, or drawn independently with as many nodes."""
+    n = draw(st.integers(1, 6))
+    kinds = st.sampled_from((StageKind.CREATE, StageKind.PROCESS))
+    edge_labels = st.sampled_from([("flow", ""), ("flow", "t"), ("trigger", "")])
+
+    def graph():
+        nodes = [(f"v{i}", draw(st.sampled_from("rs")), draw(kinds)) for i in range(n)]
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), edge_labels)
+        edges = [(a, b, *label) for a, b, label in draw(st.lists(ends, max_size=3 * n))]
+        return nodes, edges
+
+    nodes, edges = graph()
+    g1 = make_graph(nodes, [(f"v{a}", f"v{b}", k, t) for a, b, k, t in edges])
+    how = draw(st.sampled_from(["copy", "changed copy", "independent"]))
+    if how == "independent":
+        nodes, edges = graph()
+        return g1, make_graph(nodes, [(f"v{a}", f"v{b}", k, t) for a, b, k, t in edges])
+    rename = [f"w{i}" for i in draw(st.permutations(range(n)))]
+    edges = [(rename[a], rename[b], k, t) for a, b, k, t in edges]
+    if how == "changed copy" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        a, b, k, t = edges[i]
+        edges[i] = draw(st.sampled_from([(b, a, k, t), (a, b, k, "u"), (a, a, k, t)]))
+    nodes = [(rename[int(v[1:])], role, kind) for v, role, kind in nodes]
+    return g1, make_graph(sorted(nodes), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +252,187 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
     return tokens
 
 
+def scan_adjacency(g: SimplifiedGraph, policy: MatchPolicy) -> dict:
+    """`SimplifiedGraph.adjacency` by a plain scan of every edge for every
+    node: out-neighbours, then in-neighbours, each with its label counts."""
+    index = {}
+    for n in g.nodes:
+        outs, ins = {}, {}
+        for e in g.edges:
+            label = e.label(policy.match_thing_labels)
+            if e.src == n.id:
+                outs.setdefault(e.dst, Counter())[label] += 1
+            if e.dst == n.id:
+                ins.setdefault(e.src, Counter())[label] += 1
+        index[n.id] = (outs, ins)
+    return index
+
+
+def scan_verify_mapping(
+    g1: SimplifiedGraph, g2: SimplifiedGraph, pairs: dict, policy: MatchPolicy
+) -> bool:
+    """`verify_mapping` by counting the induced labeled edges on each side."""
+    labels1 = {n.id: n.label(policy.match_role_names) for n in g1.nodes}
+    labels2 = {n.id: n.label(policy.match_role_names) for n in g2.nodes}
+    image = set(pairs.values())
+    if len(image) != len(pairs) or any(
+        labels1.get(u) is None or labels1.get(u) != labels2.get(w)
+        for u, w in pairs.items()
+    ):
+        return False
+    things = policy.match_thing_labels
+    mapped = Counter(
+        (pairs[e.src], pairs[e.dst], e.label(things))
+        for e in g1.edges
+        if e.src in pairs and e.dst in pairs
+    )
+    target = Counter(
+        (e.src, e.dst, e.label(things))
+        for e in g2.edges
+        if e.src in image and e.dst in image
+    )
+    return mapped == target
+
+
+# The colour refinement and quadratic backtracking search that the
+# neighbour-only feasibility rule replaced, kept verbatim as an oracle for
+# `tmkit.match.isomorphic` and `tmkit.match.signature`.
+
+def _reference_refine_colors(g: SimplifiedGraph, policy: MatchPolicy) -> dict[str, str]:
+    """Stable per-node colors from iterated neighborhood refinement.
+
+    Colors are content hashes, so equal structures get equal colors even
+    across different graphs.
+    """
+    colors = {
+        n.id: _reference_digest(json.dumps(n.label(policy.match_role_names)))
+        for n in g.nodes
+    }
+    out_adj: dict[str, list[Edge]] = {n.id: [] for n in g.nodes}
+    in_adj: dict[str, list[Edge]] = {n.id: [] for n in g.nodes}
+    for e in g.edges:
+        out_adj[e.src].append(e)
+        in_adj[e.dst].append(e)
+
+    for _ in range(max(1, len(g.nodes))):
+        new_colors = {}
+        for n in g.nodes:
+            outs = sorted(
+                (list(e.label(policy.match_thing_labels)), colors[e.dst])
+                for e in out_adj[n.id]
+            )
+            ins = sorted(
+                (list(e.label(policy.match_thing_labels)), colors[e.src])
+                for e in in_adj[n.id]
+            )
+            new_colors[n.id] = _reference_digest(
+                json.dumps([colors[n.id], outs, ins], sort_keys=True)
+            )
+        if _reference_partition(new_colors) == _reference_partition(colors):
+            colors = new_colors
+            break
+        colors = new_colors
+    return colors
+
+
+def _reference_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _reference_partition(colors: dict[str, str]) -> frozenset[tuple[str, ...]]:
+    groups: dict[str, list[str]] = {}
+    for node, color in colors.items():
+        groups.setdefault(color, []).append(node)
+    return frozenset(tuple(sorted(members)) for members in groups.values())
+
+
+def _reference_signature(g: SimplifiedGraph, colors: dict[str, str]) -> str:
+    if not g.nodes:
+        return "tmg:0:0:empty"
+    descriptors = sorted(colors[n.id] for n in g.nodes)
+    return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + _reference_digest("|".join(descriptors))
+
+
+def _reference_edge_label_multiset(
+    edges: Iterable[Edge], policy: MatchPolicy
+) -> dict[tuple[str, str], dict[tuple, int]]:
+    out: dict[tuple[str, str], dict[tuple, int]] = {}
+    for e in edges:
+        labels = out.setdefault((e.src, e.dst), {})
+        lab = e.label(policy.match_thing_labels)
+        labels[lab] = labels.get(lab, 0) + 1
+    return out
+
+
+def _reference_consistent(
+    edges1: dict, edges2: dict, mapping: dict[str, str], u: str, w: str
+) -> bool:
+    """Whether mapping u to w keeps every edge between u and the already
+    mapped nodes (and u's self-loops) label-for-label."""
+    if edges1.get((u, u)) != edges2.get((w, w)):
+        return False
+    for v, x in mapping.items():
+        if edges1.get((u, v)) != edges2.get((w, x)):
+            return False
+        if edges1.get((v, u)) != edges2.get((x, w)):
+            return False
+    return True
+
+
+def reference_isomorphic(
+    g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy = STRICT
+) -> NodeMapping | None:
+    """Find a label-preserving bijection making the edge sets correspond.
+
+    Stage kinds always have to match; role names and thing labels match
+    per the policy.  Returns the lexicographically least valid mapping
+    under node id order, or None.  Signature and color-class mismatches
+    reject quickly before the backtracking search runs.
+    """
+    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
+        return None
+    colors1 = _reference_refine_colors(g1, policy)
+    colors2 = _reference_refine_colors(g2, policy)
+    if _reference_signature(g1, colors1) != _reference_signature(g2, colors2):
+        return None
+
+    by_color: dict[str, list[str]] = {}
+    for node in g2.nodes:
+        by_color.setdefault(colors2[node.id], []).append(node.id)
+    for members in by_color.values():
+        members.sort()
+
+    edges1 = _reference_edge_label_multiset(g1.edges, policy)
+    edges2 = _reference_edge_label_multiset(g2.edges, policy)
+    order = sorted(colors1)
+
+    # Depth-first search with an explicit stack, so graphs of any size stay
+    # clear of the recursion limit: pending[i] yields the untried candidates
+    # for order[i], and mapping holds order[:len(mapping)] in that order.
+    mapping: dict[str, str] = {}
+    used: set[str] = set()
+    pending: list[Iterator[str]] = []
+    while len(mapping) < len(order):
+        u = order[len(mapping)]
+        if len(pending) == len(mapping):
+            pending.append(iter(by_color.get(colors1[u], ())))
+        for w in pending[-1]:
+            if w not in used and _reference_consistent(edges1, edges2, mapping, u, w):
+                mapping[u] = w
+                used.add(w)
+                break
+        else:
+            if not mapping:
+                return None
+            pending.pop()
+            used.remove(mapping.popitem()[1])
+    return NodeMapping(tuple(sorted(mapping.items())))
+
+
+def reference_signature(g: SimplifiedGraph, policy: MatchPolicy) -> str:
+    return _reference_signature(g, _reference_refine_colors(g, policy))
+
+
 def brute_force_isomorphic(
     g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy = MatchPolicy()
 ) -> dict | None:
@@ -302,6 +522,47 @@ def brute_force_mcs_size(
         if best:
             break
     return best
+
+
+def brute_force_shared_fragments(
+    g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy
+) -> set[frozenset]:
+    """Every connected common induced fragment that no pair next to it
+    extends, as a set of (g1 id, g2 id) pairs, by enumerating node subsets
+    of g1 and their injections into g2; usable up to ~5 nodes."""
+    near = {n.id: set() for n in g1.nodes}
+    for e in g1.edges:
+        near[e.src].add(e.dst)
+        near[e.dst].add(e.src)
+
+    def connected(subset) -> bool:
+        seen, stack = {subset[0]}, [subset[0]]
+        while stack:
+            for v in near[stack.pop()] & set(subset) - seen:
+                seen.add(v)
+                stack.append(v)
+        return len(seen) == len(subset)
+
+    ids1 = [n.id for n in g1.nodes]
+    ids2 = [n.id for n in g2.nodes]
+    valid = set()
+    for size in range(1, min(len(ids1), len(ids2)) + 1):
+        for subset1 in itertools.combinations(ids1, size):
+            if not connected(subset1):
+                continue
+            for subset2 in itertools.permutations(ids2, size):
+                pairs = dict(zip(subset1, subset2))
+                if scan_verify_mapping(g1, g2, pairs, policy):
+                    valid.add(frozenset(pairs.items()))
+    return {
+        fragment
+        for fragment in valid
+        if not any(
+            fragment | {(u, w)} in valid
+            for u in set().union(*(near[a] for a, _ in fragment)) - {a for a, _ in fragment}
+            for w in set(ids2) - {b for _, b in fragment}
+        )
+    }
 
 
 def brute_force_reach_goal(edges, nodes, goals) -> set:

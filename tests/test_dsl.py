@@ -130,6 +130,25 @@ def test_recovery_still_returns_good_declarations_in_message():
     assert len(exc_info.value.diagnostics) == 2
 
 
+def test_recovery_resumes_after_the_failed_statements_own_brace():
+    # The `}` closing the bad stage list belongs to the thimac, not to the
+    # model block, so `thimac B` is still inside the block.
+    text = "model m {\n  thimac A { create stor }\n  thimac B\n}\n"
+    with pytest.raises(ParseError) as exc_info:
+        parse(text)
+    assert [(d.code, d.span.line) for d in exc_info.value.diagnostics] == [
+        ("E_UNKNOWN_KIND", 2)
+    ]
+
+
+def test_recovery_skips_keywords_used_as_names_in_the_failed_statement():
+    # `event` here names a thimac in the middle of the line, so it does not
+    # start a new statement.
+    with pytest.raises(ParseError) as exc_info:
+        parse("flow X: A.stor -> event.create")
+    assert [d.code for d in exc_info.value.diagnostics] == ["E_UNKNOWN_KIND"]
+
+
 def test_string_escapes_round_trip():
     decls = parse(r'event E "say \"hi\" \\ done" { A.create, A.process }')
     assert decls[0].description == 'say "hi" \\ done'

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit import (
     AmbiguousSpliceError,
@@ -16,18 +18,25 @@ from tmkit import (
     simplify,
     verify_mapping,
 )
-from tmkit.match import STRICT, signature
+from tmkit.match import STRICT, NodeMapping, signature
 
 from helpers import (
     brute_force_isomorphic,
+    brute_force_shared_fragments,
+    digraph_pairs,
     load_model,
     make_graph,
     permute_graph,
     random_digraph,
+    reference_isomorphic,
+    reference_signature,
+    scan_adjacency,
+    scan_verify_mapping,
 )
 
 C, P = StageKind.CREATE, StageKind.PROCESS
 ROLES_OFF = MatchPolicy(match_role_names=False)
+THINGS_OFF = MatchPolicy(match_thing_labels=False)
 
 
 def simplify_text(text):
@@ -254,19 +263,43 @@ def test_non_isomorphic_small_digraphs_rejected():
 
 
 def test_agrees_with_brute_force_on_random_pairs():
-    rng = random.Random(4242)
-    for trial in range(60):
-        n = rng.randint(2, 5)
-        g1 = random_digraph(rng, n, labels=("r", "s"), things=("", "t"))
-        if trial % 2:
-            g2 = permute_graph(g1, rng)
-        else:
-            g2 = random_digraph(rng, n, labels=("r", "s"), things=("", "t"))
-        ours = isomorphic(g1, g2, ROLES_OFF)
-        brute = brute_force_isomorphic(g1, g2, ROLES_OFF)
-        assert (ours is None) == (brute is None), (g1, g2)
-        if ours is not None:
-            assert verify_mapping(g1, g2, ours, ROLES_OFF)
+    # The second draw adds self-loops and parallel edges, which the
+    # feasibility rule compares as loops and per-neighbour label counts.
+    for seed, extra in ((4242, {}), (4343, dict(loops=True, parallel=True))):
+        rng = random.Random(seed)
+        draw = dict(labels=("r", "s"), things=("", "t"), **extra)
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            g1 = random_digraph(rng, n, **draw)
+            if trial % 2:
+                g2 = permute_graph(g1, rng)
+            else:
+                g2 = random_digraph(rng, n, **draw)
+            ours = isomorphic(g1, g2, ROLES_OFF)
+            brute = brute_force_isomorphic(g1, g2, ROLES_OFF)
+            assert (ours is None) == (brute is None), (g1, g2)
+            if ours is not None:
+                assert verify_mapping(g1, g2, ours, ROLES_OFF)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(pair=digraph_pairs(), data=st.data())
+def test_index_and_search_agree_with_the_scans(pair, data):
+    g1, g2 = pair
+    ids1 = [n.id for n in g1.nodes]
+    ids2 = data.draw(st.permutations([n.id for n in g2.nodes]))
+    partial = dict(zip(ids1, ids2[: data.draw(st.integers(0, len(ids2)))]))
+    for policy in (STRICT, ROLES_OFF, THINGS_OFF):
+        for g in pair:
+            assert g.adjacency(policy) == scan_adjacency(g, policy)
+            assert g.adjacency(policy) is g.adjacency(policy)
+            assert signature(g, policy) == reference_signature(g, policy)
+        found = isomorphic(g1, g2, policy)
+        assert found == reference_isomorphic(g1, g2, policy)
+        candidates = [partial] + ([found.as_dict()] if found else [])
+        for pairs in candidates:
+            expected = scan_verify_mapping(g1, g2, pairs, policy)
+            assert verify_mapping(g1, g2, NodeMapping(tuple(pairs.items())), policy) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +402,34 @@ def test_shared_size_matches_brute_force_on_tiny_graphs():
             assert got == expected
         else:
             assert got == 0
+
+
+def test_shared_fragments_match_brute_force_enumeration():
+    # Exact results hold every maximal connected common fragment and
+    # nothing else.  On two 3-node paths, {b: y, c: z} grows only by the
+    # predecessor a, which has to meet its image x through b's image y.
+    pairs = [
+        tuple(
+            make_graph(
+                [(v, "r", C) for v in ids],
+                [(ids[0], ids[1], "flow", ""), (ids[1], ids[2], "flow", "")],
+            )
+            for ids in ("abc", "xyz")
+        )
+    ]
+    rng = random.Random(57)
+    for draw in (dict(labels=("r", "s")), dict(labels=("r",), loops=True, parallel=True)):
+        for _ in range(60):
+            pairs.append(
+                tuple(random_digraph(rng, rng.randint(2, 5), **draw) for _ in range(2))
+            )
+    for g1, g2 in pairs:
+        shared = find_shared_functionality(g1, g2, min_size=2, policy=ROLES_OFF)
+        assert not shared.approximate
+        expected = brute_force_shared_fragments(g1, g2, ROLES_OFF)
+        assert {frozenset(m.pairs) for m, _ in shared.matches} == {
+            fragment for fragment in expected if len(fragment) >= 2
+        }
 
 
 def test_large_graphs_fall_back_to_approximate_search():
