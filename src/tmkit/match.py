@@ -178,9 +178,10 @@ def simplify(model: TMModel) -> SimplifiedGraph:
         if ref in memo:
             return memo[ref]
         result: set[StageRef] = set()
-        stack = [(ref, frozenset({ref}))]
+        seen = {ref}
+        stack = [ref]
         while stack:
-            cur, on_path = stack.pop()
+            cur = stack.pop()
             arcs = flows(cur, forward)
             if not arcs:
                 result.add(cur)
@@ -189,8 +190,9 @@ def simplify(model: TMModel) -> SimplifiedGraph:
                 nxt = arc.target if forward else arc.source
                 if nxt.kind in _KEEP:
                     result.add(nxt)
-                elif nxt not in on_path:
-                    stack.append((nxt, on_path | {nxt}))
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         memo[ref] = frozenset(result)
         return memo[ref]
 

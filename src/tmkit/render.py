@@ -60,18 +60,24 @@ def _static_dot(model: TMModel, opts: RenderOptions) -> str:
                 out.append(f"{indent}{_quote(str(ref))} [label={_quote(kind.value)}];")
         return out
 
-    def emit_cluster(path: str, depth: int) -> None:
+    # An explicit stack of clusters to open and closing lines to emit:
+    # thimac paths nest arbitrarily deep.
+    stack: list[tuple[str, int] | str] = [
+        (top, 0) for top in reversed(model.thimacs[""].children)
+    ]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        path, depth = item
         indent = "  " * (depth + 1)
         thimac = model.thimacs[path]
         lines.append(f"{indent}subgraph {_quote('cluster_' + path)} {{")
         lines.append(f"{indent}  label={_quote(thimac.name)};")
         lines.extend(stage_lines(path, indent + "  "))
-        for child in thimac.children:
-            emit_cluster(child, depth + 1)
-        lines.append(f"{indent}}}")
-
-    for top in model.thimacs[""].children:
-        emit_cluster(top, 0)
+        stack.append(f"{indent}}}")
+        stack.extend((child, depth + 1) for child in reversed(thimac.children))
 
     for arc in model.flows:
         attrs = []

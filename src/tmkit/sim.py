@@ -37,21 +37,6 @@ class NoInitialEventsError(TMError):
 
 
 @dataclass(frozen=True)
-class Channel:
-    """A bounded buffer carrying tokens from one event to another.  A
-    start channel has an empty `src` and exists only to bootstrap its
-    target once."""
-
-    src: str
-    dst: str
-    capacity: int = 1
-
-    @property
-    def id(self) -> str:
-        return f"{self.src}->{self.dst}"
-
-
-@dataclass(frozen=True)
 class Firing:
     step: int
     event: str
@@ -111,65 +96,48 @@ class ExploreResult:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Net:
+    """Channels are numbered once: a marking is a tuple of token counts, one
+    per channel position, and each event lists the positions it reads and
+    writes."""
+
     nodes: tuple[str, ...]
-    channels: tuple[Channel, ...]
-    incoming: dict[str, tuple[Channel, ...]]
-    outgoing: dict[str, tuple[Channel, ...]]
-    initial: tuple[int, ...]  # token counts, aligned with `channels`
+    ids: tuple[str, ...]  # "A->B", or "->A" for a start channel
+    capacity: tuple[int, ...]
+    inputs: dict[str, tuple[int, ...]]
+    outputs: dict[str, tuple[int, ...]]
+    initial: tuple[int, ...]
+    order: tuple[int, ...]  # channel positions sorted by id
 
     def enabled(self, marking: tuple[int, ...], node: str) -> bool:
-        ins = self.incoming[node]
+        ins = self.inputs[node]
         if not ins:
             # Nothing feeds this event and it has no start channel.
             return False
-        for ch in ins:
-            if marking[self.index[ch]] < 1:
+        for i in ins:
+            if marking[i] < 1:
                 return False
-        for ch in self.outgoing[node]:
-            if marking[self.index[ch]] >= ch.capacity:
+        capacity = self.capacity
+        for i in self.outputs[node]:
+            if marking[i] >= capacity[i]:
                 return False
         return True
 
     def fire(self, marking: tuple[int, ...], node: str) -> tuple[int, ...]:
         counts = list(marking)
-        for ch in self.incoming[node]:
-            counts[self.index[ch]] -= 1
-        for ch in self.outgoing[node]:
-            counts[self.index[ch]] += 1
+        for i in self.inputs[node]:
+            counts[i] -= 1
+        for i in self.outputs[node]:
+            counts[i] += 1
         return tuple(counts)
 
     def enabled_nodes(self, marking: tuple[int, ...]) -> list[str]:
         return [n for n in self.nodes if self.enabled(marking, n)]
 
     def marking_items(self, marking: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            sorted((ch.id, marking[i]) for i, ch in enumerate(self.channels))
-        )
-
-    def __post_init__(self):
-        self.index = {ch: i for i, ch in enumerate(self.channels)}
-
-
-def _edges_for(
-    model: TMModel,
-    events: Iterable[Event] | None,
-    behavior: BehaviorGraph,
-    mode: str,
-) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    if events is not None:
-        nodes = tuple(e.name for e in events)
-    elif model.events:
-        nodes = tuple(model.events)
-    else:
-        nodes = behavior.nodes
-    if mode == "inferred":
-        deps = sorted(infer_dependencies(model, events))
-        return nodes, tuple(deps)
-    if mode != "declared":
-        raise ConfigError(f"unknown channel mode {mode!r}")
-    return nodes, behavior.edges
+        ids = self.ids
+        return tuple([(ids[i], marking[i]) for i in self.order])
 
 
 def build_net(
@@ -179,29 +147,40 @@ def build_net(
     behavior: BehaviorGraph | None = None,
 ) -> _Net:
     behavior = behavior if behavior is not None else model.behavior
-    nodes, edges = _edges_for(model, events, behavior, config.channels)
+    if events is not None:
+        nodes = tuple(e.name for e in events)
+    elif model.events:
+        nodes = tuple(model.events)
+    else:
+        nodes = behavior.nodes
+    if config.channels == "inferred":
+        edges = sorted(infer_dependencies(model, events))
+    elif config.channels == "declared":
+        # A repeated behavior edge is one channel, as in `assemble_model`.
+        edges = list(dict.fromkeys(behavior.edges))
+    else:
+        raise ConfigError(f"unknown channel mode {config.channels!r}")
 
-    def capacity(edge: tuple[str, str]) -> int:
+    ids = [f"{a}->{b}" for a, b in edges]
+    capacity = []
+    inputs: dict[str, list[int]] = {n: [] for n in nodes}
+    outputs: dict[str, list[int]] = {n: [] for n in nodes}
+    for i, (a, b) in enumerate(edges):
         if isinstance(config.capacities, int):
             cap = config.capacities
         else:
-            cap = config.capacities.get(edge, 1)
+            cap = config.capacities.get((a, b), 1)
         if cap <= 0:
-            raise ConfigError(f"channel {edge[0]}->{edge[1]} has capacity {cap}")
-        return cap
-
-    channels = [Channel(a, b, capacity((a, b))) for a, b in edges]
-    incoming: dict[str, list[Channel]] = {n: [] for n in nodes}
-    outgoing: dict[str, list[Channel]] = {n: [] for n in nodes}
-    for ch in channels:
-        if ch.dst in incoming:
-            incoming[ch.dst].append(ch)
-        if ch.src in outgoing:
-            outgoing[ch.src].append(ch)
+            raise ConfigError(f"channel {a}->{b} has capacity {cap}")
+        capacity.append(cap)
+        if b in inputs:
+            inputs[b].append(i)
+        if a in outputs:
+            outputs[a].append(i)
 
     initial = config.initial_events
     if initial is None:
-        sources = [n for n in nodes if not incoming[n]]
+        sources = [n for n in nodes if not inputs[n]]
         if sources:
             initial = frozenset(sources)
         elif edges:
@@ -215,23 +194,25 @@ def build_net(
                 f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
             )
 
-    tokens: dict[Channel, int] = {ch: 0 for ch in channels}
+    tokens = [0] * len(edges)
     for name in sorted(initial):
-        if incoming[name]:
-            for ch in incoming[name]:
-                tokens[ch] = min(ch.capacity, tokens[ch] + 1)
+        if inputs[name]:
+            for i in inputs[name]:
+                tokens[i] = min(capacity[i], tokens[i] + 1)
         else:
-            start = Channel("", name, 1)
-            channels.append(start)
-            incoming[name].append(start)
-            tokens[start] = 1
+            inputs[name].append(len(ids))
+            ids.append(f"->{name}")
+            capacity.append(1)
+            tokens.append(1)
 
     return _Net(
         nodes=nodes,
-        channels=tuple(channels),
-        incoming={n: tuple(chs) for n, chs in incoming.items()},
-        outgoing={n: tuple(chs) for n, chs in outgoing.items()},
-        initial=tuple(tokens[ch] for ch in channels),
+        ids=tuple(ids),
+        capacity=tuple(capacity),
+        inputs={n: tuple(chs) for n, chs in inputs.items()},
+        outputs={n: tuple(chs) for n, chs in outputs.items()},
+        initial=tuple(tokens),
+        order=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
     )
 
 
@@ -267,8 +248,6 @@ def simulate(
             break
         event = rng.choice(enabled)
         marking = net.fire(marking, event)
-        for count, ch in zip(marking, net.channels):
-            assert 0 <= count <= ch.capacity, "capacity bound violated"
         firings.append(Firing(step, event, net.marking_items(marking)))
     return Trace(tuple(firings))
 
@@ -293,7 +272,7 @@ def explore_state_space(
     if config.terminal_events is not None:
         terminal = set(config.terminal_events)
     else:
-        terminal = {n for n in net.nodes if not net.outgoing[n]}
+        terminal = {n for n in net.nodes if not net.outputs[n]}
 
     seen: dict[tuple[int, ...], None] = {net.initial: None}
     queue = deque([net.initial])

@@ -11,18 +11,29 @@ import random
 import re
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from hypothesis import strategies as st
 
 from tmkit import assemble_model, parse
+from tmkit.behavior import infer_dependencies
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
 from tmkit.dsl import _Token
 from tmkit.match import STRICT, Edge, MatchPolicy, Node, NodeMapping, SimplifiedGraph
-from tmkit.model import StageKind, TMModel
+from tmkit.model import BehaviorGraph, Event, StageKind, TMModel
+from tmkit.sim import (
+    ConfigError,
+    ExploreConfig,
+    ExploreResult,
+    Firing,
+    NoInitialEventsError,
+    SimConfig,
+    Trace,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -744,3 +755,238 @@ def check_dot_syntax(text: str) -> bool:
     if not take("punct", "}"):
         return False
     return peek()[0] == "eof"
+
+
+# ---------------------------------------------------------------------------
+# Reference token engine: the channel-object engine that numbered channels
+# replaced, kept as an oracle.  Only the top-level names differ from the
+# original; the result and config types are the library's own, so results
+# compare equal.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _ReferenceChannel:
+    """A bounded buffer carrying tokens from one event to another.  A
+    start channel has an empty `src` and exists only to bootstrap its
+    target once."""
+
+    src: str
+    dst: str
+    capacity: int = 1
+
+    @property
+    def id(self) -> str:
+        return f"{self.src}->{self.dst}"
+
+
+@dataclass
+class _ReferenceNet:
+    nodes: tuple[str, ...]
+    channels: tuple[_ReferenceChannel, ...]
+    incoming: dict[str, tuple[_ReferenceChannel, ...]]
+    outgoing: dict[str, tuple[_ReferenceChannel, ...]]
+    initial: tuple[int, ...]  # token counts, aligned with `channels`
+
+    def enabled(self, marking: tuple[int, ...], node: str) -> bool:
+        ins = self.incoming[node]
+        if not ins:
+            # Nothing feeds this event and it has no start channel.
+            return False
+        for ch in ins:
+            if marking[self.index[ch]] < 1:
+                return False
+        for ch in self.outgoing[node]:
+            if marking[self.index[ch]] >= ch.capacity:
+                return False
+        return True
+
+    def fire(self, marking: tuple[int, ...], node: str) -> tuple[int, ...]:
+        counts = list(marking)
+        for ch in self.incoming[node]:
+            counts[self.index[ch]] -= 1
+        for ch in self.outgoing[node]:
+            counts[self.index[ch]] += 1
+        return tuple(counts)
+
+    def enabled_nodes(self, marking: tuple[int, ...]) -> list[str]:
+        return [n for n in self.nodes if self.enabled(marking, n)]
+
+    def marking_items(self, marking: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            sorted((ch.id, marking[i]) for i, ch in enumerate(self.channels))
+        )
+
+    def __post_init__(self):
+        self.index = {ch: i for i, ch in enumerate(self.channels)}
+
+
+def _reference_edges_for(
+    model: TMModel,
+    events: Iterable[Event] | None,
+    behavior: BehaviorGraph,
+    mode: str,
+) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    if events is not None:
+        nodes = tuple(e.name for e in events)
+    elif model.events:
+        nodes = tuple(model.events)
+    else:
+        nodes = behavior.nodes
+    if mode == "inferred":
+        deps = sorted(infer_dependencies(model, events))
+        return nodes, tuple(deps)
+    if mode != "declared":
+        raise ConfigError(f"unknown channel mode {mode!r}")
+    return nodes, behavior.edges
+
+
+def reference_build_net(
+    model: TMModel,
+    config: SimConfig | ExploreConfig,
+    events: Iterable[Event] | None = None,
+    behavior: BehaviorGraph | None = None,
+) -> _ReferenceNet:
+    behavior = behavior if behavior is not None else model.behavior
+    nodes, edges = _reference_edges_for(model, events, behavior, config.channels)
+
+    def capacity(edge: tuple[str, str]) -> int:
+        if isinstance(config.capacities, int):
+            cap = config.capacities
+        else:
+            cap = config.capacities.get(edge, 1)
+        if cap <= 0:
+            raise ConfigError(f"channel {edge[0]}->{edge[1]} has capacity {cap}")
+        return cap
+
+    channels = [_ReferenceChannel(a, b, capacity((a, b))) for a, b in edges]
+    incoming: dict[str, list[_ReferenceChannel]] = {n: [] for n in nodes}
+    outgoing: dict[str, list[_ReferenceChannel]] = {n: [] for n in nodes}
+    for ch in channels:
+        if ch.dst in incoming:
+            incoming[ch.dst].append(ch)
+        if ch.src in outgoing:
+            outgoing[ch.src].append(ch)
+
+    initial = config.initial_events
+    if initial is None:
+        sources = [n for n in nodes if not incoming[n]]
+        if sources:
+            initial = frozenset(sources)
+        elif edges:
+            initial = frozenset({edges[0][0]})
+        else:
+            initial = frozenset()
+    else:
+        unknown = set(initial) - set(nodes)
+        if unknown:
+            raise ConfigError(
+                f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
+            )
+
+    tokens: dict[_ReferenceChannel, int] = {ch: 0 for ch in channels}
+    for name in sorted(initial):
+        if incoming[name]:
+            for ch in incoming[name]:
+                tokens[ch] = min(ch.capacity, tokens[ch] + 1)
+        else:
+            start = _ReferenceChannel("", name, 1)
+            channels.append(start)
+            incoming[name].append(start)
+            tokens[start] = 1
+
+    return _ReferenceNet(
+        nodes=nodes,
+        channels=tuple(channels),
+        incoming={n: tuple(chs) for n, chs in incoming.items()},
+        outgoing={n: tuple(chs) for n, chs in outgoing.items()},
+        initial=tuple(tokens[ch] for ch in channels),
+    )
+
+
+def reference_simulate(
+    model: TMModel,
+    config: SimConfig | None = None,
+    events: Iterable[Event] | None = None,
+    behavior: BehaviorGraph | None = None,
+) -> Trace:
+    """Run one seeded execution; deterministic for a given configuration.
+
+    At each step one enabled event is picked by the seeded RNG and fired;
+    the run stops at `max_steps` or when nothing is enabled.  Raises
+    NoInitialEventsError when the initial marking is empty (nothing could
+    ever fire), and ConfigError for non-positive capacities.
+    """
+    config = config or SimConfig()
+    if config.max_steps < 0:
+        raise ConfigError("max_steps must be >= 0")
+    net = reference_build_net(model, config, events, behavior)
+    if config.max_steps == 0 or not net.nodes:
+        return Trace()
+    if sum(net.initial) == 0:
+        raise NoInitialEventsError(
+            "no tokens and no start channels; nothing can ever fire"
+        )
+    rng = random.Random(config.seed)
+    marking = net.initial
+    firings: list[Firing] = []
+    for step in range(config.max_steps):
+        enabled = net.enabled_nodes(marking)
+        if not enabled:
+            break
+        event = rng.choice(enabled)
+        marking = net.fire(marking, event)
+        for count, ch in zip(marking, net.channels):
+            assert 0 <= count <= ch.capacity, "capacity bound violated"
+        firings.append(Firing(step, event, net.marking_items(marking)))
+    return Trace(tuple(firings))
+
+
+def reference_explore_state_space(
+    model: TMModel,
+    config: ExploreConfig | None = None,
+    events: Iterable[Event] | None = None,
+    behavior: BehaviorGraph | None = None,
+) -> ExploreResult:
+    """Breadth-first enumeration of every reachable marking.
+
+    A halted marking (no event enabled) counts as a normal completion
+    only when all channels have drained, at least one firing led to it,
+    and the terminal set (by default: events with no outgoing channels)
+    is non-empty; every other halt is a deadlock.  When `max_states` is
+    exhausted the partial result is returned with `bounded` False.
+    """
+    config = config or ExploreConfig()
+    net = reference_build_net(model, config, events, behavior)
+
+    if config.terminal_events is not None:
+        terminal = set(config.terminal_events)
+    else:
+        terminal = {n for n in net.nodes if not net.outgoing[n]}
+
+    seen: dict[tuple[int, ...], None] = {net.initial: None}
+    queue = deque([net.initial])
+    deadlocks: list[tuple[tuple[str, int], ...]] = []
+    bounded = True
+    while queue:
+        marking = queue.popleft()
+        enabled = net.enabled_nodes(marking)
+        if not enabled:
+            drained = sum(marking) == 0
+            completed = drained and marking != net.initial and bool(terminal)
+            if not completed:
+                deadlocks.append(net.marking_items(marking))
+            continue
+        for node in enabled:
+            nxt = net.fire(marking, node)
+            if nxt not in seen:
+                if len(seen) >= config.max_states:
+                    bounded = False
+                    continue
+                seen[nxt] = None
+                queue.append(nxt)
+    return ExploreResult(
+        reachable_count=len(seen),
+        deadlocks=tuple(sorted(deadlocks)),
+        bounded=bounded,
+    )

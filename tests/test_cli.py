@@ -200,6 +200,18 @@ def test_render_simplified_view():
     assert result.stdout.count("->") == 12
 
 
+def test_render_of_deeply_nested_thimacs_has_no_traceback(tmp_path):
+    # 1,200 nesting levels: deeper than Python's default recursion limit.
+    path = ".".join(["A"] * 1200)
+    f = tmp_path / "deep.tm"
+    f.write_text(f"flow x: {path}.create -> {path}.release\n", encoding="utf-8")
+    result = run_tm(["render", str(f)])
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout.count("subgraph") == 1200
+    assert result.stdout.count("{") == result.stdout.count("}")
+
+
 def test_stdout_is_machine_parseable_stderr_is_prose():
     result = run_tm(["check", "fixture:pump"])
     for line in result.stdout.splitlines():

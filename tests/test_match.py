@@ -1,6 +1,7 @@
 """Simplification, signatures, isomorphism, and shared functionality."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 from tmkit import (
     AmbiguousSpliceError,
     MatchPolicy,
+    Severity,
     StageKind,
     assemble_model,
     canonical_signature,
+    check_static,
     find_shared_functionality,
     isomorphic,
     parse,
@@ -59,6 +62,27 @@ def test_full_chain_splices_to_one_edge():
     assert [(e.src, e.dst, e.kind, e.thing) for e in g.edges] == [
         ("A.create", "B.process", "flow", "Thing")
     ]
+
+
+def test_ladder_of_elided_diamonds_splices_in_linear_time():
+    # Each rung X{i}.transfer -> Y{i}a|b.transfer -> X{i+1}.transfer doubles
+    # the simple paths from S to T; the splice walk must not list them.
+    k = 20
+    lines = ["flow t: S.create -> S.release -> S.transfer -> X0.transfer"]
+    for i in range(k):
+        for side in "ab":
+            lines.append(
+                f"flow t: X{i}.transfer -> Y{i}{side}.transfer -> X{i + 1}.transfer"
+            )
+    lines.append(f"flow t: X{k}.transfer -> T.transfer -> T.receive -> T.process")
+    model = assemble_model(parse("\n".join(lines) + "\n"))
+    assert not [d for d in check_static(model) if d.severity is Severity.ERROR]
+    start = time.perf_counter()
+    g = simplify(model)
+    elapsed = time.perf_counter() - start
+    assert [n.id for n in g.nodes] == ["S.create", "T.process"]
+    assert [(e.src, e.dst) for e in g.edges] == [("S.create", "T.process")]
+    assert elapsed < 1.0
 
 
 def test_boundary_only_model_gets_env_nodes():

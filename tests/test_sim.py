@@ -3,18 +3,26 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit import (
     ConfigError,
     ExploreConfig,
     NoInitialEventsError,
     SimConfig,
+    assemble_model,
     explore_state_space,
     simulate,
 )
 from tmkit.model import BehaviorGraph
+from tmkit.sim import build_net
 
-from helpers import load_model
+from helpers import (
+    load_model,
+    reference_explore_state_space,
+    reference_simulate,
+)
 
 ALL_FIXTURES = (
     "automobile",
@@ -198,8 +206,6 @@ def test_simulated_markings_are_explored(name):
         for firing in trace.firings:
             seen_markings.add(firing.marking)
     # Recompute the explored set as marking item tuples for comparison.
-    from tmkit.sim import build_net
-
     net = build_net(model, ExploreConfig())
     frontier = [net.initial]
     reach = {net.initial}
@@ -212,3 +218,112 @@ def test_simulated_markings_are_explored(name):
                 frontier.append(nxt)
     reach_items = {net.marking_items(m) for m in reach}
     assert seen_markings <= reach_items
+
+
+def test_repeated_behavior_edge_is_one_channel():
+    # `assemble_model` drops repeated edges; a hand-built graph may keep them.
+    model = assemble_model([])
+    once = BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A")))
+    twice = BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A"), ("A", "B")))
+    config = SimConfig(max_steps=6, seed=1)
+    trace = simulate(model, config, behavior=twice)
+    assert trace == simulate(model, config, behavior=once)
+    assert [f.event for f in trace.firings] == ["A", "B"] * 3
+    assert explore_state_space(model, ExploreConfig(), behavior=twice) == (
+        explore_state_space(model, ExploreConfig(), behavior=once)
+    )
+
+
+@st.composite
+def token_runs(draw):
+    """A model, an optional behavior graph, and one simulate and one explore
+    config.  Either a fixture in either channel mode, or a random behavior
+    graph (cycles, sources, self-loops, no repeated edge) on an empty model."""
+    if draw(st.booleans()):
+        model = load_model(draw(st.sampled_from(ALL_FIXTURES)))
+        behavior = None
+        nodes = tuple(model.events)
+        edges = list(model.behavior.edges)
+        channels = draw(st.sampled_from(["declared", "inferred"]))
+    else:
+        model = assemble_model([])
+        nodes = tuple(f"e{i}" for i in range(draw(st.integers(1, 5))))
+        pairs = [(a, b) for a in nodes for b in nodes]
+        ring = list(zip(nodes, nodes[1:] + nodes[:1])) if draw(st.booleans()) else []
+        extra = draw(st.lists(st.sampled_from(pairs), max_size=7))
+        edges = list(dict.fromkeys(ring + extra))
+        behavior = BehaviorGraph(nodes, tuple(edges))
+        channels = "declared"
+    if draw(st.booleans()):
+        capacities = draw(st.integers(1, 3))
+    else:
+        capacities = {e: draw(st.integers(1, 3)) for e in edges if draw(st.booleans())}
+    initial = draw(st.none() | st.frozensets(st.sampled_from(nodes + ("zz",)), max_size=3))
+    terminal = draw(st.none() | st.frozensets(st.sampled_from(nodes), max_size=2))
+    sim = SimConfig(
+        capacities=capacities,
+        max_steps=draw(st.integers(-1, 40)),
+        seed=draw(st.integers(0, 5)),
+        initial_events=initial,
+        channels=channels,
+    )
+    explore = ExploreConfig(
+        capacities=capacities,
+        max_states=draw(st.integers(1, 300)),
+        initial_events=initial,
+        terminal_events=terminal,
+        channels=channels,
+    )
+    return model, behavior, sim, explore
+
+
+def _outcome(run, *args, **kwargs):
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:  # the exception type is part of the outcome
+        return type(exc)
+
+
+def _capacity_of(channel_id, capacities):
+    src, dst = channel_id.split("->")
+    if not src:
+        return 1  # a start channel
+    if isinstance(capacities, int):
+        return capacities
+    return capacities.get((src, dst), 1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(token_runs())
+def test_engine_matches_reference_and_respects_capacities(run):
+    model, behavior, sim, explore = run
+    trace = _outcome(simulate, model, sim, behavior=behavior)
+    assert trace == _outcome(reference_simulate, model, sim, behavior=behavior)
+    result = _outcome(explore_state_space, model, explore, behavior=behavior)
+    assert result == _outcome(
+        reference_explore_state_space, model, explore, behavior=behavior
+    )
+    if isinstance(trace, type) or isinstance(result, type):
+        return
+
+    def assert_within_capacity(items):
+        for channel_id, count in items:
+            assert 0 <= count <= _capacity_of(channel_id, sim.capacities), items
+
+    for firing in trace.firings:
+        assert_within_capacity(firing.marking)
+    net = build_net(model, explore, behavior=behavior)
+    reach = {net.initial}
+    frontier = [net.initial]
+    while frontier and len(reach) < explore.max_states:
+        marking = frontier.pop()
+        assert_within_capacity(net.marking_items(marking))
+        for node in net.enabled_nodes(marking):
+            nxt = net.fire(marking, node)
+            if nxt not in reach:
+                reach.add(nxt)
+                frontier.append(nxt)
+    for marking in frontier:
+        assert_within_capacity(net.marking_items(marking))
+    if result.bounded:
+        assert len(reach) == result.reachable_count
