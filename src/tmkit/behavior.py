@@ -4,7 +4,7 @@ non-functional event detection."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel
@@ -185,10 +185,16 @@ def nonfunctional_events(behavior: BehaviorGraph, goals: set[str]) -> set[str]:
         raise UnknownGoalError(
             f"goal(s) not in the behavior graph: {', '.join(sorted(unknown))}"
         )
-    can_reach: set[str] = set()
-    for node in behavior.nodes:
-        if node in goals or goals & reachable_from(behavior, node):
-            can_reach.add(node)
+    predecessors: dict[str, list[str]] = {}
+    for a, b in behavior.edges:
+        predecessors.setdefault(b, []).append(a)
+    can_reach = set(goals)
+    queue = deque(goals)
+    while queue:
+        for node in predecessors.get(queue.popleft(), ()):
+            if node not in can_reach:
+                can_reach.add(node)
+                queue.append(node)
     return set(behavior.nodes) - can_reach
 
 

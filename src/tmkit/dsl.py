@@ -21,7 +21,7 @@ its endpoints do, so regions never need to enumerate arcs.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
 
 from .diagnostics import Diagnostic, Severity, SourceSpan, TMError
 from .model import (
@@ -51,127 +51,152 @@ class ParseError(TMError):
         super().__init__(f"{where}{first.message}{more}")
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT | STRING | -> | ~> | { | } | : | , | @ | . | EOF
-    value: str
-    line: int
-    col: int
+# A token is a plain `(kind, value, offset)` tuple: kind is IDENT, STRING,
+# one of -> ~> { } : , @ . (its own text), or EOF; offset is where it starts.
+_Token = tuple[str, str, int]
 
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col)
-
-
-# The lexical grammar, tried in order at each offset.  A string ends at its
-# closing quote or at the end of its line; `\"` and `\\` are its only escapes.
+# One match skips blanks, line breaks and comments, then reads one lexeme;
+# only the match at the end of the text reads none.  The lexemes are tried
+# in order.  A string ends at its closing quote or at the end of its line;
+# `\"` and `\\` are its only escapes.
 _LEXEME = re.compile(
-    "|".join(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
+    + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("blank", r"[ \t\r]+"),
-            ("comment", r"#[^\n]*"),
-            ("newline", r"\n"),
+            ("word", r"[^\W\d]\w*"),
             ("punct", r"->|~>|[{}:,@.]"),
             ("string", r'"(?P<body>(?:\\["\\]|[^"\n])*)(?P<closed>"?)'),
-            ("word", r"[^\W\d]\w*"),
             ("other", r"."),
         )
     )
+    + ")?"
 )
 _ESCAPE = re.compile(r'\\(["\\])')
+_NEWLINE = re.compile(r"\n")
 
 
-def _tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
+class _Lines:
+    """The line-start offsets of a text, to turn an offset into a span."""
+
+    def __init__(self, text: str):
+        self.starts = [0] + [m.end() for m in _NEWLINE.finditer(text)]
+
+    def span(self, offset: int) -> SourceSpan:
+        line = bisect_right(self.starts, offset)
+        return SourceSpan(line, offset - self.starts[line - 1] + 1)
+
+
+def _tokenize(text: str, lines: _Lines, diags: list[Diagnostic]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start, pos, end = 1, 0, 0, len(text)
-    while pos < len(text):
-        m = _LEXEME.match(text, pos)
-        kind, start, pos = m.lastgroup, pos, m.end()
-        col = start - line_start + 1
-        if kind == "word" and (text[start].isalpha() or text[start] == "_"):
-            tokens.append(_Token("IDENT", m[kind], line, col))
-        elif kind == "punct":
-            tokens.append(_Token(m[kind], m[kind], line, col))
-        elif kind == "newline":
-            line, line_start = line + 1, pos
-        elif kind == "string":
-            if not m["closed"]:
-                diags.append(_syntax_error("unterminated string literal", line, col))
-            tokens.append(_Token("STRING", _ESCAPE.sub(r"\1", m["body"]), line, col))
-        elif kind == "comment" and pos == len(text):
-            end = start  # columns stop at a comment, so EOF sits at its '#'
-        elif kind in ("word", "other"):
-            pos = start + 1  # `\w` also admits '²', '½': report one, go on
-            diags.append(_syntax_error(f"unexpected character {text[start]!r}", line, col))
-    tokens.append(_Token("EOF", "", line, end - line_start + 1))
-    return tokens
+    append = tokens.append
+    pos = 0
+    while True:
+        for m in _LEXEME.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "word":
+                value = m[kind]
+                start = m.end() - len(value)
+                if not (value[0].isalpha() or value[0] == "_"):
+                    pos = start + 1  # `\w` also admits '²', '½': report one, rescan after it
+                    diags.append(_unexpected(text, start, lines))
+                    break
+                append(("IDENT", value, start))
+            elif kind == "punct":
+                value = m[kind]
+                append((value, value, m.end() - len(value)))
+            elif kind == "string":
+                start = m.start(kind)
+                if not m["closed"]:
+                    diags.append(_syntax_error("unterminated string literal", start, lines))
+                body = m["body"]
+                append(("STRING", _ESCAPE.sub(r"\1", body) if "\\" in body else body, start))
+            elif kind == "other":
+                diags.append(_unexpected(text, m.start(kind), lines))
+            else:
+                # The end of the text; after a trailing comment, EOF sits at its '#'.
+                skipped = m[0]
+                comment = skipped.find("#", skipped.rfind("\n") + 1)
+                append(("EOF", "", m.start() + comment if comment >= 0 else len(text)))
+                return tokens
 
 
-def _syntax_error(message: str, line: int, col: int) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, "E_SYNTAX", message, span=SourceSpan(line, col))
+def _unexpected(text: str, offset: int, lines: _Lines) -> Diagnostic:
+    return _syntax_error(f"unexpected character {text[offset]!r}", offset, lines)
+
+
+def _syntax_error(message: str, offset: int, lines: _Lines) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, "E_SYNTAX", message, span=lines.span(offset))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diags: list[Diagnostic]):
+    def __init__(self, tokens: list[_Token], lines: _Lines, diags: list[Diagnostic]):
         self.tokens = tokens
         self.pos = 0
+        self.lines = lines
         self.diags = diags
+        self.refs: dict[str, StageRef] = {}  # by dotted name, see `stage_ref`
 
     # -- token helpers ------------------------------------------------------
-
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    # Only `advance` can meet EOF: no caller accepts or expects it.
 
     def advance(self) -> _Token:
-        tok = self.cur
-        if tok.kind != "EOF":
+        tok = self.tokens[self.pos]
+        if tok[0] != "EOF":
             self.pos += 1
         return tok
 
     def match(self, kind: str) -> bool:
-        return self.cur.kind == kind
+        return self.tokens[self.pos][0] == kind
 
     def accept(self, kind: str) -> _Token | None:
-        if self.match(kind):
-            return self.advance()
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> _Token | None:
-        if self.match(kind):
-            return self.advance()
-        self.error(f"expected {what}, found {self._describe(self.cur)}", code)
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        self.error(f"expected {what}, found {self._describe(tok)}", code)
         return None
 
     @staticmethod
     def _describe(tok: _Token) -> str:
-        if tok.kind == "EOF":
+        kind, value, _ = tok
+        if kind == "EOF":
             return "end of input"
-        if tok.kind in ("IDENT", "STRING"):
-            return f"{tok.value!r}"
-        return f"{tok.kind!r}"
+        if kind in ("IDENT", "STRING"):
+            return f"{value!r}"
+        return f"{kind!r}"
+
+    def span(self, tok: _Token) -> SourceSpan:
+        return self.lines.span(tok[2])
 
     def error(self, message: str, code: str = "E_SYNTAX", tok: _Token | None = None) -> None:
-        tok = tok or self.cur
-        self.diags.append(
-            Diagnostic(Severity.ERROR, code, message, span=tok.span())
-        )
+        tok = tok or self.tokens[self.pos]
+        self.diags.append(Diagnostic(Severity.ERROR, code, message, span=self.span(tok)))
 
     def sync(self, start: int) -> None:
         """Skip the rest of the failed statement that began at token
         `start`, so later errors are still found: stop at a statement
         keyword that starts a line or at an enclosing block's `}`, or just
         after the `}` that closes the last brace the statement opened."""
-        depth = sum(_BRACES.get(t.kind, 0) for t in self.tokens[start : self.pos])
+        depth = sum(_BRACES.get(t[0], 0) for t in self.tokens[start : self.pos])
         while not self.match("EOF"):
-            tok = self.cur
-            starts_line = self.tokens[self.pos - 1].line < tok.line
-            if tok.kind == "}" and depth == 0:
+            kind, value, _ = tok = self.tokens[self.pos]
+            if kind == "}" and depth == 0:
                 return
-            if tok.kind == "IDENT" and tok.value in _STATEMENTS and starts_line:
-                return
+            if kind == "IDENT" and value in _STATEMENTS:
+                starts_line = self.span(self.tokens[self.pos - 1]).line < self.span(tok).line
+                if starts_line:
+                    return
             self.advance()
-            depth += _BRACES.get(tok.kind, 0)
-            if tok.kind == "}" and depth == 0:
+            depth += _BRACES.get(kind, 0)
+            if kind == "}" and depth == 0:
                 return
 
     # -- grammar ------------------------------------------------------------
@@ -188,16 +213,16 @@ class _Parser:
                 self.error("unmatched '}'")
                 self.advance()
                 continue
-            tok, start = self.cur, self.pos
-            if tok.kind != "IDENT":
+            tok, start = self.tokens[self.pos], self.pos
+            if tok[0] != "IDENT":
                 self.error(f"expected a statement, found {self._describe(tok)}")
                 self.advance()
                 self.sync(start)
                 continue
             before = len(self.diags)
-            statement = _STATEMENTS.get(tok.value)
+            statement = _STATEMENTS.get(tok[1])
             if statement is None:
-                self.error(f"unknown statement {tok.value!r}")
+                self.error(f"unknown statement {tok[1]!r}")
                 self.advance()
             else:
                 decl = statement(self)
@@ -217,14 +242,13 @@ class _Parser:
             return None
         if self.expect("{", "'{' after model name") is None:
             return None
-        return ModelDecl(name.value, start.span())
+        return ModelDecl(name[1], self.span(start))
 
     def parse_thimac(self) -> ThimacDecl | None:
         start = self.advance()
-        parts = self.dotted("a name")
-        if parts is None:
+        path = self.dotted("a name")
+        if path is None:
             return None
-        path = ".".join(t.value for t in parts)
         stages: list = []
         if self.accept("{"):
             while not self.match("}") and not self.match("EOF"):
@@ -237,51 +261,59 @@ class _Parser:
                 stages.append(kind)
             if self.expect("}", "'}' closing stage list") is None:
                 return None
-        return ThimacDecl(path, tuple(stages), start.span())
+        return ThimacDecl(path, tuple(stages), self.span(start))
 
-    def dotted(self, what: str) -> list[_Token] | None:
-        """Read `IDENT ('.' IDENT)*`; `what` names the expected first token."""
+    def dotted(self, what: str) -> str | None:
+        """Read `IDENT ('.' IDENT)*` and return its names joined by dots;
+        `what` names the expected first token."""
         tok = self.expect("IDENT", what)
         if tok is None:
             return None
-        parts = [tok]
-        while self.accept("."):
+        dotted = tok[1]
+        tokens = self.tokens
+        while tokens[self.pos][0] == ".":
+            self.pos += 1
             tok = self.expect("IDENT", "name after '.'")
             if tok is None:
                 return None
-            parts.append(tok)
-        return parts
+            dotted = f"{dotted}.{tok[1]}"
+        return dotted
 
     def _kind(self, tok: _Token) -> StageKind | None:
         """The stage kind `tok` names, or None after reporting it."""
-        kind = kind_from_name(tok.value)
+        kind = kind_from_name(tok[1])
         if kind is None:
             self.error(
-                f"{tok.value!r} is not a stage kind "
+                f"{tok[1]!r} is not a stage kind "
                 f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
                 "E_UNKNOWN_KIND",
                 tok,
             )
         return kind
 
-    def stage_ref(self, parts: list[_Token]) -> StageRef | None:
-        """`thimac.path.kind` from dotted tokens, at least two of them."""
-        kind = self._kind(parts[-1])
-        if kind is None:
-            return None
-        return StageRef(".".join(t.value for t in parts[:-1]), kind)
+    def stage_ref(self, dotted: str) -> StageRef | None:
+        """`thimac.path.kind` from the dotted name `dotted` just read, so
+        the last token read names the kind.  Equal references share one
+        `StageRef` within a parse."""
+        ref = self.refs.get(dotted)
+        if ref is None:
+            kind = self._kind(self.tokens[self.pos - 1])
+            if kind is None:
+                return None
+            ref = self.refs[dotted] = StageRef(dotted.rpartition(".")[0], kind)
+        return ref
 
     def parse_stage_ref(self) -> StageRef | None:
-        parts = self.dotted("a stage reference")
-        if parts is None:
+        dotted = self.dotted("a stage reference")
+        if dotted is None:
             return None
-        if len(parts) < 2:
+        if "." not in dotted:
             self.error(
-                f"stage reference needs a thimac and a stage kind, got {parts[0].value!r}",
-                tok=parts[0],
+                f"stage reference needs a thimac and a stage kind, got {dotted!r}",
+                tok=self.tokens[self.pos - 1],
             )
             return None
-        return self.stage_ref(parts)
+        return self.stage_ref(dotted)
 
     def parse_flow(self) -> FlowDecl | None:
         start = self.advance()
@@ -303,7 +335,7 @@ class _Parser:
         if len(chain) < 2:
             self.error("flow chain needs at least two stage references", tok=start)
             return None
-        return FlowDecl(label.value, tuple(chain), start.span())
+        return FlowDecl(label[1], tuple(chain), self.span(start))
 
     def parse_trigger(self) -> TriggerDecl | None:
         start = self.advance()
@@ -315,7 +347,7 @@ class _Parser:
         target = self.parse_stage_ref()
         if target is None:
             return None
-        return TriggerDecl(source, target, start.span())
+        return TriggerDecl(source, target, self.span(start))
 
     def parse_event(self) -> EventDecl | None:
         start = self.advance()
@@ -326,24 +358,24 @@ class _Parser:
         time = None
         tok = self.accept("STRING")
         if tok is not None:
-            description = tok.value
+            description = tok[1]
         if self.accept("@"):
             tok = self.expect("STRING", "time annotation string after '@'")
             if tok is None:
                 return None
-            time = tok.value
+            time = tok[1]
         if self.expect("{", "'{' opening the event region") is None:
             return None
         members: list[StageRef | str] = []
         more = not self.match("}")  # `{ }` is an empty region
         while more:
-            parts = self.dotted("a region member")
-            if parts is None:
+            dotted = self.dotted("a region member")
+            if dotted is None:
                 return None
-            if len(parts) == 1:
-                members.append(parts[0].value)  # arc id reference
+            if "." not in dotted:
+                members.append(dotted)  # arc id reference
             else:
-                ref = self.stage_ref(parts)
+                ref = self.stage_ref(dotted)
                 if ref is None:
                     return None
                 members.append(ref)
@@ -351,7 +383,7 @@ class _Parser:
         if self.expect("}", "'}' closing the event region", "E_UNTERMINATED_BLOCK") is None:
             return None
         return EventDecl(
-            name.value, tuple(members), description, time, start.span()
+            name[1], tuple(members), description, time, self.span(start)
         )
 
     def parse_behavior(self) -> BehaviorDecl | None:
@@ -360,16 +392,16 @@ class _Parser:
         tok = self.expect("IDENT", "event name")
         if tok is None:
             return None
-        chain.append(tok.value)
+        chain.append(tok[1])
         while self.accept("->"):
             tok = self.expect("IDENT", "event name after '->'")
             if tok is None:
                 return None
-            chain.append(tok.value)
+            chain.append(tok[1])
         if len(chain) < 2:
             self.error("behavior chain needs at least two event names", tok=start)
             return None
-        return BehaviorDecl(tuple(chain), start.span())
+        return BehaviorDecl(tuple(chain), self.span(start))
 
 
 _BRACES = {"{": 1, "}": -1}
@@ -392,8 +424,9 @@ def parse(text: str) -> list[Declaration]:
     diagnostics are raised as a ParseError.
     """
     diags: list[Diagnostic] = []
-    tokens = _tokenize(text, diags)
-    decls = _Parser(tokens, diags).parse_file()
+    lines = _Lines(text)
+    tokens = _tokenize(text, lines, diags)
+    decls = _Parser(tokens, lines, diags).parse_file()
     if diags:
         raise ParseError(diags)
     return decls

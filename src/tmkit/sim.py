@@ -148,6 +148,7 @@ def build_net(
 ) -> _Net:
     behavior = behavior if behavior is not None else model.behavior
     if events is not None:
+        events = tuple(events)  # read twice below; it may be an iterator
         nodes = tuple(e.name for e in events)
     elif model.events:
         nodes = tuple(model.events)
@@ -187,12 +188,11 @@ def build_net(
             initial = frozenset({edges[0][0]})
         else:
             initial = frozenset()
-    else:
-        unknown = set(initial) - set(nodes)
-        if unknown:
-            raise ConfigError(
-                f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
-            )
+    unknown = set(initial) - set(nodes)
+    if unknown:
+        raise ConfigError(
+            f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
+        )
 
     tokens = [0] * len(edges)
     for name in sorted(initial):

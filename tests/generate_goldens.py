@@ -3,10 +3,17 @@
 Each golden is the serialized output of one analysis over one fixture;
 the corpus test asserts that every shipped golden regenerates
 bit-identically from the fixture source through the pipeline.
+
+    PYTHONPATH=src python tests/generate_goldens.py            # rewrite them
+    PYTHONPATH=src python tests/generate_goldens.py --check    # compare only
+
+`--check` writes nothing; it names every golden that would change and
+then exits 1.  It needs only tmkit, not the test dependencies.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -55,20 +62,33 @@ def compute_goldens(name: str) -> dict[str, str]:
     return goldens
 
 
-def main() -> None:
-    out_dir = (
-        Path(__file__).resolve().parent.parent
-        / "src"
-        / "tmkit"
-        / "corpus"
-        / "goldens"
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="write nothing; exit 1 naming every golden that would change",
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args = parser.parse_args(argv)
+    root = Path(__file__).resolve().parent.parent
+    out_dir = root / "src" / "tmkit" / "corpus" / "goldens"
+    if not args.check:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    stale = []
     for name in ALL_NAMES:
         for analysis, text in compute_goldens(name).items():
             path = out_dir / f"{name}.{analysis}.txt"
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path.relative_to(out_dir.parent.parent.parent.parent)}")
+            data = text.encode("utf-8")
+            if args.check:
+                if not path.is_file() or path.read_bytes() != data:
+                    stale.append(path)
+            else:
+                path.write_bytes(data)
+                print(f"wrote {path.relative_to(root)}")
+    for path in stale:
+        print(f"stale {path.relative_to(root)}")
+    if args.check:
+        print(f"{len(stale)} stale golden(s)" if stale else "every golden is current")
+    return 1 if stale else 0
 
 
 if __name__ == "__main__":

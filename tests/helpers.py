@@ -14,7 +14,7 @@ import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from hypothesis import strategies as st
 
@@ -22,9 +22,24 @@ from tmkit import assemble_model, parse
 from tmkit.behavior import infer_dependencies
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
-from tmkit.dsl import _Token
+from tmkit.dsl import ParseError
 from tmkit.match import STRICT, Edge, MatchPolicy, Node, NodeMapping, SimplifiedGraph
-from tmkit.model import BehaviorGraph, Event, StageKind, TMModel
+from tmkit.model import (
+    KIND_ORDER,
+    BehaviorDecl,
+    BehaviorGraph,
+    Declaration,
+    Event,
+    EventDecl,
+    FlowDecl,
+    ModelDecl,
+    StageKind,
+    StageRef,
+    ThimacDecl,
+    TMModel,
+    TriggerDecl,
+    kind_from_name,
+)
 from tmkit.sim import (
     ConfigError,
     ExploreConfig,
@@ -62,10 +77,11 @@ def run_tm(args, **kwargs):
 
 
 @st.composite
-def mutated_corpus_text(draw, pieces):
-    """Corpus text with 1-4 edits: `pieces` spliced in, or lines dropped,
-    copied or swapped."""
-    text = fixture_source(draw(st.sampled_from(ALL_NAMES)))
+def mutated_corpus_text(draw, pieces, text=None):
+    """Corpus text (or `text`) with 1-4 edits: `pieces` spliced in, or lines
+    dropped, copied or swapped."""
+    if text is None:
+        text = fixture_source(draw(st.sampled_from(ALL_NAMES)))
     for _ in range(draw(st.integers(1, 4))):
         lines = text.splitlines(keepends=True)
         op = draw(st.sampled_from(["splice", "drop-line", "copy-line", "swap-lines"]))
@@ -172,9 +188,19 @@ def digraph_pairs(draw):
 # Independent oracles
 # ---------------------------------------------------------------------------
 
-def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
-    """The character-at-a-time tokenizer that `tmkit.dsl._tokenize` replaced."""
-    tokens: list[_Token] = []
+class ReferenceToken(NamedTuple):
+    kind: str  # IDENT | STRING | -> | ~> | { | } | : | , | @ | . | EOF
+    value: str
+    line: int
+    col: int
+
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.col)
+
+
+def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[ReferenceToken]:
+    """A character-at-a-time tokenizer with a line and a column per token."""
+    tokens: list[ReferenceToken] = []
     line, col, i = 1, 1, 0
     n = len(text)
     while i < n:
@@ -194,17 +220,17 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
             continue
         start_line, start_col = line, col
         if ch == "-" and text[i : i + 2] == "->":
-            tokens.append(_Token("->", "->", start_line, start_col))
+            tokens.append(ReferenceToken("->", "->", start_line, start_col))
             i += 2
             col += 2
             continue
         if ch == "~" and text[i : i + 2] == "~>":
-            tokens.append(_Token("~>", "~>", start_line, start_col))
+            tokens.append(ReferenceToken("~>", "~>", start_line, start_col))
             i += 2
             col += 2
             continue
         if ch in "{}:,@.":
-            tokens.append(_Token(ch, ch, start_line, start_col))
+            tokens.append(ReferenceToken(ch, ch, start_line, start_col))
             i += 1
             col += 1
             continue
@@ -239,13 +265,13 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
                         span=SourceSpan(start_line, start_col),
                     )
                 )
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
+            tokens.append(ReferenceToken("STRING", "".join(buf), start_line, start_col))
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("IDENT", text[i:j], start_line, start_col))
+            tokens.append(ReferenceToken("IDENT", text[i:j], start_line, start_col))
             col += j - i
             i = j
             continue
@@ -259,8 +285,294 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[_Token]:
         )
         i += 1
         col += 1
-    tokens.append(_Token("EOF", "", line, col))
+    tokens.append(ReferenceToken("EOF", "", line, col))
     return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[ReferenceToken], diags: list[Diagnostic]):
+        self.tokens = tokens
+        self.pos = 0
+        self.diags = diags
+
+    # -- token helpers ------------------------------------------------------
+
+    @property
+    def cur(self) -> ReferenceToken:
+        return self.tokens[self.pos]
+
+    def advance(self) -> ReferenceToken:
+        tok = self.cur
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def match(self, kind: str) -> bool:
+        return self.cur.kind == kind
+
+    def accept(self, kind: str) -> ReferenceToken | None:
+        if self.match(kind):
+            return self.advance()
+        return None
+
+    def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> ReferenceToken | None:
+        if self.match(kind):
+            return self.advance()
+        self.error(f"expected {what}, found {self._describe(self.cur)}", code)
+        return None
+
+    @staticmethod
+    def _describe(tok: ReferenceToken) -> str:
+        if tok.kind == "EOF":
+            return "end of input"
+        if tok.kind in ("IDENT", "STRING"):
+            return f"{tok.value!r}"
+        return f"{tok.kind!r}"
+
+    def error(self, message: str, code: str = "E_SYNTAX", tok: ReferenceToken | None = None) -> None:
+        tok = tok or self.cur
+        self.diags.append(
+            Diagnostic(Severity.ERROR, code, message, span=tok.span())
+        )
+
+    def sync(self, start: int) -> None:
+        """Skip the rest of the failed statement that began at token
+        `start`, so later errors are still found: stop at a statement
+        keyword that starts a line or at an enclosing block's `}`, or just
+        after the `}` that closes the last brace the statement opened."""
+        depth = sum(_REFERENCE_BRACES.get(t.kind, 0) for t in self.tokens[start : self.pos])
+        while not self.match("EOF"):
+            tok = self.cur
+            starts_line = self.tokens[self.pos - 1].line < tok.line
+            if tok.kind == "}" and depth == 0:
+                return
+            if tok.kind == "IDENT" and tok.value in _REFERENCE_STATEMENTS and starts_line:
+                return
+            self.advance()
+            depth += _REFERENCE_BRACES.get(tok.kind, 0)
+            if tok.kind == "}" and depth == 0:
+                return
+
+    # -- grammar ------------------------------------------------------------
+
+    def parse_file(self) -> list[Declaration]:
+        decls: list[Declaration] = []
+        in_model_block = False
+        while not self.match("EOF"):
+            if self.match("}"):
+                if in_model_block:
+                    self.advance()
+                    in_model_block = False
+                    continue
+                self.error("unmatched '}'")
+                self.advance()
+                continue
+            tok, start = self.cur, self.pos
+            if tok.kind != "IDENT":
+                self.error(f"expected a statement, found {self._describe(tok)}")
+                self.advance()
+                self.sync(start)
+                continue
+            before = len(self.diags)
+            statement = _REFERENCE_STATEMENTS.get(tok.value)
+            if statement is None:
+                self.error(f"unknown statement {tok.value!r}")
+                self.advance()
+            else:
+                decl = statement(self)
+                if decl is not None:
+                    decls.append(decl)
+                    in_model_block = in_model_block or isinstance(decl, ModelDecl)
+            if len(self.diags) > before:
+                self.sync(start)
+        if in_model_block:
+            self.error("missing '}' at end of model block", "E_UNTERMINATED_BLOCK")
+        return decls
+
+    def parse_model_header(self) -> ModelDecl | None:
+        start = self.advance()
+        name = self.expect("IDENT", "model name")
+        if name is None:
+            return None
+        if self.expect("{", "'{' after model name") is None:
+            return None
+        return ModelDecl(name.value, start.span())
+
+    def parse_thimac(self) -> ThimacDecl | None:
+        start = self.advance()
+        parts = self.dotted("a name")
+        if parts is None:
+            return None
+        path = ".".join(t.value for t in parts)
+        stages: list = []
+        if self.accept("{"):
+            while not self.match("}") and not self.match("EOF"):
+                tok = self.expect("IDENT", "stage kind")
+                if tok is None:
+                    return None
+                kind = self._kind(tok)
+                if kind is None:
+                    return None
+                stages.append(kind)
+            if self.expect("}", "'}' closing stage list") is None:
+                return None
+        return ThimacDecl(path, tuple(stages), start.span())
+
+    def dotted(self, what: str) -> list[ReferenceToken] | None:
+        """Read `IDENT ('.' IDENT)*`; `what` names the expected first token."""
+        tok = self.expect("IDENT", what)
+        if tok is None:
+            return None
+        parts = [tok]
+        while self.accept("."):
+            tok = self.expect("IDENT", "name after '.'")
+            if tok is None:
+                return None
+            parts.append(tok)
+        return parts
+
+    def _kind(self, tok: ReferenceToken) -> StageKind | None:
+        """The stage kind `tok` names, or None after reporting it."""
+        kind = kind_from_name(tok.value)
+        if kind is None:
+            self.error(
+                f"{tok.value!r} is not a stage kind "
+                f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
+                "E_UNKNOWN_KIND",
+                tok,
+            )
+        return kind
+
+    def stage_ref(self, parts: list[ReferenceToken]) -> StageRef | None:
+        """`thimac.path.kind` from dotted tokens, at least two of them."""
+        kind = self._kind(parts[-1])
+        if kind is None:
+            return None
+        return StageRef(".".join(t.value for t in parts[:-1]), kind)
+
+    def parse_stage_ref(self) -> StageRef | None:
+        parts = self.dotted("a stage reference")
+        if parts is None:
+            return None
+        if len(parts) < 2:
+            self.error(
+                f"stage reference needs a thimac and a stage kind, got {parts[0].value!r}",
+                tok=parts[0],
+            )
+            return None
+        return self.stage_ref(parts)
+
+    def parse_flow(self) -> FlowDecl | None:
+        start = self.advance()
+        label = self.expect("IDENT", "thing label")
+        if label is None:
+            return None
+        if self.expect(":", "':' after thing label") is None:
+            return None
+        chain: list[StageRef] = []
+        ref = self.parse_stage_ref()
+        if ref is None:
+            return None
+        chain.append(ref)
+        while self.accept("->"):
+            ref = self.parse_stage_ref()
+            if ref is None:
+                return None
+            chain.append(ref)
+        if len(chain) < 2:
+            self.error("flow chain needs at least two stage references", tok=start)
+            return None
+        return FlowDecl(label.value, tuple(chain), start.span())
+
+    def parse_trigger(self) -> TriggerDecl | None:
+        start = self.advance()
+        source = self.parse_stage_ref()
+        if source is None:
+            return None
+        if self.expect("~>", "'~>' between trigger endpoints") is None:
+            return None
+        target = self.parse_stage_ref()
+        if target is None:
+            return None
+        return TriggerDecl(source, target, start.span())
+
+    def parse_event(self) -> EventDecl | None:
+        start = self.advance()
+        name = self.expect("IDENT", "event name")
+        if name is None:
+            return None
+        description = None
+        time = None
+        tok = self.accept("STRING")
+        if tok is not None:
+            description = tok.value
+        if self.accept("@"):
+            tok = self.expect("STRING", "time annotation string after '@'")
+            if tok is None:
+                return None
+            time = tok.value
+        if self.expect("{", "'{' opening the event region") is None:
+            return None
+        members: list[StageRef | str] = []
+        more = not self.match("}")  # `{ }` is an empty region
+        while more:
+            parts = self.dotted("a region member")
+            if parts is None:
+                return None
+            if len(parts) == 1:
+                members.append(parts[0].value)  # arc id reference
+            else:
+                ref = self.stage_ref(parts)
+                if ref is None:
+                    return None
+                members.append(ref)
+            more = self.accept(",") is not None
+        if self.expect("}", "'}' closing the event region", "E_UNTERMINATED_BLOCK") is None:
+            return None
+        return EventDecl(
+            name.value, tuple(members), description, time, start.span()
+        )
+
+    def parse_behavior(self) -> BehaviorDecl | None:
+        start = self.advance()
+        chain: list[str] = []
+        tok = self.expect("IDENT", "event name")
+        if tok is None:
+            return None
+        chain.append(tok.value)
+        while self.accept("->"):
+            tok = self.expect("IDENT", "event name after '->'")
+            if tok is None:
+                return None
+            chain.append(tok.value)
+        if len(chain) < 2:
+            self.error("behavior chain needs at least two event names", tok=start)
+            return None
+        return BehaviorDecl(tuple(chain), start.span())
+
+
+_REFERENCE_BRACES = {"{": 1, "}": -1}
+
+_REFERENCE_STATEMENTS = {
+    "model": _ReferenceParser.parse_model_header,
+    "thimac": _ReferenceParser.parse_thimac,
+    "flow": _ReferenceParser.parse_flow,
+    "trigger": _ReferenceParser.parse_trigger,
+    "event": _ReferenceParser.parse_event,
+    "behavior": _ReferenceParser.parse_behavior,
+}
+
+
+def reference_parse(text: str) -> list[Declaration]:
+    """The parser that `tmkit.dsl.parse` replaced: its statement grammar and
+    recovery over `reference_tokenize`'s tokens, each with a line and a
+    column."""
+    diags: list[Diagnostic] = []
+    tokens = reference_tokenize(text, diags)
+    decls = _ReferenceParser(tokens, diags).parse_file()
+    if diags:
+        raise ParseError(diags)
+    return decls
 
 
 def scan_adjacency(g: SimplifiedGraph, policy: MatchPolicy) -> dict:

@@ -67,3 +67,24 @@ def test_goldens_regenerate_bit_identically(name):
     regenerated = compute_goldens(name)
     for analysis, expected in fixture.goldens.items():
         assert regenerated[analysis] == expected, (name, analysis)
+
+
+def test_golden_check_names_stale_goldens_and_writes_nothing(monkeypatch, capsys):
+    import generate_goldens
+
+    compute = generate_goldens.compute_goldens
+
+    def one_stale(name):
+        goldens = compute(name)
+        if name == "pump":
+            goldens["format"] += "# changed\n"
+        return goldens
+
+    golden = load_fixture("pump").goldens["format"]
+    monkeypatch.setattr(generate_goldens, "compute_goldens", one_stale)
+    assert generate_goldens.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "stale src/tmkit/corpus/goldens/pump.format.txt",
+        "1 stale golden(s)",
+    ]
+    assert load_fixture("pump").goldens["format"] == golden

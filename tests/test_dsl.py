@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
@@ -15,7 +15,7 @@ from tmkit import (
     parse,
 )
 from tmkit.behavior import check_all_events
-from tmkit.dsl import _tokenize
+from tmkit.dsl import _Lines, _tokenize
 from tmkit.model import (
     KIND_ORDER,
     BehaviorDecl,
@@ -27,7 +27,12 @@ from tmkit.model import (
     TriggerDecl,
 )
 
-from helpers import load_model, mutated_corpus_text, reference_tokenize
+from helpers import (
+    load_model,
+    mutated_corpus_text,
+    reference_parse,
+    reference_tokenize,
+)
 
 
 def test_empty_input_parses_to_nothing():
@@ -256,7 +261,7 @@ def test_format_idempotent_on_all_fixtures(name):
 
 
 # ---------------------------------------------------------------------------
-# Properties: the lexer against the character-at-a-time reference, and the
+# Properties: the lexer and the parser against their references, and the
 # formatter's round trip over generated declaration lists
 # ---------------------------------------------------------------------------
 
@@ -265,22 +270,78 @@ def test_format_idempotent_on_all_fixtures(name):
 _LEX_ALPHABET = '{}:,@.->~"\\# \t\r\naxZ_09é١²½Ⅻ'
 
 
-def _lexed(tokenize, text):
+def _lexed(text):
+    """`_tokenize`'s tokens with each offset as a line and a column."""
+    diags, lines = [], _Lines(text)
+    tokens = _tokenize(text, lines, diags)
+    spans = [lines.span(offset) for _, _, offset in tokens]
+    return [(kind, value, s.line, s.col) for (kind, value, _), s in zip(tokens, spans)], diags
+
+
+def _reference_lexed(text):
     diags = []
-    tokens = tokenize(text, diags)
+    tokens = reference_tokenize(text, diags)
     return [(t.kind, t.value, t.line, t.col) for t in tokens], diags
 
 
 @settings(max_examples=2000, derandomize=True, deadline=None)
 @given(st.text(alphabet=_LEX_ALPHABET, max_size=60))
 def test_tokenize_matches_reference_on_text(text):
-    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+    assert _lexed(text) == _reference_lexed(text)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(mutated_corpus_text(list(_LEX_ALPHABET) + ["->", "~>", '\\"', "event"]))
 def test_tokenize_matches_reference_on_corpus_text(text):
-    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+    assert _lexed(text) == _reference_lexed(text)
+
+
+def _chain_text(n):
+    """A request/response chain of `n` events between two thimacs, with
+    comments, strings and blank lines between statements."""
+    lines = ["# relay", "model relay {", "  thimac A { create release transfer receive }"]
+    for i in range(n):
+        a, b = ("A", "B") if i % 2 == 0 else ("B", "A")
+        stages = [f"{a}.M{i}.create", f"{a}.M{i}.release", f"{a}.M{i}.transfer",
+                  f"{b}.M{i}.transfer", f"{b}.M{i}.receive"]
+        lines.append(f"  flow M{i}: " + " -> ".join(stages))
+        lines.append(f'  event E{i} "{a} sends M{i}" @ "t{i}" {{ {", ".join(stages)} }}')
+        if i:
+            lines.append(f"  trigger {b}.M{i - 1}.receive ~> {a}.M{i}.create  # reply")
+        lines.append("")
+    lines.append("  behavior " + " -> ".join(f"E{i}" for i in range(n)))
+    return "\n".join(lines) + "\n}\n"
+
+
+_PARSE_PIECES = list(_LEX_ALPHABET) + [
+    "->", "~>", '\\"', "\n", "model", "thimac", "flow", "trigger", "event", "behavior",
+    "create", "receive", "A.x.create", "F1",
+]
+
+
+def _parse_outcome(parse_fn, text):
+    """The declarations, or the diagnostics and message of the ParseError."""
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return exc.diagnostics, str(exc)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        mutated_corpus_text(_PARSE_PIECES),
+        mutated_corpus_text(_PARSE_PIECES, text=_chain_text(12)),
+        st.lists(st.sampled_from(_PARSE_PIECES), max_size=40).map("".join),
+    )
+)
+@example(_chain_text(300))
+@example('event E "say \\"hi\\" \\\\ bye" @ "t\\\\" { A.x.create, F1 }')
+@example("flow X: A.b.create -> # the target is missing")
+@example("thimac x² { create }\nflow ½: x².create -> Ⅻ.release")
+def test_parse_matches_reference(text):
+    # Declarations compare with their spans, diagnostics with theirs.
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
 
 
 _NAMES = ["A", "b_2", "Mill", "é", "_x", "create", "model", "thimac", "flow",

@@ -185,6 +185,24 @@ def test_unknown_initial_event_rejected():
         simulate(model, SimConfig(initial_events=frozenset({"E99"})))
 
 
+def test_default_initial_event_outside_the_net_rejected():
+    # A source-free behaviour starts at its first edge's head, which must
+    # be one of the net's events (here the model declares none).
+    behavior = BehaviorGraph((), (("A", "B"), ("B", "A")))
+    with pytest.raises(ConfigError, match="not in the behavior: A"):
+        simulate(assemble_model([]), behavior=behavior)
+
+
+def test_events_iterator_read_once():
+    model = load_model("coffee-mill")
+    events = list(model.events.values())
+    config = ExploreConfig(channels="inferred")
+    as_list = explore_state_space(model, config, events=events)
+    once = explore_state_space(model, config, events=iter(events))
+    assert once.to_json() == as_list.to_json()
+    assert as_list.reachable_count == 6
+
+
 def test_explore_json_is_stable():
     model = load_model("producer-consumer")
     a = explore_state_space(model, ExploreConfig()).to_json()
