@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus
+from . import corpus, match
 from .behavior import OverlapAmbiguityError, check_all_events, check_behavior
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
 from .dsl import ParseError, format_model, parse
@@ -168,10 +168,13 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     shared = find_shared_functionality(
         graphs[0], graphs[1], min_size=args.min_size, policy=policy
     )
-    for match, size in shared.matches:
-        print(json.dumps({"size": size, "mapping": match.as_dict()}, sort_keys=True))
+    for fragment, size in shared.matches:
+        print(json.dumps({"size": size, "mapping": fragment.as_dict()}, sort_keys=True))
     if shared.approximate:
-        _say("shared-functionality search was limited; fragments are approximate")
+        _say(
+            "shared-functionality search stopped at its search-node budget "
+            f"(SEARCH_NODE_BUDGET = {match.SEARCH_NODE_BUDGET}); fragments are approximate"
+        )
         return LIMIT
     return OK
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .diagnostics import TMError
 from .model import FlowArc, StageKind, StageRef, TMModel
@@ -130,8 +130,9 @@ class NodeMapping:
 
 @dataclass(frozen=True)
 class SharedFunctionality:
-    """Maximal common connected fragments, largest first.  `approximate`
-    is set when the search was beam-limited instead of exhaustive."""
+    """A disjoint cover of maximum common connected fragments, largest
+    first.  `approximate` is set when the search ran out of its
+    `SEARCH_NODE_BUDGET` before the cover was complete."""
 
     matches: tuple[tuple[NodeMapping, int], ...]
     approximate: bool = False
@@ -411,11 +412,17 @@ def verify_mapping(
 
 
 # ---------------------------------------------------------------------------
-# Shared functionality (maximal common connected subgraphs)
+# Shared functionality (a disjoint cover of maximum common fragments)
 # ---------------------------------------------------------------------------
 
-_EXACT_NODE_LIMIT = 25
-_STATE_LIMIT = 500_000
+#: Search nodes one `find_shared_functionality` call may open over its whole
+#: cover: each tried pair, and each node left out of the mapping.
+SEARCH_NODE_BUDGET = 100_000
+
+#: A label class next to the mapped nodes: unmapped nodes of g1 and of g2
+#: that meet every mapped node the same way, so any of its g1 nodes may map
+#: to any of its g2 nodes.
+_Class = tuple[list[str], list[str]]
 
 
 def find_shared_functionality(
@@ -424,78 +431,261 @@ def find_shared_functionality(
     min_size: int = 2,
     policy: MatchPolicy = MatchPolicy(match_role_names=False),
 ) -> SharedFunctionality:
-    """Maximal common connected induced fragments of >= `min_size` nodes.
+    """A greedy disjoint cover of maximum common connected induced fragments.
 
-    Exhaustive and exact while both graphs have at most 25 nodes; larger
-    inputs fall back to a bounded search and the result is flagged
-    approximate.  Matches come back largest first, deterministically.
+    The first fragment is a maximum common connected induced subgraph; each
+    later one is a maximum one on the nodes no earlier fragment uses, on
+    either side.  The cover stops when the next fragment would have fewer
+    than `min_size` nodes, so fragments come back in non-increasing size.
+    Of equal fragments the one the search meets first wins: it starts in
+    the smallest label class and tries nodes by falling degree, then by id.
+    Every fragment is exact unless the search opens `SEARCH_NODE_BUDGET`
+    nodes; then the cover ends with the best fragment found so far and the
+    result is flagged approximate.
     """
     if min_size < 2:
         raise ValueError("min_size must be >= 2")
+    sides = (_Side.of(g1, policy), _Side.of(g2, policy))
+    used: tuple[set[str], set[str]] = (set(), set())
+    budget = SEARCH_NODE_BUDGET
+    matches: list[tuple[NodeMapping, int]] = []
+    while budget >= 0:
+        search = _Search(sides, used)
+        pairs, budget = search.largest(min_size - 1, budget)
+        if not pairs:
+            break
+        matches.append((NodeMapping(tuple(sorted(pairs))), len(pairs)))
+        used[0].update(u for u, _ in pairs)
+        used[1].update(w for _, w in pairs)
+    return SharedFunctionality(tuple(matches), approximate=budget < 0)
 
-    exact = max(len(g1.nodes), len(g2.nodes)) <= _EXACT_NODE_LIMIT
 
-    labels1 = {n.id: n.label(policy.match_role_names) for n in g1.nodes}
-    labels2 = {n.id: n.label(policy.match_role_names) for n in g2.nodes}
-    adj1, adj2 = g1.adjacency(policy), g2.adjacency(policy)
+class _Side(NamedTuple):
+    """What the fragment search reads of one graph, per node id."""
 
-    seeds = [
-        (u.id, w.id)
-        for u in g1.nodes
-        for w in g2.nodes
-        if labels1[u.id] == labels2[w.id]
-        and _consistent(adj1, adj2, {}, set(), u.id, w.id)
-    ]
+    #: The node label with the multiset of self-loop labels.
+    labels: dict[str, tuple]
+    #: Per neighbour, in `order`: the edge labels toward it and from it.
+    near: dict[str, dict[str, tuple]]
+    #: The (edge labels, neighbour label) pairs of its neighbours.
+    ties: dict[str, frozenset[tuple]]
+    #: Node ids by falling neighbour count, then by id.
+    order: list[str]
 
-    visited: set[frozenset[tuple[str, str]]] = set()
-    maximal: dict[frozenset[tuple[str, str]], dict[str, str]] = {}
-    truncated = False
+    @classmethod
+    def of(cls, g: SimplifiedGraph, policy: MatchPolicy) -> _Side:
+        def frozen(labels: dict[tuple, int] | None) -> tuple | None:
+            return tuple(sorted(labels.items())) if labels else None
 
-    def extensions(mapping: dict[str, str]) -> list[tuple[str, str]]:
-        frontier = set()
-        for u in mapping:
-            frontier.update(*adj1[u])
-        frontier -= set(mapping)
-        used2 = set(mapping.values())
-        out = []
-        for u in sorted(frontier):
-            # w has to neighbour the image of any mapped neighbour v of u.
-            v = next(v for nbrs in adj1[u] for v in nbrs if v in mapping)
-            for w in sorted(set().union(*adj2[mapping[v]]) - used2):
-                # The cheap label test rejects most pairs, so it goes first.
-                if labels1[u] != labels2[w]:
-                    continue
-                if _consistent(adj1, adj2, mapping, used2, u, w):
-                    out.append((u, w))
+        adjacency = g.adjacency(policy)
+        neighbours = {
+            u: (outs.keys() | ins.keys()) - {u} for u, (outs, ins) in adjacency.items()
+        }
+        order = sorted(neighbours, key=lambda u: (-len(neighbours[u]), u))
+        rank = {u: i for i, u in enumerate(order)}
+        roles = policy.match_role_names
+        labels, near = {}, {}
+        for u, (outs, ins) in adjacency.items():
+            labels[u] = (g._index[u].label(roles), frozen(outs.get(u)))
+            near[u] = {
+                x: (frozen(outs.get(x)), frozen(ins.get(x)))
+                for x in sorted(neighbours[u], key=rank.__getitem__)
+            }
+        ties = {
+            u: frozenset((key, labels[x]) for x, key in nbrs.items())
+            for u, nbrs in near.items()
+        }
+        return cls(labels, near, ties, order)
+
+
+class _Search:
+    """Connected McSplit (McCreesh, Prosser & Trimble, IJCAI 2017) on the
+    nodes not yet `used` by the cover.
+
+    Unmapped nodes next to the mapped ones sit in explicit label classes,
+    which each search node copies as it splits them.  Every other free node
+    waits in its label's pool: these nodes meet no mapped node, so a pool is
+    one class that never needs splitting.  Pool membership is shared by the
+    whole search: a node leaves its pool when it is mapped, gains a mapped
+    neighbour or is left out at the root, and an undo trail puts it back on
+    backtracking.  So a search node costs time in the degrees of the pair it
+    maps and the size of the classes next to the mapping, not in graph size.
+    """
+
+    def __init__(self, sides: tuple[_Side, _Side], used: tuple[set[str], set[str]]):
+        self.sides = sides
+        #: Per label: its pooled nodes of g1 and of g2, in `order`.
+        self.pools: dict[tuple, _Class] = {}
+        for u in sides[0].order:
+            if u not in used[0]:
+                self.pools.setdefault(sides[0].labels[u], ([], []))[0].append(u)
+        for w in sides[1].order:
+            if w not in used[1] and (pool := self.pools.get(sides[1].labels[w])):
+                pool[1].append(w)
+        self.pools = {label: pool for label, pool in self.pools.items() if pool[1]}
+        # Nodes out of every pool: those of a label the other side lacks
+        # and those an earlier fragment used stay out for good.
+        members = [
+            {u for pool in self.pools.values() for u in pool[side]} for side in (0, 1)
+        ]
+        self.out = tuple(set(s.labels) - members[side] for side, s in enumerate(sides))
+        self.counts = {label: list(map(len, pool)) for label, pool in self.pools.items()}
+        #: Sum over pools of the smaller side: what the pools add to a bound.
+        self.pooled = sum(min(c) for c in self.counts.values())
+        self.trail: list[tuple[int, str]] = []
+
+    def take(self, side: int, x: str) -> None:
+        """Take x out of its pool, unless it is out already."""
+        if x in self.out[side]:
+            return
+        self.out[side].add(x)
+        self.trail.append((side, x))
+        count = self.counts[self.sides[side].labels[x]]
+        if count[side] <= count[1 - side]:
+            self.pooled -= 1
+        count[side] -= 1
+
+    def undo(self, length: int) -> None:
+        """Return every node taken since the trail had `length` entries."""
+        while len(self.trail) > length:
+            side, x = self.trail.pop()
+            self.out[side].discard(x)
+            count = self.counts[self.sides[side].labels[x]]
+            if count[side] < count[1 - side]:
+                self.pooled += 1
+            count[side] += 1
+
+    def largest(self, floor: int, budget: int) -> tuple[list[tuple[str, str]], int]:
+        """A largest common connected induced fragment of more than `floor`
+        pairs, or [] if there is none, and the budget left.  A negative
+        budget means the search stopped early with the best fragment so far."""
+        ties1, ties2 = self.sides[0].ties, self.sides[1].ties
+        best: list[tuple[str, str]] = []
+        incumbent, target = floor, self.pooled
+        mapping: list[tuple[str, str]] = []
+        # Depth-first search with an explicit stack.  A frame is a search
+        # node: its classes, the class i it branches on (None: a pool, at the
+        # root), that class's first g1 node v and its g2 candidates, the
+        # choices left for v (j < len(right) maps v to right[j]; the last
+        # leaves v out), the node's bound, its mapping size and trail length.
+        frame = self._branch([], 0, incumbent)
+        stack = [frame] if frame else []
+        while stack:
+            classes, i, v, right, choices, bound, size, marks = stack[-1]
+            del mapping[size:]
+            self.undo(marks)
+            j = next(choices)
+            if bound <= incumbent:
+                stack.pop()
+                continue
+            # A first pair whose nodes have no neighbour in common (same node
+            # label, same edge labels) cannot grow: skip it unopened.
+            if j < len(right) and not size and ties1[v].isdisjoint(ties2[right[j]]):
+                continue
+            budget -= 1
+            if budget < 0:
+                break
+            if j < len(right):
+                w = right[j]
+                mapping.append((v, w))
+                if len(mapping) > incumbent:
+                    best, incumbent = list(mapping), len(mapping)
+                    if incumbent == target:
+                        break
+                child = self._split(classes, i, j, v, w)
+            else:
+                # The last choice: below this node v stays unmapped.
+                stack.pop()
+                if i is None:
+                    self.take(0, v)
+                    child = classes
+                else:
+                    left = classes[i][0][1:]
+                    rest = [(left, right)] if left else []
+                    child = classes[:i] + rest + classes[i + 1:]
+            frame = self._branch(child, len(mapping), incumbent)
+            if frame:
+                stack.append(frame)
+        return best, budget
+
+    def _branch(self, classes: list[_Class], size: int, incumbent: int) -> tuple | None:
+        """The frame of a search node, or None when McSplit's bound (each
+        class and pool adds its smaller side) cannot beat the incumbent or
+        nothing may extend the mapping.  The root branches on the pool with
+        the smallest larger side, any other node on such a class: only nodes
+        next to the mapped ones may join, so fragments stay connected."""
+        bound = size + self.pooled + sum(min(map(len, c)) for c in classes)
+        if bound <= incumbent:
+            return None
+        if size:
+            if not classes:
+                return None
+            i = min(range(len(classes)), key=lambda k: max(map(len, classes[k])))
+            left, right = classes[i]
+            v = left[0]
+        else:
+            label = min(
+                (label for label, count in self.counts.items() if min(count)),
+                key=lambda label: max(self.counts[label]),
+            )
+            i = None
+            left, right = self.pools[label]
+            v = next(x for x in left if x not in self.out[0])
+        choices = iter(range(len(right) + 1))
+        return classes, i, v, right, choices, bound, size, len(self.trail)
+
+    def _split(
+        self, classes: list[_Class], i: int | None, j: int, v: str, w: str
+    ) -> list[_Class]:
+        """The classes after mapping v (the first g1 node of class i, or of a
+        pool) to its j-th candidate w: each class splits by the edge labels
+        its nodes share with v (on the g1 side) or w (on the g2 side), pooled
+        neighbours of v and w form new classes, and parts with an empty side
+        go."""
+        near_v, near_w = self.sides[0].near[v], self.sides[1].near[w]
+        out: list[_Class] = []
+        for k, (left, right) in enumerate(classes):
+            if k == i:
+                left, right = left[1:], right[:j] + right[j + 1:]
+            hits_v = [x for x in left if x in near_v]
+            hits_w = [y for y in right if y in near_w]
+            if not hits_v and not hits_w:
+                if left and right:
+                    out.append((left, right))
+                continue
+            # Only the neighbours of v and w move; the rest keep the class.
+            if len(hits_v) < len(left) and len(hits_w) < len(right):
+                out.append((
+                    [x for x in left if x not in near_v],
+                    [y for y in right if y not in near_w],
+                ))
+            out.extend(self._group(hits_v, hits_w, near_v, near_w))
+        self.take(0, v)
+        self.take(1, w)
+        out1, out2 = self.out
+        fresh_v = [x for x in near_v if x not in out1]
+        fresh_w = [y for y in near_w if y not in out2]
+        for x in fresh_v:
+            self.take(0, x)
+        for y in fresh_w:
+            self.take(1, y)
+        out.extend(self._group(fresh_v, fresh_w, near_v, near_w))
         return out
 
-    def grow(mapping: dict[str, str]) -> None:
-        nonlocal truncated
-        key = frozenset(mapping.items())
-        if key in visited:
-            return
-        if len(visited) >= _STATE_LIMIT:
-            truncated = True
-            return
-        visited.add(key)
-        exts = extensions(mapping)
-        if not exts:
-            maximal[key] = dict(mapping)
-            return
-        if not exact:
-            exts = exts[:8]
-        for u, w in exts:
-            mapping[u] = w
-            grow(mapping)
-            del mapping[u]
-
-    for u, w in sorted(seeds):
-        grow({u: w})
-
-    results = []
-    for pairs in maximal.values():
-        if len(pairs) >= min_size:
-            mapping = NodeMapping(tuple(sorted(pairs.items())))
-            results.append((mapping, len(pairs)))
-    results.sort(key=lambda item: (-item[1], item[0].pairs))
-    return SharedFunctionality(tuple(results), approximate=(not exact) or truncated)
+    def _group(
+        self,
+        xs: list[str],
+        ys: list[str],
+        near_v: dict[str, tuple],
+        near_w: dict[str, tuple],
+    ) -> list[_Class]:
+        """Neighbours of v (xs) and of w (ys) grouped by node label and the
+        edge labels they share with v or w; groups with an empty side go."""
+        labels1, labels2 = self.sides[0].labels, self.sides[1].labels
+        parts: dict[tuple, _Class] = {}
+        for x in xs:
+            parts.setdefault((labels1[x], near_v[x]), ([], []))[0].append(x)
+        for y in ys:
+            if (part := parts.get((labels2[y], near_w[y]))) is not None:
+                part[1].append(y)
+        return [part for part in parts.values() if part[1]]

@@ -54,6 +54,13 @@ class StageRef:
     thimac: str
     kind: StageKind
 
+    def __post_init__(self) -> None:
+        # Stage refs key most of the model's indices; hash them once.
+        object.__setattr__(self, "_hash", hash((self.thimac, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return f"{self.thimac}.{self.kind.value}"
 

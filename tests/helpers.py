@@ -847,45 +847,80 @@ def brute_force_mcs_size(
     return best
 
 
-def brute_force_shared_fragments(
+def embedding_mcs_size(
     g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy
-) -> set[frozenset]:
-    """Every connected common induced fragment that no pair next to it
-    extends, as a set of (g1 id, g2 id) pairs, by enumerating node subsets
-    of g1 and their injections into g2; usable up to ~5 nodes."""
+) -> int:
+    """Size of the maximum common connected induced subgraph, as the largest
+    connected node set of g1 that embeds into g2 as an induced subgraph: every
+    connected set, largest first, tried by backtracking over injections;
+    usable up to ~9 nodes."""
+    def edge_map(g):
+        out = {}
+        for e in g.edges:
+            out.setdefault((e.src, e.dst), []).append(e.label(policy.match_thing_labels))
+        return {k: sorted(v) for k, v in out.items()}
+
+    em1, em2 = edge_map(g1), edge_map(g2)
+    labels1 = {n.id: n.label(policy.match_role_names) for n in g1.nodes}
+    labels2 = {n.id: n.label(policy.match_role_names) for n in g2.nodes}
     near = {n.id: set() for n in g1.nodes}
-    for e in g1.edges:
-        near[e.src].add(e.dst)
-        near[e.dst].add(e.src)
+    for a, b in em1:
+        near[a].add(b)
+        near[b].add(a)
 
-    def connected(subset) -> bool:
-        seen, stack = {subset[0]}, [subset[0]]
-        while stack:
-            for v in near[stack.pop()] & set(subset) - seen:
-                seen.add(v)
-                stack.append(v)
-        return len(seen) == len(subset)
+    sets, frontier = set(), {frozenset([v]) for v in near}
+    while frontier:
+        sets |= frontier
+        frontier = {s | {x} for s in frontier for v in s for x in near[v] - s} - sets
 
-    ids1 = [n.id for n in g1.nodes]
-    ids2 = [n.id for n in g2.nodes]
-    valid = set()
-    for size in range(1, min(len(ids1), len(ids2)) + 1):
-        for subset1 in itertools.combinations(ids1, size):
-            if not connected(subset1):
+    def embeds(order, image):
+        if len(image) == len(order):
+            return True
+        u = order[len(image)]
+        for w in labels2:
+            if w in image.values() or labels1[u] != labels2[w]:
                 continue
-            for subset2 in itertools.permutations(ids2, size):
-                pairs = dict(zip(subset1, subset2))
-                if scan_verify_mapping(g1, g2, pairs, policy):
-                    valid.add(frozenset(pairs.items()))
-    return {
-        fragment
-        for fragment in valid
-        if not any(
-            fragment | {(u, w)} in valid
-            for u in set().union(*(near[a] for a, _ in fragment)) - {a for a, _ in fragment}
-            for w in set(ids2) - {b for _, b in fragment}
-        )
-    }
+            if all(
+                em1.get((u, v)) == em2.get((w, x)) and em1.get((v, u)) == em2.get((x, w))
+                for v, x in [*image.items(), (u, w)]
+            ):
+                image[u] = w
+                if embeds(order, image):
+                    return True
+                del image[u]
+        return False
+
+    for subset in sorted(sets, key=len, reverse=True):
+        if embeds(sorted(subset), {}):
+            return len(subset)
+    return 0
+
+
+def induced_subgraph(g: SimplifiedGraph, keep) -> SimplifiedGraph:
+    """The nodes of `g` in `keep` and every edge between two of them."""
+    keep = set(keep)
+    return SimplifiedGraph(
+        tuple(n for n in g.nodes if n.id in keep),
+        tuple(e for e in g.edges if e.src in keep and e.dst in keep),
+    )
+
+
+def weakly_connected(g: SimplifiedGraph, nodes) -> bool:
+    """Whether `nodes` induce a connected subgraph of `g`, edge directions
+    ignored."""
+    nodes = set(nodes)
+    near = {v: set() for v in nodes}
+    for e in g.edges:
+        if e.src in nodes and e.dst in nodes:
+            near[e.src].add(e.dst)
+            near[e.dst].add(e.src)
+    start = next(iter(nodes))
+    seen, stack = {start}, [start]
+    while stack:
+        for v in near[stack.pop()] - seen:
+            seen.add(v)
+            stack.append(v)
+    return seen == nodes
 
 
 def brute_force_reach_goal(edges, nodes, goals) -> set:

@@ -93,6 +93,38 @@ def test_dedup_pay_vs_add_alt_is_isomorphic():
     assert len(verdict["mapping"]) == 13
 
 
+def _relay_text(n):
+    """A chain of `n` events between two thimacs: event i hands thing Mi
+    over to be processed, and that processing triggers event i + 1.  Its
+    simplified graph is one path of 2n nodes."""
+    lines = ["model relay {"]
+    for i in range(n):
+        a, b = ("A", "B") if i % 2 == 0 else ("B", "A")
+        stages = [f"{a}.M{i}.create", f"{a}.M{i}.release", f"{a}.M{i}.transfer",
+                  f"{b}.M{i}.transfer", f"{b}.M{i}.receive", f"{b}.M{i}.process"]
+        lines.append(f"  flow M{i}: " + " -> ".join(stages))
+        lines.append(f"  event E{i} {{ {', '.join(stages)} }}")
+        if i:
+            lines.append(f"  trigger {a}.M{i - 1}.process ~> {a}.M{i}.create")
+    lines.append("  behavior " + " -> ".join(f"E{i}" for i in range(n)))
+    return "\n".join(lines) + "\n}\n"
+
+
+def test_dedup_of_an_800_event_chain_with_itself(tmp_path):
+    # 1,600 simplified nodes: the whole chain is one fragment, found without
+    # running into the recursion limit.
+    f = tmp_path / "relay.tm"
+    f.write_text(_relay_text(800), encoding="utf-8")
+    result = run_tm(["dedup", str(f), str(f)])
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stderr
+    verdict, *fragments = map(json.loads, result.stdout.splitlines())
+    assert verdict["isomorphic"] is True
+    assert len(fragments) == 1
+    assert fragments[0]["size"] == 1600
+    assert fragments[0]["mapping"] == verdict["mapping"]
+
+
 def test_dedup_with_matched_roles_is_not_isomorphic():
     result = run_tm(
         ["dedup", "fixture:pay-service", "fixture:add-service-alt", "--match-roles"]

@@ -25,8 +25,10 @@ from tmkit.match import STRICT, NodeMapping, signature
 
 from helpers import (
     brute_force_isomorphic,
-    brute_force_shared_fragments,
+    brute_force_mcs_size,
     digraph_pairs,
+    embedding_mcs_size,
+    induced_subgraph,
     load_model,
     make_graph,
     permute_graph,
@@ -35,6 +37,7 @@ from helpers import (
     reference_signature,
     scan_adjacency,
     scan_verify_mapping,
+    weakly_connected,
 )
 
 C, P = StageKind.CREATE, StageKind.PROCESS
@@ -428,44 +431,94 @@ def test_shared_size_matches_brute_force_on_tiny_graphs():
             assert got == 0
 
 
-def test_shared_fragments_match_brute_force_enumeration():
-    # Exact results hold every maximal connected common fragment and
-    # nothing else.  On two 3-node paths, {b: y, c: z} grows only by the
-    # predecessor a, which has to meet its image x through b's image y.
-    pairs = [
-        tuple(
-            make_graph(
-                [(v, "r", C) for v in ids],
-                [(ids[0], ids[1], "flow", ""), (ids[1], ids[2], "flow", "")],
-            )
-            for ids in ("abc", "xyz")
-        )
+def _random_digraph_pairs(low, high):
+    """Two independent random digraphs of `low`-`high` nodes from a seed:
+    one role and plain edges, or two roles with self-loops and parallel
+    edges."""
+    draws = [
+        dict(labels=("r",)),
+        dict(labels=("r", "s"), things=("", "t"), loops=True, parallel=True),
     ]
-    rng = random.Random(57)
-    for draw in (dict(labels=("r", "s")), dict(labels=("r",), loops=True, parallel=True)):
-        for _ in range(60):
-            pairs.append(
-                tuple(random_digraph(rng, rng.randint(2, 5), **draw) for _ in range(2))
-            )
-    for g1, g2 in pairs:
-        shared = find_shared_functionality(g1, g2, min_size=2, policy=ROLES_OFF)
-        assert not shared.approximate
-        expected = brute_force_shared_fragments(g1, g2, ROLES_OFF)
-        assert {frozenset(m.pairs) for m, _ in shared.matches} == {
-            fragment for fragment in expected if len(fragment) >= 2
-        }
+
+    def pair(seed, draw):
+        rng = random.Random(seed)
+        return tuple(random_digraph(rng, rng.randint(low, high), **draw) for _ in range(2))
+
+    return st.builds(pair, st.integers(0, 2**32), st.sampled_from(draws))
 
 
-def test_large_graphs_fall_back_to_approximate_search():
+def _assert_greedy_cover(g1, g2, min_size, policy, mcs_size):
+    # Each fragment is a maximum common connected induced fragment of the
+    # nodes no earlier fragment used (by the `mcs_size` oracle), and what
+    # is left holds none of min_size nodes.
+    shared = find_shared_functionality(g1, g2, min_size=min_size, policy=policy)
+    assert not shared.approximate
+    free1, free2 = {n.id for n in g1.nodes}, {n.id for n in g2.nodes}
+    sizes = [size for _, size in shared.matches]
+    assert sizes == sorted(sizes, reverse=True)
+    for mapping, size in shared.matches:
+        pairs = mapping.as_dict()
+        assert len(pairs) == len(set(pairs.values())) == len(mapping) == size >= min_size
+        assert set(pairs) <= free1 and set(pairs.values()) <= free2
+        assert weakly_connected(g1, pairs)
+        assert verify_mapping(g1, g2, mapping, policy)
+        rest1, rest2 = induced_subgraph(g1, free1), induced_subgraph(g2, free2)
+        assert size == mcs_size(rest1, rest2, policy)
+        free1 -= set(pairs)
+        free2 -= set(pairs.values())
+    rest1, rest2 = induced_subgraph(g1, free1), induced_subgraph(g2, free2)
+    assert mcs_size(rest1, rest2, policy) < min_size
+
+
+_POLICIES = st.sampled_from([ROLES_OFF, STRICT, THINGS_OFF])
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    pair=st.one_of(digraph_pairs(), _random_digraph_pairs(2, 6)),
+    min_size=st.integers(2, 3),
+    policy=_POLICIES,
+)
+def test_shared_fragments_are_a_greedy_cover_of_maximum_fragments(pair, min_size, policy):
+    _assert_greedy_cover(*pair, min_size, policy, brute_force_mcs_size)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(pair=_random_digraph_pairs(6, 9), min_size=st.integers(2, 3), policy=_POLICIES)
+def test_greedy_cover_of_larger_graphs_matches_embedding_oracle(pair, min_size, policy):
+    _assert_greedy_cover(*pair, min_size, policy, embedding_mcs_size)
+
+
+def test_thirty_node_paths_give_one_exact_fragment():
     nodes1 = [(f"a{i}", "r", C) for i in range(30)]
     edges1 = [(f"a{i}", f"a{i + 1}", "flow", "x") for i in range(29)]
     nodes2 = [(f"b{i}", "r", C) for i in range(30)]
     edges2 = [(f"b{i}", f"b{i + 1}", "flow", "x") for i in range(29)]
     g1, g2 = make_graph(nodes1, edges1), make_graph(nodes2, edges2)
     shared = find_shared_functionality(g1, g2, min_size=5)
+    assert not shared.approximate
+    ((mapping, size),) = shared.matches
+    assert size == 30
+    assert mapping.as_dict() == {f"a{i}": f"b{i}" for i in range(30)}
+
+
+def test_spent_budget_flags_approximate_and_dedup_exits_three(monkeypatch, capsys):
+    from tmkit import cli, match
+
+    gp = simplify(load_model("pay-service"))
+    gf = simplify(load_model("add-service"))
+    monkeypatch.setattr(match, "SEARCH_NODE_BUDGET", 5)
+    shared = find_shared_functionality(gp, gf, min_size=2)
     assert shared.approximate
-    assert shared.matches
-    assert shared.matches[0][1] >= 5
+    assert 0 < len(shared.matches) and shared.matches[0][1] < 13
+    for mapping, size in shared.matches:
+        assert len(mapping) == size >= 2
+        assert verify_mapping(gp, gf, mapping, ROLES_OFF)
+
+    assert cli.run(["dedup", "fixture:pay-service", "fixture:add-service"]) == 3
+    err = capsys.readouterr().err
+    assert "search-node budget (SEARCH_NODE_BUDGET = 5)" in err
+    assert "approximate" in err
 
 
 def test_shared_results_are_deterministic():
