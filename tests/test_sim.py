@@ -16,10 +16,10 @@ from tmkit import (
     simulate,
 )
 from tmkit.model import BehaviorGraph
-from tmkit.sim import build_net
 
 from helpers import (
     load_model,
+    reference_build_net,
     reference_explore_state_space,
     reference_simulate,
 )
@@ -151,6 +151,23 @@ def test_drained_halt_is_deadlock_when_terminal_set_empty():
     assert all(count == 0 for _, count in result.deadlocks[0])
 
 
+def test_unknown_terminal_event_rejected():
+    model = assemble_model([])
+    behavior = BehaviorGraph(("A", "B"), (("A", "B"),))
+    with pytest.raises(ConfigError, match="terminal event.* not in the behavior: Zz"):
+        explore_state_space(
+            model, ExploreConfig(terminal_events=frozenset({"Zz"})), behavior=behavior
+        )
+    # A known terminal set still decides how the drained halt counts.
+    drained = ((("->A", 0), ("A->B", 0)),)
+    assert explore_state_space(
+        model, ExploreConfig(terminal_events=frozenset()), behavior=behavior
+    ).deadlocks == drained
+    assert explore_state_space(
+        model, ExploreConfig(terminal_events=frozenset({"B"})), behavior=behavior
+    ).deadlocks == ()
+
+
 def test_starved_join_is_a_deadlock():
     # Without E2 the grind never has both inputs: tokens stick on E1->E3.
     model = load_model("coffee-mill")
@@ -223,8 +240,8 @@ def test_simulated_markings_are_explored(name):
         trace = simulate(model, SimConfig(max_steps=60, seed=seed))
         for firing in trace.firings:
             seen_markings.add(firing.marking)
-    # Recompute the explored set as marking item tuples for comparison.
-    net = build_net(model, ExploreConfig())
+    # Recompute the explored set as marking item tuples, on the reference net.
+    net = reference_build_net(model, ExploreConfig())
     frontier = [net.initial]
     reach = {net.initial}
     while frontier:
@@ -252,6 +269,44 @@ def test_repeated_behavior_edge_is_one_channel():
     )
 
 
+@pytest.mark.parametrize("capacity", range(1, 10))
+def test_channel_fills_to_capacity(capacity):
+    # P keeps its self-loop token (the loop needs room for it too) and feeds
+    # Q: P->Q reaches every count up to its capacity, including a packed
+    # field's top value.
+    model = assemble_model([])
+    behavior = BehaviorGraph(("P", "Q"), (("P", "P"), ("P", "Q")))
+    capacities = {("P", "P"): 2, ("P", "Q"): capacity}
+    explore = ExploreConfig(capacities=capacities)
+    result = explore_state_space(model, explore, behavior=behavior)
+    assert result == reference_explore_state_space(model, explore, behavior=behavior)
+    assert result.reachable_count == capacity + 1
+    sim = SimConfig(capacities=capacities, max_steps=200, seed=capacity)
+    trace = simulate(model, sim, behavior=behavior)
+    assert trace == reference_simulate(model, sim, behavior=behavior)
+    assert max(dict(f.marking)["P->Q"] for f in trace.firings) == capacity
+
+
+@pytest.mark.parametrize("terminal", [None, frozenset()])
+@pytest.mark.parametrize("max_states", [10_000, 500])
+def test_truncated_exploration_matches_reference(max_states, terminal):
+    # 5 parallel 3-event chains: 4**5 markings, more than Hypothesis draws,
+    # so truncation at 500 cuts the breadth-first order mid-level.
+    nodes = tuple(f"c{i}e{j}" for i in range(5) for j in range(3))
+    edges = tuple(
+        (f"c{i}e{j}", f"c{i}e{j + 1}") for i in range(5) for j in range(2)
+    )
+    behavior = BehaviorGraph(nodes, edges)
+    model = assemble_model([])
+    config = ExploreConfig(max_states=max_states, terminal_events=terminal)
+    result = explore_state_space(model, config, behavior=behavior)
+    assert result == reference_explore_state_space(model, config, behavior=behavior)
+    assert result.reachable_count == min(4**5, max_states)
+    assert result.bounded == (max_states >= 4**5)
+    # With an empty terminal set the drained marking, found last, is a deadlock.
+    assert len(result.deadlocks) == (terminal is not None and result.bounded)
+
+
 @st.composite
 def token_runs(draw):
     """A model, an optional behavior graph, and one simulate and one explore
@@ -273,9 +328,9 @@ def token_runs(draw):
         behavior = BehaviorGraph(nodes, tuple(edges))
         channels = "declared"
     if draw(st.booleans()):
-        capacities = draw(st.integers(1, 3))
+        capacities = draw(st.integers(1, 9))
     else:
-        capacities = {e: draw(st.integers(1, 3)) for e in edges if draw(st.booleans())}
+        capacities = {e: draw(st.integers(1, 9)) for e in edges if draw(st.booleans())}
     initial = draw(st.none() | st.frozensets(st.sampled_from(nodes + ("zz",)), max_size=3))
     terminal = draw(st.none() | st.frozensets(st.sampled_from(nodes), max_size=2))
     sim = SimConfig(
@@ -330,7 +385,7 @@ def test_engine_matches_reference_and_respects_capacities(run):
 
     for firing in trace.firings:
         assert_within_capacity(firing.marking)
-    net = build_net(model, explore, behavior=behavior)
+    net = reference_build_net(model, explore, behavior=behavior)
     reach = {net.initial}
     frontier = [net.initial]
     while frontier and len(reach) < explore.max_states:
