@@ -4,59 +4,84 @@ Parse textual models, validate them against the five-stage flow
 calculus, reason about events and chronologies, execute behaviors with
 token semantics, and detect duplicated functionality between models via
 labeled-graph isomorphism.
+
+The public names below are imported from their modules on first use
+(PEP 562), so ``import tmkit`` loads no analysis that a program does not
+run.
 """
 
-from .behavior import (
-    OverlapAmbiguityError,
-    UnknownGoalError,
-    check_behavior,
-    check_event_region,
-    infer_dependencies,
-    nonfunctional_events,
-)
-from .diagnostics import Diagnostic, Severity, SourceSpan, TMError
-from .dsl import ParseError, format_model, parse
-from .match import (
-    AmbiguousSpliceError,
-    MatchPolicy,
-    NodeMapping,
-    SimplifiedGraph,
-    canonical_signature,
-    find_shared_functionality,
-    isomorphic,
-    simplify,
-    verify_mapping,
-)
-from .model import (
-    AssemblyError,
-    BehaviorGraph,
-    DanglingRefError,
-    DuplicateArcError,
-    DuplicatePathError,
-    Event,
-    FlowArc,
-    StageKind,
-    StageRef,
-    Thimac,
-    TMModel,
-    TriggerArc,
-    UnknownParentError,
-    assemble_model,
-)
-from .render import RenderOptions, to_dot
-from .sim import (
-    ConfigError,
-    ExploreConfig,
-    ExploreResult,
-    NoInitialEventsError,
-    SimConfig,
-    Trace,
-    explore_state_space,
-    simulate,
-)
-from .validate import check_static, flow_adjacency_legal
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+#: Each module's public names.
+_EXPORTS = {
+    "behavior": (
+        "OverlapAmbiguityError",
+        "UnknownGoalError",
+        "check_behavior",
+        "check_event_region",
+        "infer_dependencies",
+        "nonfunctional_events",
+    ),
+    "diagnostics": ("Diagnostic", "Severity", "SourceSpan", "TMError"),
+    "dsl": ("ParseError", "format_model", "parse"),
+    "match": (
+        "AmbiguousSpliceError",
+        "MatchPolicy",
+        "NodeMapping",
+        "SimplifiedGraph",
+        "canonical_signature",
+        "find_shared_functionality",
+        "isomorphic",
+        "simplify",
+        "verify_mapping",
+    ),
+    "model": (
+        "AssemblyError",
+        "BehaviorGraph",
+        "DanglingRefError",
+        "DuplicateArcError",
+        "DuplicatePathError",
+        "Event",
+        "FlowArc",
+        "StageKind",
+        "StageRef",
+        "Thimac",
+        "TMModel",
+        "TriggerArc",
+        "UnknownParentError",
+        "assemble_model",
+    ),
+    "render": ("RenderOptions", "to_dot"),
+    "sim": (
+        "ConfigError",
+        "ExploreConfig",
+        "ExploreResult",
+        "NoInitialEventsError",
+        "SimConfig",
+        "Trace",
+        "explore_state_space",
+        "simulate",
+    ),
+    "validate": ("check_static", "flow_adjacency_legal"),
+}
+
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "AmbiguousSpliceError",

@@ -4,7 +4,7 @@ non-functional event detection."""
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from collections.abc import Iterable
 
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel

@@ -11,22 +11,13 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from . import corpus, match
-from .behavior import OverlapAmbiguityError, check_all_events, check_behavior
-from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
+# What every subcommand needs; each `cmd_*` imports the rest, so a process
+# loads only the analyses it runs.
+from . import corpus
+from .diagnostics import Diagnostic, ModelError, Severity, TMError, sort_diagnostics
 from .dsl import ParseError, format_model, parse
-from .match import (
-    AmbiguousSpliceError,
-    MatchPolicy,
-    find_shared_functionality,
-    isomorphic,
-    simplify,
-)
-from .model import AssemblyError, TMModel, assemble_model
-from .render import RenderOptions, to_dot
-from .sim import ExploreConfig, SimConfig, explore_state_space, simulate
+from .model import TMModel, assemble_model
 from .validate import check_static, has_errors
 
 OK, DIAG_ERRORS, USAGE, LIMIT = 0, 1, 2, 3
@@ -55,6 +46,8 @@ class _InvalidModel(TMError):
 def _read_source(spec: str) -> str:
     if spec.startswith("fixture:"):
         return corpus.fixture_source(spec[len("fixture:") :])
+    from pathlib import Path  # its errors name the path as Path normalizes it
+
     try:
         return Path(spec).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -89,6 +82,8 @@ def _report(diags: list[Diagnostic]) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .behavior import OverlapAmbiguityError, check_all_events, check_behavior
+
     model = _load(args.file, valid=False)
     diags = list(check_static(model))
     diags.extend(check_all_events(model))
@@ -106,15 +101,22 @@ def cmd_fmt(args: argparse.Namespace) -> int:
 
 
 def cmd_simplify(args: argparse.Namespace) -> int:
+    from .match import simplify
+
     sys.stdout.write(simplify(_load(args.file)).edge_list_text())
     return OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from .match import simplify
+    from .render import RenderOptions, to_dot
+
     model = _load(args.file)
     opts = RenderOptions(view=args.view, show_thing_labels=not args.no_thing_labels)
     dot = to_dot(simplify(model) if args.view == "simplified" else model, opts)
     if args.output:
+        from pathlib import Path
+
         Path(args.output).write_text(dot, encoding="utf-8")
         _say(f"wrote {args.output}")
     else:
@@ -123,6 +125,8 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim import SimConfig, simulate
+
     config = SimConfig(
         capacities=args.capacity,
         max_steps=args.max_steps,
@@ -134,6 +138,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .sim import ExploreConfig, explore_state_space
+
     config = ExploreConfig(
         capacities=args.capacity,
         max_states=args.max_states,
@@ -148,6 +154,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_dedup(args: argparse.Namespace) -> int:
+    from .match import (
+        SEARCH_NODE_BUDGET,
+        MatchPolicy,
+        find_shared_functionality,
+        isomorphic,
+        simplify,
+    )
+
     graphs, names = [], []
     for spec in (args.file1, args.file2):
         model = _load(spec)
@@ -160,7 +174,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
             {
                 "models": names,
                 "isomorphic": mapping is not None,
-                "mapping": mapping.as_dict() if mapping else None,
+                "mapping": mapping.as_dict() if mapping is not None else None,
             },
             sort_keys=True,
         )
@@ -173,7 +187,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     if shared.approximate:
         _say(
             "shared-functionality search stopped at its search-node budget "
-            f"(SEARCH_NODE_BUDGET = {match.SEARCH_NODE_BUDGET}); fragments are approximate"
+            f"(SEARCH_NODE_BUDGET = {SEARCH_NODE_BUDGET}); fragments are approximate"
         )
         return LIMIT
     return OK
@@ -295,10 +309,8 @@ def run(argv: list[str]) -> int:
         return USAGE
     except (ParseError, _InvalidModel) as exc:
         return _report(exc.diagnostics)
-    except AssemblyError as exc:
+    except ModelError as exc:
         return _report([_error_diag(exc.code, str(exc), exc.span)])
-    except AmbiguousSpliceError as exc:
-        return _report([_error_diag("E_AMBIGUOUS_SPLICE", str(exc))])
     except TMError as exc:
         _say(str(exc))
         return DIAG_ERRORS

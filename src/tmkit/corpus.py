@@ -7,11 +7,11 @@ directory and are addressable from the CLI as `fixture:NAME`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Mapping
+import os
+from collections.abc import Mapping
 
 from .diagnostics import TMError
+from .records import Record
 
 #: The eleven primary fixtures, one per worked example.
 FIXTURE_NAMES: tuple[str, ...] = (
@@ -85,33 +85,44 @@ class UnknownFixtureError(TMError):
         )
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(Record):
     name: str
     source: str
-    goldens: Mapping[str, str] = field(default_factory=dict)
+    goldens: Mapping[str, str] | None = None  # a fresh {} when omitted
     provenance: str = ""
 
+    def __init__(
+        self,
+        name: str,
+        source: str,
+        goldens: Mapping[str, str] | None = None,
+        provenance: str = "",
+    ) -> None:
+        super().__init__(name, source, {} if goldens is None else goldens, provenance)
 
-def _corpus_dir():
-    return resources.files("tmkit") / "corpus"
+
+#: The shipped fixtures, next to this module (the package data of tmkit).
+_CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
+
+
+def _read(*path: str) -> str:
+    with open(os.path.join(_CORPUS_DIR, *path), encoding="utf-8") as f:
+        return f.read()
 
 
 def fixture_source(name: str) -> str:
     if name not in ALL_NAMES:
         raise UnknownFixtureError(name)
-    return (_corpus_dir() / f"{name}.tm").read_text(encoding="utf-8")
+    return _read(f"{name}.tm")
 
 
 def load_fixture(name: str) -> Fixture:
     """Load a fixture with whatever golden outputs are shipped for it."""
     source = fixture_source(name)
     goldens: dict[str, str] = {}
-    golden_dir = _corpus_dir() / "goldens"
     for analysis in GOLDEN_ANALYSES:
-        path = golden_dir / f"{name}.{analysis}.txt"
         try:
-            goldens[analysis] = path.read_text(encoding="utf-8")
-        except (FileNotFoundError, OSError):
+            goldens[analysis] = _read("goldens", f"{name}.{analysis}.txt")
+        except OSError:
             continue
     return Fixture(name, source, goldens, PROVENANCE.get(name, ""))

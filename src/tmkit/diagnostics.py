@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+
+from .records import Record, init_field
 
 
 class TMError(Exception):
@@ -19,16 +20,27 @@ class Severity(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Line/column of the start of a statement or token (1-based)."""
 
     line: int
     col: int
 
+    def __init__(self, line: int, col: int) -> None:
+        # Written out for speed (see tmkit.records): one per parsed statement.
+        init_field(self, "line", line)
+        init_field(self, "col", col)
 
-@dataclass(frozen=True)
-class Diagnostic:
+
+class ModelError(TMError):
+    """An error about the model that is reported as one Error diagnostic:
+    it carries the diagnostic's `code` and, where known, its `span`."""
+
+    code: str
+    span: SourceSpan | None = None
+
+
+class Diagnostic(Record):
     """A single finding about a model, suitable for JSON-lines reporting.
 
     `code` is a stable short string drawn from the documented set (see
@@ -41,6 +53,21 @@ class Diagnostic:
     message: str
     subject: str = ""
     span: SourceSpan | None = None
+
+    def __init__(
+        self,
+        severity: Severity,
+        code: str,
+        message: str,
+        subject: str = "",
+        span: SourceSpan | None = None,
+    ) -> None:
+        # Written out for speed (see tmkit.records): one per finding.
+        init_field(self, "severity", severity)
+        init_field(self, "code", code)
+        init_field(self, "message", message)
+        init_field(self, "subject", subject)
+        init_field(self, "span", span)
 
     def sort_key(self) -> tuple[int, int, str, str]:
         # Source-anchored diagnostics first, model-level ones last.

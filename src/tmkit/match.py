@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator, NamedTuple
 
-from .diagnostics import TMError
+from .diagnostics import ModelError
 from .model import FlowArc, StageKind, StageRef, TMModel
+from .records import Record, init_field
 
 FLOW = "flow"
 TRIGGER = "trigger"
@@ -27,9 +27,11 @@ TRIGGER = "trigger"
 ENV_ROLE = "env"
 
 
-class AmbiguousSpliceError(TMError):
+class AmbiguousSpliceError(ModelError):
     """An elided stage fans out toward two or more distinct create/process
     stages, so the spliced edge would be ambiguous."""
+
+    code = "E_AMBIGUOUS_SPLICE"
 
     def __init__(self, stage: StageRef):
         self.stage = stage
@@ -38,20 +40,25 @@ class AmbiguousSpliceError(TMError):
         )
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     id: str
     role: str
     kind: StageKind
     is_env: bool = False
+
+    def __init__(self, id: str, role: str, kind: StageKind, is_env: bool = False) -> None:
+        # Written out for speed (see tmkit.records): one per simplified node.
+        init_field(self, "id", id)
+        init_field(self, "role", role)
+        init_field(self, "kind", kind)
+        init_field(self, "is_env", is_env)
 
     def label(self, match_role_names: bool = True) -> tuple:
         role = self.role if match_role_names else ""
         return (self.is_env, role, self.kind.value)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     src: str
     dst: str
     kind: str  # FLOW or TRIGGER
@@ -62,8 +69,7 @@ class Edge:
         return (self.kind, thing)
 
 
-@dataclass(frozen=True)
-class MatchPolicy:
+class MatchPolicy(Record):
     match_thing_labels: bool = True
     match_role_names: bool = True
 
@@ -74,17 +80,11 @@ STRICT = MatchPolicy()
 Adjacency = tuple[dict[str, dict[tuple, int]], dict[str, dict[tuple, int]]]
 
 
-@dataclass(frozen=True)
-class SimplifiedGraph:
+class SimplifiedGraph(Record):
+    __slots__ = ("__dict__",)  # for the cached adjacency
+
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
-
-    def node_by_id(self, node_id: str) -> Node:
-        return self._index[node_id]
-
-    @cached_property
-    def _index(self) -> dict[str, Node]:
-        return {n.id: n for n in self.nodes}
 
     def adjacency(self, policy: MatchPolicy = STRICT) -> dict[str, Adjacency]:
         """Per node id: its out-neighbours and its in-neighbours, each
@@ -115,8 +115,7 @@ class SimplifiedGraph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class NodeMapping:
+class NodeMapping(Record):
     """A bijection between (subsets of) two graphs' node sets."""
 
     pairs: tuple[tuple[str, str], ...]
@@ -128,8 +127,7 @@ class NodeMapping:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class SharedFunctionality:
+class SharedFunctionality(Record):
     """A disjoint cover of maximum common connected fragments, largest
     first.  `approximate` is set when the search ran out of its
     `SEARCH_NODE_BUDGET` before the cover was complete."""
@@ -398,7 +396,8 @@ def verify_mapping(
     image = set(pairs.values())
     if len(image) != len(pairs):
         return False
-    idx1, idx2 = g1._index, g2._index
+    idx1 = {n.id: n for n in g1.nodes}
+    idx2 = {n.id: n for n in g2.nodes}
     roles = policy.match_role_names
     adj1, adj2 = g1.adjacency(policy), g2.adjacency(policy)
     return all(
@@ -460,7 +459,7 @@ def find_shared_functionality(
     return SharedFunctionality(tuple(matches), approximate=budget < 0)
 
 
-class _Side(NamedTuple):
+class _Side(Record):
     """What the fragment search reads of one graph, per node id."""
 
     #: The node label with the multiset of self-loop labels.
@@ -484,9 +483,10 @@ class _Side(NamedTuple):
         order = sorted(neighbours, key=lambda u: (-len(neighbours[u]), u))
         rank = {u: i for i, u in enumerate(order)}
         roles = policy.match_role_names
+        nodes = {n.id: n for n in g.nodes}
         labels, near = {}, {}
         for u, (outs, ins) in adjacency.items():
-            labels[u] = (g._index[u].label(roles), frozen(outs.get(u)))
+            labels[u] = (nodes[u].label(roles), frozen(outs.get(u)))
             near[u] = {
                 x: (frozen(outs.get(x)), frozen(ins.get(x)))
                 for x in sorted(neighbours[u], key=rank.__getitem__)

@@ -9,12 +9,12 @@ assembled models are immutable and safe to share between analyses.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
 
-from .diagnostics import SourceSpan, TMError
+from .diagnostics import ModelError, SourceSpan
+from .records import Record, init_field
 
 
 class StageKind(enum.Enum):
@@ -47,16 +47,25 @@ def kind_from_name(name: str) -> StageKind | None:
     return _KIND_BY_NAME.get(name)
 
 
-@dataclass(frozen=True)
-class StageRef:
+class StageRef(Record):
     """Addressable stage of a thimac, e.g. ``Mill.Motor`` + ``process``."""
+
+    __slots__ = ("_hash",)
 
     thimac: str
     kind: StageKind
 
-    def __post_init__(self) -> None:
-        # Stage refs key most of the model's indices; hash them once.
-        object.__setattr__(self, "_hash", hash((self.thimac, self.kind)))
+    def __init__(self, thimac: str, kind: StageKind) -> None:
+        # Written out for speed (see tmkit.records), as are `__eq__` and
+        # `__hash__`: stage refs key most of the model's indices.
+        init_field(self, "thimac", thimac)
+        init_field(self, "kind", kind)
+        init_field(self, "_hash", hash((thimac, kind)))  # hashed once
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is StageRef:
+            return self.thimac == other.thimac and self.kind == other.kind
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -73,8 +82,7 @@ class StageRef:
         return cls(path, kind)
 
 
-@dataclass(frozen=True)
-class Thimac:
+class Thimac(Record):
     """A thing/machine node in the hierarchy, keyed by its `path`."""
 
     path: str
@@ -82,9 +90,21 @@ class Thimac:
     children: tuple[str, ...] = ()
     stages: frozenset[StageKind] = frozenset()
 
+    def __init__(
+        self,
+        path: str,
+        name: str,
+        children: tuple[str, ...] = (),
+        stages: frozenset[StageKind] = frozenset(),
+    ) -> None:
+        # Written out for speed (see tmkit.records): one per thimac.
+        init_field(self, "path", path)
+        init_field(self, "name", name)
+        init_field(self, "children", children)
+        init_field(self, "stages", stages)
 
-@dataclass(frozen=True)
-class FlowArc:
+
+class FlowArc(Record):
     """Solid-arrow movement of a thing between two stages."""
 
     id: str
@@ -93,9 +113,23 @@ class FlowArc:
     target: StageRef
     span: SourceSpan | None = None
 
+    def __init__(
+        self,
+        id: str,
+        label: str,
+        source: StageRef,
+        target: StageRef,
+        span: SourceSpan | None = None,
+    ) -> None:
+        # Written out for speed (see tmkit.records): one per flow step.
+        init_field(self, "id", id)
+        init_field(self, "label", label)
+        init_field(self, "source", source)
+        init_field(self, "target", target)
+        init_field(self, "span", span)
 
-@dataclass(frozen=True)
-class TriggerArc:
+
+class TriggerArc(Record):
     """Dashed-arrow activation from one stage to another."""
 
     id: str
@@ -103,9 +137,21 @@ class TriggerArc:
     target: StageRef
     span: SourceSpan | None = None
 
+    def __init__(
+        self,
+        id: str,
+        source: StageRef,
+        target: StageRef,
+        span: SourceSpan | None = None,
+    ) -> None:
+        # Written out for speed (see tmkit.records): one per trigger.
+        init_field(self, "id", id)
+        init_field(self, "source", source)
+        init_field(self, "target", target)
+        init_field(self, "span", span)
 
-@dataclass(frozen=True)
-class Event:
+
+class Event(Record):
     """A dynamic unit: a named region of the static model, plus optional
     description and opaque time annotation."""
 
@@ -116,9 +162,10 @@ class Event:
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class BehaviorGraph:
+class BehaviorGraph(Record):
     """Chronology of events: nodes are event names, edges are earlier->later."""
+
+    __slots__ = ("__dict__",)  # for the cached index
 
     nodes: tuple[str, ...] = ()
     edges: tuple[tuple[str, str], ...] = ()
@@ -134,9 +181,10 @@ class BehaviorGraph:
         return succ
 
 
-@dataclass(frozen=True)
-class TMModel:
+class TMModel(Record):
     """An assembled, immutable model (the grand thimac and everything in it)."""
+
+    __slots__ = ("__dict__",)  # for the cached index
 
     name: str
     thimacs: Mapping[str, Thimac]
@@ -183,35 +231,30 @@ class TMModel:
 # Declarations (produced by tmkit.dsl.parse or built programmatically)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelDecl:
+class ModelDecl(Record):
     name: str
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class ThimacDecl:
+class ThimacDecl(Record):
     path: str
     stages: tuple[StageKind, ...] = ()
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class FlowDecl:
+class FlowDecl(Record):
     label: str
     chain: tuple[StageRef, ...]
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class TriggerDecl:
+class TriggerDecl(Record):
     source: StageRef
     target: StageRef
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class EventDecl:
+class EventDecl(Record):
     name: str
     members: tuple[StageRef | str, ...]
     description: str | None = None
@@ -219,8 +262,7 @@ class EventDecl:
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class BehaviorDecl:
+class BehaviorDecl(Record):
     chain: tuple[str, ...]
     span: SourceSpan | None = None
 
@@ -234,7 +276,7 @@ Declaration = (
 # Assembly
 # ---------------------------------------------------------------------------
 
-class AssemblyError(TMError):
+class AssemblyError(ModelError):
     """Raised when declarations cannot be assembled into a valid model."""
 
     code = "E_ASSEMBLY"

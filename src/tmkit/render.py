@@ -9,17 +9,15 @@ order, arcs in model order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dsl import _quote
 from .model import BehaviorGraph, KIND_ORDER, StageRef, TMModel
 from .match import FLOW, SimplifiedGraph
+from .records import Record
 
 _HEADER = "// generated by tmkit; do not edit\n"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(Record):
     view: str = "static"  # static | behavior | simplified
     show_thing_labels: bool = True
 

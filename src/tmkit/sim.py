@@ -20,12 +20,12 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .behavior import infer_dependencies
 from .diagnostics import TMError
 from .model import BehaviorGraph, Event, TMModel
+from .records import Record, init_field
 
 
 class ConfigError(TMError):
@@ -36,18 +36,19 @@ class NoInitialEventsError(TMError):
     """The net has no tokens and no start channels: nothing can ever fire."""
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(Record):
     step: int
     event: str
     marking: tuple[tuple[str, int], ...]
 
-    def marking_dict(self) -> dict[str, int]:
-        return dict(self.marking)
+    def __init__(self, step: int, event: str, marking: tuple[tuple[str, int], ...]) -> None:
+        # Written out for speed (see tmkit.records): one per simulated step.
+        init_field(self, "step", step)
+        init_field(self, "event", event)
+        init_field(self, "marking", marking)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     firings: tuple[Firing, ...] = ()
 
     def to_jsonl(self) -> str:
@@ -71,8 +72,7 @@ class Trace:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     capacities: int | Mapping[tuple[str, str], int] = 1
     max_steps: int = 100
     seed: int = 0
@@ -80,8 +80,7 @@ class SimConfig:
     channels: str = "declared"  # or "inferred"
 
 
-@dataclass(frozen=True)
-class ExploreConfig:
+class ExploreConfig(Record):
     capacities: int | Mapping[tuple[str, str], int] = 1
     max_states: int = 10_000
     initial_events: frozenset[str] | None = None
@@ -89,8 +88,7 @@ class ExploreConfig:
     channels: str = "declared"
 
 
-@dataclass(frozen=True)
-class ExploreResult:
+class ExploreResult(Record):
     reachable_count: int
     deadlocks: tuple[tuple[tuple[str, int], ...], ...]
     bounded: bool
@@ -110,8 +108,7 @@ class ExploreResult:
 _Test = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class _Net:
+class _Net(Record):
     """Channels are numbered once, and a marking is one int: each channel
     holds its token count in a field of `capacity.bit_length()` bits, under a
     guard bit that is always 0 in a marking.

@@ -134,6 +134,16 @@ def test_dedup_with_matched_roles_is_not_isomorphic():
     assert verdict["mapping"] is None
 
 
+def test_dedup_of_two_empty_models_maps_nothing(tmp_path):
+    # The empty mapping has length 0, so it is falsy, but it is a mapping.
+    f = tmp_path / "empty.tm"
+    f.write_text("", encoding="utf-8")
+    result = run_tm(["dedup", str(f), str(f)])
+    assert result.returncode == 0, result.stderr
+    verdict = json.loads(result.stdout)
+    assert verdict == {"isomorphic": True, "mapping": {}, "models": [str(f), str(f)]}
+
+
 def test_dedup_pay_vs_full_add_finds_alt_fragment():
     result = run_tm(
         ["dedup", "fixture:pay-service", "fixture:add-service", "--min-size", "4"]

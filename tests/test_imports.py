@@ -1,0 +1,62 @@
+"""What importing tmkit loads: the `tm` command imports only what its
+subcommand needs, and the package's public names resolve on first use.
+
+Each probe runs in a fresh interpreter, because this test process has
+already imported everything."""
+
+import subprocess
+import sys
+
+from helpers import SRC
+
+#: Modules that `import tmkit.cli` must not add to a bare interpreter's.
+NOT_ON_START = {
+    "dataclasses",
+    "inspect",
+    "hashlib",
+    "typing",
+    "tmkit.match",
+    "tmkit.sim",
+    "tmkit.render",
+}
+
+
+def _python(code: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def _modules(code: str) -> set[str]:
+    return set(_python(code + "\nimport sys\nprint(*sys.modules, sep='\\n')").split())
+
+
+def test_the_cli_imports_no_analysis_it_does_not_run():
+    # Measured against the same interpreter with nothing imported, since
+    # `site` may preload modules (a .pth file can import `re` or `pathlib`).
+    added = _modules("import tmkit.cli") - _modules("pass")
+    assert {"tmkit", "tmkit.cli", "tmkit.dsl", "tmkit.model"} <= added
+    assert added.isdisjoint(NOT_ON_START), sorted(added & NOT_ON_START)
+
+
+def test_public_names_resolve_on_first_use():
+    out = _python(
+        "import sys, tmkit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('tmkit.')))\n"
+        "named = {name: getattr(tmkit, name) for name in tmkit.__all__}\n"
+        "star = {}\n"
+        "exec('from tmkit import *', star)\n"
+        "assert all(star[name] is named[name] for name in tmkit.__all__)\n"
+        "assert set(tmkit.__all__) <= set(dir(tmkit))\n"
+        "try:\n"
+        "    tmkit.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert out.split("\n")[:2] == ["[]", "AttributeError"]

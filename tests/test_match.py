@@ -200,9 +200,10 @@ def test_mapping_preserves_label_classes():
     g = simplify(load_model("boiling"))
     permuted = permute_graph(g, rng)
     mapping = isomorphic(g, permuted)
+    nodes1 = {n.id: n for n in g.nodes}
     labels2 = {n.id: n.label() for n in permuted.nodes}
     for u, w in mapping.as_dict().items():
-        assert g.node_by_id(u).label() == labels2[w]
+        assert nodes1[u].label() == labels2[w]
 
 
 def test_pay_service_duplicates_add_service_alt():
