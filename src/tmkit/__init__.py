@@ -69,6 +69,8 @@ _EXPORTS = {
 
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = sorted(_HOMES)
+
 
 def __getattr__(name: str):
     home = _HOMES.get(name)
@@ -82,54 +84,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "AmbiguousSpliceError",
-    "AssemblyError",
-    "BehaviorGraph",
-    "ConfigError",
-    "DanglingRefError",
-    "Diagnostic",
-    "DuplicateArcError",
-    "DuplicatePathError",
-    "Event",
-    "ExploreConfig",
-    "ExploreResult",
-    "FlowArc",
-    "MatchPolicy",
-    "NoInitialEventsError",
-    "NodeMapping",
-    "OverlapAmbiguityError",
-    "ParseError",
-    "RenderOptions",
-    "Severity",
-    "SimConfig",
-    "SimplifiedGraph",
-    "SourceSpan",
-    "StageKind",
-    "StageRef",
-    "TMError",
-    "TMModel",
-    "Thimac",
-    "Trace",
-    "TriggerArc",
-    "UnknownGoalError",
-    "UnknownParentError",
-    "assemble_model",
-    "canonical_signature",
-    "check_behavior",
-    "check_event_region",
-    "check_static",
-    "explore_state_space",
-    "find_shared_functionality",
-    "flow_adjacency_legal",
-    "format_model",
-    "infer_dependencies",
-    "isomorphic",
-    "nonfunctional_events",
-    "parse",
-    "simplify",
-    "simulate",
-    "to_dot",
-    "verify_mapping",
-]

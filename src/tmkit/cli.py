@@ -108,12 +108,15 @@ def cmd_simplify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    from .match import simplify
     from .render import RenderOptions, to_dot
 
     model = _load(args.file)
     opts = RenderOptions(view=args.view, show_thing_labels=not args.no_thing_labels)
-    dot = to_dot(simplify(model) if args.view == "simplified" else model, opts)
+    if args.view == "simplified":
+        from .match import simplify
+
+        model = simplify(model)
+    dot = to_dot(model, opts)
     if args.output:
         from pathlib import Path
 

@@ -11,7 +11,7 @@ import os
 from collections.abc import Mapping
 
 from .diagnostics import TMError
-from .records import Record
+from .records import Record, init_field
 
 #: The eleven primary fixtures, one per worked example.
 FIXTURE_NAMES: tuple[str, ...] = (
@@ -98,7 +98,10 @@ class Fixture(Record):
         goldens: Mapping[str, str] | None = None,
         provenance: str = "",
     ) -> None:
-        super().__init__(name, source, {} if goldens is None else goldens, provenance)
+        init_field(self, "name", name)
+        init_field(self, "source", source)
+        init_field(self, "goldens", {} if goldens is None else goldens)
+        init_field(self, "provenance", provenance)
 
 
 #: The shipped fixtures, next to this module (the package data of tmkit).

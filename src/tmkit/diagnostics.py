@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import json
 
-from .records import Record, init_field
+from .records import Record
 
 
 class TMError(Exception):
@@ -25,11 +25,6 @@ class SourceSpan(Record):
 
     line: int
     col: int
-
-    def __init__(self, line: int, col: int) -> None:
-        # Written out for speed (see tmkit.records): one per parsed statement.
-        init_field(self, "line", line)
-        init_field(self, "col", col)
 
 
 class ModelError(TMError):
@@ -53,21 +48,6 @@ class Diagnostic(Record):
     message: str
     subject: str = ""
     span: SourceSpan | None = None
-
-    def __init__(
-        self,
-        severity: Severity,
-        code: str,
-        message: str,
-        subject: str = "",
-        span: SourceSpan | None = None,
-    ) -> None:
-        # Written out for speed (see tmkit.records): one per finding.
-        init_field(self, "severity", severity)
-        init_field(self, "code", code)
-        init_field(self, "message", message)
-        init_field(self, "subject", subject)
-        init_field(self, "span", span)
 
     def sort_key(self) -> tuple[int, int, str, str]:
         # Source-anchored diagnostics first, model-level ones last.

@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .diagnostics import ModelError
 from .model import FlowArc, StageKind, StageRef, TMModel
-from .records import Record, init_field
+from .records import Record
 
 FLOW = "flow"
 TRIGGER = "trigger"
@@ -45,13 +45,6 @@ class Node(Record):
     role: str
     kind: StageKind
     is_env: bool = False
-
-    def __init__(self, id: str, role: str, kind: StageKind, is_env: bool = False) -> None:
-        # Written out for speed (see tmkit.records): one per simplified node.
-        init_field(self, "id", id)
-        init_field(self, "role", role)
-        init_field(self, "kind", kind)
-        init_field(self, "is_env", is_env)
 
     def label(self, match_role_names: bool = True) -> tuple:
         role = self.role if match_role_names else ""
@@ -237,9 +230,7 @@ def simplify(model: TMModel) -> SimplifiedGraph:
         add_edge(src, dst, TRIGGER, "")
 
     ordered_nodes = tuple(nodes[nid] for nid in sorted(nodes))
-    ordered_edges = tuple(
-        edges[k] for k in sorted(edges, key=lambda k: (k[0], k[1], k[2], k[3]))
-    )
+    ordered_edges = tuple(edges[k] for k in sorted(edges))
     return SimplifiedGraph(ordered_nodes, ordered_edges)
 
 

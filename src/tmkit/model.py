@@ -31,13 +31,7 @@ class StageKind(enum.Enum):
 
 
 #: Canonical ordering used wherever stage kinds are serialized.
-KIND_ORDER: tuple[StageKind, ...] = (
-    StageKind.CREATE,
-    StageKind.PROCESS,
-    StageKind.RELEASE,
-    StageKind.TRANSFER,
-    StageKind.RECEIVE,
-)
+KIND_ORDER: tuple[StageKind, ...] = tuple(StageKind)
 
 _KIND_BY_NAME = {k.value: k for k in StageKind}
 
@@ -56,11 +50,11 @@ class StageRef(Record):
     kind: StageKind
 
     def __init__(self, thimac: str, kind: StageKind) -> None:
-        # Written out for speed (see tmkit.records), as are `__eq__` and
-        # `__hash__`: stage refs key most of the model's indices.
+        # Stage refs key most of the model's indices, and `Enum.__hash__`
+        # runs in Python: the hash is computed once and kept in a slot.
         init_field(self, "thimac", thimac)
         init_field(self, "kind", kind)
-        init_field(self, "_hash", hash((thimac, kind)))  # hashed once
+        init_field(self, "_hash", hash((thimac, kind)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is StageRef:
@@ -90,19 +84,6 @@ class Thimac(Record):
     children: tuple[str, ...] = ()
     stages: frozenset[StageKind] = frozenset()
 
-    def __init__(
-        self,
-        path: str,
-        name: str,
-        children: tuple[str, ...] = (),
-        stages: frozenset[StageKind] = frozenset(),
-    ) -> None:
-        # Written out for speed (see tmkit.records): one per thimac.
-        init_field(self, "path", path)
-        init_field(self, "name", name)
-        init_field(self, "children", children)
-        init_field(self, "stages", stages)
-
 
 class FlowArc(Record):
     """Solid-arrow movement of a thing between two stages."""
@@ -113,21 +94,6 @@ class FlowArc(Record):
     target: StageRef
     span: SourceSpan | None = None
 
-    def __init__(
-        self,
-        id: str,
-        label: str,
-        source: StageRef,
-        target: StageRef,
-        span: SourceSpan | None = None,
-    ) -> None:
-        # Written out for speed (see tmkit.records): one per flow step.
-        init_field(self, "id", id)
-        init_field(self, "label", label)
-        init_field(self, "source", source)
-        init_field(self, "target", target)
-        init_field(self, "span", span)
-
 
 class TriggerArc(Record):
     """Dashed-arrow activation from one stage to another."""
@@ -136,19 +102,6 @@ class TriggerArc(Record):
     source: StageRef
     target: StageRef
     span: SourceSpan | None = None
-
-    def __init__(
-        self,
-        id: str,
-        source: StageRef,
-        target: StageRef,
-        span: SourceSpan | None = None,
-    ) -> None:
-        # Written out for speed (see tmkit.records): one per trigger.
-        init_field(self, "id", id)
-        init_field(self, "source", source)
-        init_field(self, "target", target)
-        init_field(self, "span", span)
 
 
 class Event(Record):

@@ -7,9 +7,11 @@ defaults, in its body::
         line: int
         col: int = 1
 
-and gets, without generating code per class:
+and gets:
 
-- positional and keyword construction, defaults for omitted fields;
+- one ``__init__``, generated when the class is created, with a parameter
+  per field and the field's default; Python binds the arguments and raises
+  the ``TypeError`` for a missing, extra or unknown one;
 - equality with a record of the same class whose fields are equal, and
   the hash of the field tuple;
 - a ``repr`` of its fields in order, ``SourceSpan(line=3, col=1)``;
@@ -19,8 +21,9 @@ and gets, without generating code per class:
 Names in a class's own ``__slots__`` become extra slots that are not
 fields: ``"__dict__"`` lets `functools.cached_property` keep a lazily
 built index, and a record may cache a derived value in a slot of its own.
-A record whose construction is hot may write its own ``__init__``; it
-fills its slots with `init_field`, which bypasses the refusal.
+A class body that defines ``__init__`` keeps it; only a record with state
+beyond its arguments needs one, and it fills its slots with `init_field`,
+which bypasses the refusal.
 """
 
 from __future__ import annotations
@@ -29,6 +32,20 @@ from operator import attrgetter
 
 #: ``init_field(record, name, value)``: fill a slot of a record being built.
 init_field = object.__setattr__
+
+
+def _make_init(cls, fields: tuple[str, ...], defaults: dict) -> None:
+    """Give `cls` an ``__init__(self, <fields>)`` that sets each field's
+    slot through the slot's own ``__set__``, a global of the generated code."""
+    scope = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+    scope.update((f"_default_{f}", value) for f, value in defaults.items())
+    scope["__name__"] = cls.__module__
+    params = "".join(f", {f}=_default_{f}" if f in defaults else f", {f}" for f in fields)
+    body = "".join(f"    _set_{f}(self, {f})\n" for f in fields) or "    pass\n"
+    source = f"def __init__(self{params}):\n{body}"
+    exec(compile(source, f"<record {cls.__name__}>", "exec"), scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
 
 class _RecordType(type):
@@ -42,8 +59,8 @@ class _RecordType(type):
         namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
         cls = super().__new__(mcls, name, bases, namespace)
         cls._fields = fields
-        cls._defaults = tuple(defaults.values())  # those of the last fields
-        cls._setters = tuple(cls.__dict__[f].__set__ for f in fields)
+        if "__init__" not in namespace:
+            _make_init(cls, fields, defaults)
         # The field tuple, for equality, hashing and pickling.
         if len(fields) > 1:
             cls._values = attrgetter(*fields)
@@ -59,34 +76,6 @@ class Record(metaclass=_RecordType):
     """Base of the immutable records; see the module docstring."""
 
     __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):
-            args = self._bind(args, kwargs)
-        for setter, value in zip(self._setters, args):
-            setter(self, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value, from the arguments or the defaults."""
-        fields, defaults = cls._fields, cls._defaults
-        if len(args) > len(fields):
-            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional "
-                            f"arguments but {len(args)} were given")
-        values = list(args)
-        first_default = len(fields) - len(defaults)
-        for i in range(len(args), len(fields)):
-            name = fields[i]
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif i >= first_default:
-                values.append(defaults[i - first_default])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        for name in kwargs:
-            problem = "multiple values for" if name in fields else "an unexpected keyword"
-            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
-        return tuple(values)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

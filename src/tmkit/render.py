@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .dsl import _quote
 from .model import BehaviorGraph, KIND_ORDER, StageRef, TMModel
-from .match import FLOW, SimplifiedGraph
 from .records import Record
 
 _HEADER = "// generated by tmkit; do not edit\n"
@@ -38,8 +37,6 @@ def to_dot(
             raise TypeError("behavior view renders a BehaviorGraph")
         return _behavior_dot(obj)
     if opts.view == "simplified":
-        if not isinstance(obj, SimplifiedGraph):
-            raise TypeError("simplified view renders a SimplifiedGraph")
         return _simplified_dot(obj, opts)
     raise ValueError(f"unknown view {opts.view!r}")
 
@@ -106,6 +103,11 @@ def _behavior_dot(behavior: BehaviorGraph) -> str:
 
 
 def _simplified_dot(g: SimplifiedGraph, opts: RenderOptions) -> str:
+    # Imported here: the static and behavior views need no matching.
+    from .match import FLOW, SimplifiedGraph
+
+    if not isinstance(g, SimplifiedGraph):
+        raise TypeError("simplified view renders a SimplifiedGraph")
     lines = [_HEADER + "digraph simplified {"]
     lines.append("  node [shape=box, fontsize=10];")
     for node in g.nodes:

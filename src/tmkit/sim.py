@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping
 from .behavior import infer_dependencies
 from .diagnostics import TMError
 from .model import BehaviorGraph, Event, TMModel
-from .records import Record, init_field
+from .records import Record
 
 
 class ConfigError(TMError):
@@ -40,12 +40,6 @@ class Firing(Record):
     step: int
     event: str
     marking: tuple[tuple[str, int], ...]
-
-    def __init__(self, step: int, event: str, marking: tuple[tuple[str, int], ...]) -> None:
-        # Written out for speed (see tmkit.records): one per simulated step.
-        init_field(self, "step", step)
-        init_field(self, "event", event)
-        init_field(self, "marking", marking)
 
 
 class Trace(Record):

@@ -45,6 +45,15 @@ def test_the_cli_imports_no_analysis_it_does_not_run():
     assert added.isdisjoint(NOT_ON_START), sorted(added & NOT_ON_START)
 
 
+def test_rendering_a_static_view_imports_no_matching():
+    added = _modules(
+        "import tmkit.cli\n"
+        "assert tmkit.cli.run(['render', 'fixture:pump']) == 0"
+    ) - _modules("pass")
+    assert "tmkit.render" in added
+    assert added.isdisjoint({"tmkit.match", "hashlib"}), sorted(added)
+
+
 def test_public_names_resolve_on_first_use():
     out = _python(
         "import sys, tmkit\n"

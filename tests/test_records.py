@@ -3,6 +3,7 @@ keyword, equal and hashed by its fields, immutable, shown in field order,
 and filled with its defaults where a field is omitted."""
 
 import copy
+import inspect
 import itertools
 import pickle
 
@@ -129,17 +130,37 @@ def test_records_copy_and_pickle_by_value(cls):
         assert clone == record and type(clone) is cls
 
 
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_the_signature_is_the_fields_with_their_defaults(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == fields(cls)
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert defaults == DEFAULTS[cls.__name__]
+
+
+def test_a_required_field_may_not_follow_a_defaulted_one():
+    with pytest.raises(TypeError, match="field 'b' without a default follows field 'a'"):
+        class Bad(Record):
+            a: int = 0
+            b: int
+
+
 def test_wrong_arguments_are_type_errors():
-    for build in (
-        lambda: Node("n1"),
-        lambda: Node("n1", "A", tmkit.StageKind.CREATE, False, "extra"),
-        lambda: Node("n1", "A", tmkit.StageKind.CREATE, colour="red"),
-        lambda: Node("n1", "A", tmkit.StageKind.CREATE, id="n2"),
-        lambda: tmkit.StageRef("A"),
-        lambda: Firing(0, "E1"),
+    kind = tmkit.StageKind.CREATE
+    for cls, args, kwargs in (
+        (Node, ("n1",), {}),
+        (Node, ("n1", "A", kind, False, "extra"), {}),
+        (Node, ("n1", "A", kind), {"colour": "red"}),
+        (Node, ("n1", "A", kind), {"id": "n2"}),
+        (tmkit.StageRef, ("A",), {}),
+        (Firing, (0, "E1"), {}),
+        (tmkit.SimConfig, (), {"max_step": 1}),
+        (tmkit.SourceSpan, (1, 2, 3), {}),
     ):
-        with pytest.raises(TypeError):
-            build()
+        # The message names the record whose constructor was called.
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)"):
+            cls(*args, **kwargs)
 
 
 def test_a_mapping_is_true_when_it_maps_something():
