@@ -4,7 +4,6 @@ non-functional event detection."""
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel
@@ -86,9 +85,7 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     return sort_diagnostics(diags)
 
 
-def infer_dependencies(
-    model: TMModel, events: Iterable[Event] | None = None
-) -> set[tuple[str, str]]:
+def infer_dependencies(model: TMModel) -> set[tuple[str, str]]:
     """Infer the precedence relation between events.
 
     (Ei, Ej) is in the result exactly when some flow or trigger arc runs
@@ -96,9 +93,8 @@ def infer_dependencies(
     An arc whose endpoints each lie in two or more regions is ambiguous
     and raises OverlapAmbiguityError.
     """
-    event_list = list(events) if events is not None else list(model.events.values())
     membership: dict[StageRef, set[str]] = {}
-    for event in event_list:
+    for event in model.events.values():
         for ref in event.region:
             membership.setdefault(ref, set()).add(event.name)
 
@@ -132,19 +128,15 @@ def reachable_from(behavior: BehaviorGraph, start: str) -> set[str]:
     return seen
 
 
-def check_behavior(
-    model: TMModel,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
-) -> list[Diagnostic]:
+def check_behavior(model: TMModel) -> list[Diagnostic]:
     """Check a declared chronology against the inferred precedence relation.
 
     Every inferred dependency (Ei, Ej) must have Ej reachable from Ei in
     the declared graph (E_CHRONOLOGY_GAP otherwise); declared edges with
     no inferred support get W_UNSUPPORTED_EDGE.
     """
-    behavior = behavior if behavior is not None else model.behavior
-    inferred = infer_dependencies(model, events)
+    behavior = model.behavior
+    inferred = infer_dependencies(model)
     diags: list[Diagnostic] = []
     reach: dict[str, set[str]] = {
         name: reachable_from(behavior, name) for name in behavior.nodes

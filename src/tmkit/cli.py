@@ -91,7 +91,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         diags.extend(check_behavior(model))
     except OverlapAmbiguityError as exc:
         # Reported beside the other findings rather than instead of them.
-        diags.append(_error_diag("E_REGION_OVERLAP", str(exc)))
+        diags.append(
+            Diagnostic(
+                Severity.ERROR, "E_REGION_OVERLAP", str(exc), ", ".join(exc.arc_ids)
+            )
+        )
     return _report(sort_diagnostics(diags))
 
 

@@ -263,15 +263,6 @@ class DuplicateEventError(AssemblyError):
     code = "E_DUPLICATE_EVENT"
 
 
-class _ThimacBuilder:
-    __slots__ = ("path", "stages", "explicit")
-
-    def __init__(self, path: str, explicit: bool):
-        self.path = path
-        self.stages: set[StageKind] = set()
-        self.explicit = explicit
-
-
 def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     """Assemble declarations into an immutable model.
 
@@ -281,32 +272,30 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     `tmkit.behavior.check_event_region`, so a model with unresolved event
     members can still be assembled and diagnosed.
     """
-    builders: dict[str, _ThimacBuilder] = {"": _ThimacBuilder("", True)}
+    # Every thimac's stages (the grand thimac is ""), and the paths that a
+    # thimac declaration names rather than only an arc.
+    stages: dict[str, set[StageKind]] = {"": set()}
+    explicit: set[str] = {""}
     model_name: str | None = None
 
     def declare(path: str, span: SourceSpan | None) -> None:
-        existing = builders.get(path)
-        if existing is not None:
-            if existing.explicit:
-                raise DuplicatePathError(f"thimac {path!r} declared twice", span)
-            existing.explicit = True
-            return
+        if path in explicit:
+            raise DuplicatePathError(f"thimac {path!r} declared twice", span)
         parent, _, _ = path.rpartition(".")
-        if parent and parent not in builders:
+        if path not in stages and parent and parent not in stages:
             raise UnknownParentError(
                 f"thimac {path!r} has undeclared parent {parent!r}", span
             )
-        builders[path] = _ThimacBuilder(path, True)
+        explicit.add(path)
+        stages.setdefault(path, set())
 
-    def touch(ref: StageRef, span: SourceSpan | None) -> None:
-        if ref.thimac not in builders:
+    def touch(ref: StageRef) -> None:
+        if ref.thimac not in stages:
             # Create the thimac and any missing ancestors.
             parts = ref.thimac.split(".")
             for i in range(1, len(parts) + 1):
-                prefix = ".".join(parts[:i])
-                if prefix not in builders:
-                    builders[prefix] = _ThimacBuilder(prefix, False)
-        builders[ref.thimac].stages.add(ref.kind)
+                stages.setdefault(".".join(parts[:i]), set())
+        stages[ref.thimac].add(ref.kind)
 
     flows: list[FlowArc] = []
     triggers: list[TriggerArc] = []
@@ -324,11 +313,10 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                 model_name = decl.name
         elif isinstance(decl, ThimacDecl):
             declare(decl.path, decl.span)
-            for kind in decl.stages:
-                builders[decl.path].stages.add(kind)
+            stages[decl.path].update(decl.stages)
         elif isinstance(decl, FlowDecl):
             for ref in decl.chain:
-                touch(ref, decl.span)
+                touch(ref)
             for src, dst in zip(decl.chain, decl.chain[1:]):
                 key = (decl.label, src, dst)
                 if key in seen_flow_keys:
@@ -346,8 +334,8 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                     f"trigger may not point at its own source: {decl.source}",
                     decl.span,
                 )
-            touch(decl.source, decl.span)
-            touch(decl.target, decl.span)
+            touch(decl.source)
+            touch(decl.target)
             key = (decl.source, decl.target)
             if key in seen_trigger_keys:
                 raise DuplicateArcError(
@@ -401,8 +389,8 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
         else:
             raise AssemblyError(f"unknown declaration type: {decl!r}")
 
-    children: dict[str, list[str]] = {path: [] for path in builders}
-    for path in builders:
+    children: dict[str, list[str]] = {path: [] for path in stages}
+    for path in stages:
         if path:
             parent, _, _ = path.rpartition(".")
             children[parent].append(path)
@@ -412,9 +400,9 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
             path=path,
             name=path.rpartition(".")[2] if path else (model_name or ""),
             children=tuple(sorted(children[path])),
-            stages=frozenset(builder.stages),
+            stages=frozenset(kinds),
         )
-        for path, builder in builders.items()
+        for path, kinds in stages.items()
     }
 
     return TMModel(

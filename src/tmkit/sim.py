@@ -24,7 +24,7 @@ from collections.abc import Iterable, Mapping
 
 from .behavior import infer_dependencies
 from .diagnostics import TMError
-from .model import BehaviorGraph, Event, TMModel
+from .model import TMModel
 from .records import Record
 
 
@@ -146,37 +146,25 @@ def _retest(
     return out
 
 
-def build_net(
-    model: TMModel,
-    config: SimConfig | ExploreConfig,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
-) -> _Net:
-    behavior = behavior if behavior is not None else model.behavior
-    if events is not None:
-        events = tuple(events)  # read twice below; it may be an iterator
-        nodes = tuple(e.name for e in events)
-    elif model.events:
-        nodes = tuple(model.events)
-    else:
-        nodes = behavior.nodes
+def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
+    nodes = tuple(model.events) or model.behavior.nodes
     if config.channels == "inferred":
-        edges = sorted(infer_dependencies(model, events))
+        edges = sorted(infer_dependencies(model))
     elif config.channels == "declared":
         # A repeated behavior edge is one channel, as in `assemble_model`.
-        edges = list(dict.fromkeys(behavior.edges))
+        edges = list(dict.fromkeys(model.behavior.edges))
     else:
         raise ConfigError(f"unknown channel mode {config.channels!r}")
+    capacities = config.capacities
+    if isinstance(capacities, int) and capacities <= 0:
+        raise ConfigError(f"every channel has capacity {capacities}")
 
     ids = [f"{a}->{b}" for a, b in edges]
     capacity = []
     inputs: dict[str, list[int]] = {n: [] for n in nodes}
     outputs: dict[str, list[int]] = {n: [] for n in nodes}
     for i, (a, b) in enumerate(edges):
-        if isinstance(config.capacities, int):
-            cap = config.capacities
-        else:
-            cap = config.capacities.get((a, b), 1)
+        cap = capacities if isinstance(capacities, int) else capacities.get((a, b), 1)
         if cap <= 0:
             raise ConfigError(f"channel {a}->{b} has capacity {cap}")
         capacity.append(cap)
@@ -258,12 +246,7 @@ def build_net(
     )
 
 
-def simulate(
-    model: TMModel,
-    config: SimConfig | None = None,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
-) -> Trace:
+def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     """Run one seeded execution; deterministic for a given configuration.
 
     At each step one enabled event is picked by the seeded RNG and fired;
@@ -274,7 +257,7 @@ def simulate(
     config = config or SimConfig()
     if config.max_steps < 0:
         raise ConfigError("max_steps must be >= 0")
-    net = build_net(model, config, events, behavior)
+    net = build_net(model, config)
     if config.max_steps == 0 or not net.nodes:
         return Trace()
     if net.initial == 0:
@@ -300,10 +283,7 @@ def simulate(
 
 
 def explore_state_space(
-    model: TMModel,
-    config: ExploreConfig | None = None,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
+    model: TMModel, config: ExploreConfig | None = None
 ) -> ExploreResult:
     """Breadth-first enumeration of every reachable marking.
 
@@ -318,7 +298,7 @@ def explore_state_space(
     re-tests only the events that share a channel with the fired one.
     """
     config = config or ExploreConfig()
-    net = build_net(model, config, events, behavior)
+    net = build_net(model, config)
 
     if config.terminal_events is not None:
         unknown = set(config.terminal_events) - set(net.nodes)

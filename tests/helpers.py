@@ -57,6 +57,23 @@ def load_model(name: str) -> TMModel:
     return assemble_model(parse(fixture_source(name)))
 
 
+def variant(
+    model: TMModel,
+    behavior: BehaviorGraph | None = None,
+    events: Iterable[Event] | None = None,
+) -> TMModel:
+    """`model` with another chronology and/or event set, all else the same.
+    The analyses read only the model, so that is how a test hands them one."""
+    return TMModel(
+        model.name,
+        model.thimacs,
+        model.flows,
+        model.triggers,
+        model.events if events is None else {e.name: e for e in events},
+        model.behavior if behavior is None else behavior,
+    )
+
+
 def run_tm(args, **kwargs):
     # The child sees a minimal environment, but always imports the tmkit of
     # this checkout (first on PYTHONPATH), installed or not.
@@ -1169,33 +1186,22 @@ class _ReferenceNet:
 
 
 def _reference_edges_for(
-    model: TMModel,
-    events: Iterable[Event] | None,
-    behavior: BehaviorGraph,
-    mode: str,
+    model: TMModel, mode: str
 ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    if events is not None:
-        nodes = tuple(e.name for e in events)
-    elif model.events:
-        nodes = tuple(model.events)
-    else:
-        nodes = behavior.nodes
+    nodes = tuple(model.events) or model.behavior.nodes
     if mode == "inferred":
-        deps = sorted(infer_dependencies(model, events))
-        return nodes, tuple(deps)
+        return nodes, tuple(sorted(infer_dependencies(model)))
     if mode != "declared":
         raise ConfigError(f"unknown channel mode {mode!r}")
-    return nodes, behavior.edges
+    return nodes, model.behavior.edges
 
 
 def reference_build_net(
-    model: TMModel,
-    config: SimConfig | ExploreConfig,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
+    model: TMModel, config: SimConfig | ExploreConfig
 ) -> _ReferenceNet:
-    behavior = behavior if behavior is not None else model.behavior
-    nodes, edges = _reference_edges_for(model, events, behavior, config.channels)
+    nodes, edges = _reference_edges_for(model, config.channels)
+    if isinstance(config.capacities, int) and config.capacities <= 0:
+        raise ConfigError(f"every channel has capacity {config.capacities}")
 
     def capacity(edge: tuple[str, str]) -> int:
         if isinstance(config.capacities, int):
@@ -1251,12 +1257,7 @@ def reference_build_net(
     )
 
 
-def reference_simulate(
-    model: TMModel,
-    config: SimConfig | None = None,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
-) -> Trace:
+def reference_simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     """Run one seeded execution; deterministic for a given configuration.
 
     At each step one enabled event is picked by the seeded RNG and fired;
@@ -1267,7 +1268,7 @@ def reference_simulate(
     config = config or SimConfig()
     if config.max_steps < 0:
         raise ConfigError("max_steps must be >= 0")
-    net = reference_build_net(model, config, events, behavior)
+    net = reference_build_net(model, config)
     if config.max_steps == 0 or not net.nodes:
         return Trace()
     if sum(net.initial) == 0:
@@ -1290,10 +1291,7 @@ def reference_simulate(
 
 
 def reference_explore_state_space(
-    model: TMModel,
-    config: ExploreConfig | None = None,
-    events: Iterable[Event] | None = None,
-    behavior: BehaviorGraph | None = None,
+    model: TMModel, config: ExploreConfig | None = None
 ) -> ExploreResult:
     """Breadth-first enumeration of every reachable marking.
 
@@ -1304,7 +1302,7 @@ def reference_explore_state_space(
     exhausted the partial result is returned with `bounded` False.
     """
     config = config or ExploreConfig()
-    net = reference_build_net(model, config, events, behavior)
+    net = reference_build_net(model, config)
 
     if config.terminal_events is not None:
         terminal = set(config.terminal_events)

@@ -47,6 +47,7 @@ from helpers import (
     random_digraph,
     reference_build_net,
     run_tm,
+    variant,
 )
 
 ROLES_OFF = MatchPolicy(match_role_names=False)
@@ -204,7 +205,7 @@ def test_criterion_08_producer_consumer_synchronization():
 
     broken = BehaviorGraph(("Produce", "Consume"), (("Consume", "Produce"),))
     result = explore_state_space(
-        model, ExploreConfig(initial_events=frozenset()), behavior=broken
+        variant(model, behavior=broken), ExploreConfig(initial_events=frozenset())
     )
     assert result.reachable_count == 1
     assert result.deadlocks == ((("Consume->Produce", 0),),)

@@ -232,8 +232,10 @@ def test_check_reports_region_overlap(tmp_path):
     )
     result = run_tm(["check", str(f)])
     assert result.returncode == 1
-    codes = [json.loads(line)["code"] for line in result.stdout.splitlines()]
-    assert "E_REGION_OVERLAP" in codes
+    found = [json.loads(line) for line in result.stdout.splitlines()]
+    overlap = [d for d in found if d["code"] == "E_REGION_OVERLAP"]
+    assert len(overlap) == 1
+    assert overlap[0]["subject"] == "F1"
 
 
 def test_render_simplified_view():

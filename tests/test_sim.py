@@ -12,16 +12,20 @@ from tmkit import (
     NoInitialEventsError,
     SimConfig,
     assemble_model,
+    check_behavior,
     explore_state_space,
+    infer_dependencies,
     simulate,
 )
 from tmkit.model import BehaviorGraph
+from tmkit.sim import build_net
 
 from helpers import (
     load_model,
     reference_build_net,
     reference_explore_state_space,
     reference_simulate,
+    variant,
 )
 
 ALL_FIXTURES = (
@@ -61,9 +65,13 @@ def test_negative_max_steps_rejected():
 
 
 def test_zero_capacity_rejected():
-    model = load_model("producer-consumer")
-    with pytest.raises(ConfigError):
-        simulate(model, SimConfig(capacities=0))
+    # An int capacity is checked even when the net has no channel to use it.
+    edgeless = variant(assemble_model([]), behavior=BehaviorGraph(("A",), ()))
+    for model in (load_model("producer-consumer"), edgeless):
+        with pytest.raises(ConfigError):
+            simulate(model, SimConfig(capacities=0))
+        with pytest.raises(ConfigError):
+            explore_state_space(model, ExploreConfig(capacities=-2))
 
 
 def test_coffee_mill_fires_in_topological_order_then_halts():
@@ -124,15 +132,13 @@ def test_explore_producer_consumer():
 def test_explore_without_produce_to_consume_channel():
     # The cycle with the Produce->Consume channel removed and nothing
     # seeded can never start: the initial marking is the unique deadlock.
-    model = load_model("producer-consumer")
     broken = BehaviorGraph(("Produce", "Consume"), (("Consume", "Produce"),))
-    result = explore_state_space(
-        model, ExploreConfig(initial_events=frozenset()), behavior=broken
-    )
+    model = variant(load_model("producer-consumer"), behavior=broken)
+    result = explore_state_space(model, ExploreConfig(initial_events=frozenset()))
     assert result.reachable_count == 1
     assert result.deadlocks == ((("Consume->Produce", 0),),)
     with pytest.raises(NoInitialEventsError):
-        simulate(model, SimConfig(initial_events=frozenset()), behavior=broken)
+        simulate(model, SimConfig(initial_events=frozenset()))
 
 
 def test_acyclic_coffee_mill_completes_normally():
@@ -152,30 +158,28 @@ def test_drained_halt_is_deadlock_when_terminal_set_empty():
 
 
 def test_unknown_terminal_event_rejected():
-    model = assemble_model([])
     behavior = BehaviorGraph(("A", "B"), (("A", "B"),))
+    model = variant(assemble_model([]), behavior=behavior)
     with pytest.raises(ConfigError, match="terminal event.* not in the behavior: Zz"):
-        explore_state_space(
-            model, ExploreConfig(terminal_events=frozenset({"Zz"})), behavior=behavior
-        )
+        explore_state_space(model, ExploreConfig(terminal_events=frozenset({"Zz"})))
     # A known terminal set still decides how the drained halt counts.
     drained = ((("->A", 0), ("A->B", 0)),)
     assert explore_state_space(
-        model, ExploreConfig(terminal_events=frozenset()), behavior=behavior
+        model, ExploreConfig(terminal_events=frozenset())
     ).deadlocks == drained
     assert explore_state_space(
-        model, ExploreConfig(terminal_events=frozenset({"B"})), behavior=behavior
+        model, ExploreConfig(terminal_events=frozenset({"B"}))
     ).deadlocks == ()
 
 
 def test_starved_join_is_a_deadlock():
     # Without E2 the grind never has both inputs: tokens stick on E1->E3.
-    model = load_model("coffee-mill")
     partial = BehaviorGraph(
         ("E1", "E3", "E4"), (("E1", "E3"), ("E2", "E3"), ("E3", "E4"))
     )
+    model = variant(load_model("coffee-mill"), behavior=partial)
     result = explore_state_space(
-        model, ExploreConfig(initial_events=frozenset({"E1"})), behavior=partial
+        model, ExploreConfig(initial_events=frozenset({"E1"}))
     )
     assert len(result.deadlocks) == 1
     marking = dict(result.deadlocks[0])
@@ -207,17 +211,22 @@ def test_default_initial_event_outside_the_net_rejected():
     # be one of the net's events (here the model declares none).
     behavior = BehaviorGraph((), (("A", "B"), ("B", "A")))
     with pytest.raises(ConfigError, match="not in the behavior: A"):
-        simulate(assemble_model([]), behavior=behavior)
+        simulate(variant(assemble_model([]), behavior=behavior))
 
 
-def test_events_iterator_read_once():
+@pytest.mark.parametrize("keyword", ["events", "behavior"])
+@pytest.mark.parametrize(
+    "run",
+    [check_behavior, infer_dependencies, simulate, explore_state_space, build_net],
+    ids=lambda run: run.__name__,
+)
+def test_analyses_take_no_other_chronology(run, keyword):
+    # Another chronology or event set is another model (see `variant`).
     model = load_model("coffee-mill")
-    events = list(model.events.values())
-    config = ExploreConfig(channels="inferred")
-    as_list = explore_state_space(model, config, events=events)
-    once = explore_state_space(model, config, events=iter(events))
-    assert once.to_json() == as_list.to_json()
-    assert as_list.reachable_count == 6
+    args = (model, ExploreConfig()) if run is build_net else (model,)
+    replacement = model.behavior if keyword == "behavior" else model.events.values()
+    with pytest.raises(TypeError, match=keyword):
+        run(*args, **{keyword: replacement})
 
 
 def test_explore_json_is_stable():
@@ -257,15 +266,17 @@ def test_simulated_markings_are_explored(name):
 
 def test_repeated_behavior_edge_is_one_channel():
     # `assemble_model` drops repeated edges; a hand-built graph may keep them.
-    model = assemble_model([])
-    once = BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A")))
-    twice = BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A"), ("A", "B")))
+    empty = assemble_model([])
+    once = variant(empty, behavior=BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A"))))
+    twice = variant(
+        empty, behavior=BehaviorGraph(("A", "B"), (("A", "B"), ("B", "A"), ("A", "B")))
+    )
     config = SimConfig(max_steps=6, seed=1)
-    trace = simulate(model, config, behavior=twice)
-    assert trace == simulate(model, config, behavior=once)
+    trace = simulate(twice, config)
+    assert trace == simulate(once, config)
     assert [f.event for f in trace.firings] == ["A", "B"] * 3
-    assert explore_state_space(model, ExploreConfig(), behavior=twice) == (
-        explore_state_space(model, ExploreConfig(), behavior=once)
+    assert explore_state_space(twice, ExploreConfig()) == (
+        explore_state_space(once, ExploreConfig())
     )
 
 
@@ -274,16 +285,16 @@ def test_channel_fills_to_capacity(capacity):
     # P keeps its self-loop token (the loop needs room for it too) and feeds
     # Q: P->Q reaches every count up to its capacity, including a packed
     # field's top value.
-    model = assemble_model([])
     behavior = BehaviorGraph(("P", "Q"), (("P", "P"), ("P", "Q")))
+    model = variant(assemble_model([]), behavior=behavior)
     capacities = {("P", "P"): 2, ("P", "Q"): capacity}
     explore = ExploreConfig(capacities=capacities)
-    result = explore_state_space(model, explore, behavior=behavior)
-    assert result == reference_explore_state_space(model, explore, behavior=behavior)
+    result = explore_state_space(model, explore)
+    assert result == reference_explore_state_space(model, explore)
     assert result.reachable_count == capacity + 1
     sim = SimConfig(capacities=capacities, max_steps=200, seed=capacity)
-    trace = simulate(model, sim, behavior=behavior)
-    assert trace == reference_simulate(model, sim, behavior=behavior)
+    trace = simulate(model, sim)
+    assert trace == reference_simulate(model, sim)
     assert max(dict(f.marking)["P->Q"] for f in trace.firings) == capacity
 
 
@@ -296,11 +307,10 @@ def test_truncated_exploration_matches_reference(max_states, terminal):
     edges = tuple(
         (f"c{i}e{j}", f"c{i}e{j + 1}") for i in range(5) for j in range(2)
     )
-    behavior = BehaviorGraph(nodes, edges)
-    model = assemble_model([])
+    model = variant(assemble_model([]), behavior=BehaviorGraph(nodes, edges))
     config = ExploreConfig(max_states=max_states, terminal_events=terminal)
-    result = explore_state_space(model, config, behavior=behavior)
-    assert result == reference_explore_state_space(model, config, behavior=behavior)
+    result = explore_state_space(model, config)
+    assert result == reference_explore_state_space(model, config)
     assert result.reachable_count == min(4**5, max_states)
     assert result.bounded == (max_states >= 4**5)
     # With an empty terminal set the drained marking, found last, is a deadlock.
@@ -309,23 +319,21 @@ def test_truncated_exploration_matches_reference(max_states, terminal):
 
 @st.composite
 def token_runs(draw):
-    """A model, an optional behavior graph, and one simulate and one explore
-    config.  Either a fixture in either channel mode, or a random behavior
-    graph (cycles, sources, self-loops, no repeated edge) on an empty model."""
+    """A model and one simulate and one explore config.  Either a fixture in
+    either channel mode, or a random behavior graph (cycles, sources,
+    self-loops, no repeated edge) on an empty model."""
     if draw(st.booleans()):
         model = load_model(draw(st.sampled_from(ALL_FIXTURES)))
-        behavior = None
         nodes = tuple(model.events)
         edges = list(model.behavior.edges)
         channels = draw(st.sampled_from(["declared", "inferred"]))
     else:
-        model = assemble_model([])
         nodes = tuple(f"e{i}" for i in range(draw(st.integers(1, 5))))
         pairs = [(a, b) for a in nodes for b in nodes]
         ring = list(zip(nodes, nodes[1:] + nodes[:1])) if draw(st.booleans()) else []
         extra = draw(st.lists(st.sampled_from(pairs), max_size=7))
         edges = list(dict.fromkeys(ring + extra))
-        behavior = BehaviorGraph(nodes, tuple(edges))
+        model = variant(assemble_model([]), behavior=BehaviorGraph(nodes, tuple(edges)))
         channels = "declared"
     if draw(st.booleans()):
         capacities = draw(st.integers(1, 9))
@@ -347,12 +355,12 @@ def token_runs(draw):
         terminal_events=terminal,
         channels=channels,
     )
-    return model, behavior, sim, explore
+    return model, sim, explore
 
 
-def _outcome(run, *args, **kwargs):
+def _outcome(run, *args):
     try:
-        return run(*args, **kwargs)
+        return run(*args)
     except Exception as exc:  # the exception type is part of the outcome
         return type(exc)
 
@@ -369,13 +377,11 @@ def _capacity_of(channel_id, capacities):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(token_runs())
 def test_engine_matches_reference_and_respects_capacities(run):
-    model, behavior, sim, explore = run
-    trace = _outcome(simulate, model, sim, behavior=behavior)
-    assert trace == _outcome(reference_simulate, model, sim, behavior=behavior)
-    result = _outcome(explore_state_space, model, explore, behavior=behavior)
-    assert result == _outcome(
-        reference_explore_state_space, model, explore, behavior=behavior
-    )
+    model, sim, explore = run
+    trace = _outcome(simulate, model, sim)
+    assert trace == _outcome(reference_simulate, model, sim)
+    result = _outcome(explore_state_space, model, explore)
+    assert result == _outcome(reference_explore_state_space, model, explore)
     if isinstance(trace, type) or isinstance(result, type):
         return
 
@@ -385,7 +391,7 @@ def test_engine_matches_reference_and_respects_capacities(run):
 
     for firing in trace.firings:
         assert_within_capacity(firing.marking)
-    net = reference_build_net(model, explore, behavior=behavior)
+    net = reference_build_net(model, explore)
     reach = {net.initial}
     frontier = [net.initial]
     while frontier and len(reach) < explore.max_states:
