@@ -4,6 +4,7 @@ non-functional event detection."""
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel
@@ -115,17 +116,63 @@ def infer_dependencies(model: TMModel) -> set[tuple[str, str]]:
     return pairs
 
 
-def reachable_from(behavior: BehaviorGraph, start: str) -> set[str]:
-    """Nodes reachable from `start` by one or more behavior edges."""
-    seen: set[str] = set()
-    queue = deque(behavior.successors(start))
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
+def _descendants(behavior: BehaviorGraph) -> tuple[dict[str, int], list[int]]:
+    """Reachability in one pass: a bit index per name, and per index the
+    bitset of the indices it reaches by zero or more behavior edges.
+
+    Tarjan's strongly connected components (SIAM J. Comput. 1(2), 1972),
+    with an explicit stack so no recursion limit applies.  A component
+    is finished only after every component it reaches, so its bitset is
+    its own bits and its successors' bitsets, each already final.
+    """
+    names = dict.fromkeys(chain(behavior.nodes, *behavior.edges))
+    index = {name: i for i, name in enumerate(names)}
+    n = len(index)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in behavior.edges:
+        succ[index[a]].append(index[b])
+    number = [0] * n  # discovery order from 1; 0 = not yet seen
+    low = [0] * n
+    down = [0] * n  # 0 until the node's component is finished
+    stack: list[int] = []  # seen nodes of unfinished components
+    counter = 0
+    for root in range(n):
+        if number[root]:
             continue
-        seen.add(cur)
-        queue.extend(behavior.successors(cur))
-    return seen
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, children = work[-1]
+            for w in children:
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if not down[w] and number[w] < low[v]:
+                    low[v] = number[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == number[v]:
+                    members = []
+                    bits = 0
+                    while True:
+                        w = stack.pop()
+                        members.append(w)
+                        bits |= 1 << w
+                        if w == v:
+                            break
+                    for w in members:
+                        for x in succ[w]:
+                            bits |= down[x]  # 0 inside this component
+                    for w in members:
+                        down[w] = bits
+    return index, down
 
 
 def check_behavior(model: TMModel) -> list[Diagnostic]:
@@ -133,25 +180,30 @@ def check_behavior(model: TMModel) -> list[Diagnostic]:
 
     Every inferred dependency (Ei, Ej) must have Ej reachable from Ei in
     the declared graph (E_CHRONOLOGY_GAP otherwise); declared edges with
-    no inferred support get W_UNSUPPORTED_EDGE.
+    no inferred support get W_UNSUPPORTED_EDGE.  Reachability is computed
+    once, so the check is linear in the chronology's size on a chain.
     """
     behavior = model.behavior
     inferred = infer_dependencies(model)
     diags: list[Diagnostic] = []
-    reach: dict[str, set[str]] = {
-        name: reachable_from(behavior, name) for name in behavior.nodes
-    }
-    for a, b in sorted(inferred):
-        if b not in reach.get(a, set()):
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "E_CHRONOLOGY_GAP",
-                    f"{b} depends on {a}, but the declared behavior never "
-                    f"orders {a} before {b}",
-                    subject=f"({a}, {b})",
-                )
+    index, down = _descendants(behavior)
+    declared = set(behavior.nodes)
+    # a != b, so reaching b by zero or more edges means one or more.
+    gaps = [
+        (a, b)
+        for a, b in inferred
+        if a not in declared or b not in index or not down[index[a]] >> index[b] & 1
+    ]
+    for a, b in sorted(gaps):
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "E_CHRONOLOGY_GAP",
+                f"{b} depends on {a}, but the declared behavior never "
+                f"orders {a} before {b}",
+                subject=f"({a}, {b})",
             )
+        )
     for a, b in behavior.edges:
         if (a, b) not in inferred:
             diags.append(

@@ -53,18 +53,22 @@ class ParseError(TMError):
 
 # A token is a plain `(kind, value, offset)` tuple: kind is IDENT, STRING,
 # one of -> ~> { } : , @ . (its own text), or EOF; offset is where it starts.
+# An IDENT's value may be a dotted name with no blanks (`A.b.create`).
 _Token = tuple[str, str, int]
 
 # One match skips blanks, line breaks and comments, then reads one lexeme;
 # only the match at the end of the text reads none.  The lexemes are tried
-# in order.  A string ends at its closing quote or at the end of its line;
-# `\"` and `\\` are its only escapes.
+# in order.  A word is a name, or a dotted name with no blanks around its
+# dots (`A.b.create`), which is one IDENT; the parser cuts it back into
+# `IDENT '.' IDENT ...` wherever it wants a single name.  A string ends at
+# its closing quote or at the end of its line; `\"` and `\\` are its only
+# escapes.
 _LEXEME = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
     + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("word", r"[^\W\d]\w*"),
+            ("word", r"[^\W\d]\w*(?:\.[^\W\d]\w*)*"),
             ("punct", r"->|~>|[{}:,@.]"),
             ("string", r'"(?P<body>(?:\\["\\]|[^"\n])*)(?P<closed>"?)'),
             ("other", r"."),
@@ -97,11 +101,20 @@ def _tokenize(text: str, lines: _Lines, diags: list[Diagnostic]) -> list[_Token]
             if kind == "word":
                 value = m[kind]
                 start = m.end() - len(value)
+                if value.isascii():
+                    append(("IDENT", value, start))
+                    continue
+                # `\w` also admits '²', '½', so a segment may start with one:
+                # read the first segment alone and rescan from its end.
+                value = value.partition(".")[0]
                 if not (value[0].isalpha() or value[0] == "_"):
-                    pos = start + 1  # `\w` also admits '²', '½': report one, rescan after it
+                    pos = start + 1  # report the character, rescan after it
                     diags.append(_unexpected(text, start, lines))
                     break
                 append(("IDENT", value, start))
+                if start + len(value) < m.end():
+                    pos = start + len(value)
+                    break
             elif kind == "punct":
                 value = m[kind]
                 append((value, value, m.end() - len(value)))
@@ -138,7 +151,10 @@ class _Parser:
         self.refs: dict[str, StageRef] = {}  # by dotted name, see `stage_ref`
 
     # -- token helpers ------------------------------------------------------
-    # Only `advance` can meet EOF: no caller accepts or expects it.
+    # Only `advance` can meet EOF: no caller accepts or expects it.  Only
+    # `dotted` takes a joined dotted name whole; a statement keyword and
+    # `expect` first call `split`, so they see the tokens that `A . b`
+    # would have given.
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -157,12 +173,29 @@ class _Parser:
         return None
 
     def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> _Token | None:
-        tok = self.tokens[self.pos]
+        tok = self.split()
         if tok[0] == kind:
             self.pos += 1
             return tok
         self.error(f"expected {what}, found {self._describe(tok)}", code)
         return None
+
+    def split(self) -> _Token:
+        """The token at `pos`, after cutting a joined dotted name there into
+        its `IDENT ('.' IDENT)*` tokens, each at its own offset."""
+        tok = self.tokens[self.pos]
+        kind, value, offset = tok
+        if kind != "IDENT" or "." not in value:
+            return tok
+        parts: list[_Token] = []
+        for name in value.split("."):
+            if parts:
+                parts.append((".", ".", offset))
+                offset += 1
+            parts.append(("IDENT", name, offset))
+            offset += len(name)
+        self.tokens[self.pos : self.pos + 1] = parts
+        return parts[0]
 
     @staticmethod
     def _describe(tok: _Token) -> str:
@@ -190,7 +223,7 @@ class _Parser:
             kind, value, _ = tok = self.tokens[self.pos]
             if kind == "}" and depth == 0:
                 return
-            if kind == "IDENT" and value in _STATEMENTS:
+            if kind == "IDENT" and value.partition(".")[0] in _STATEMENTS:
                 starts_line = self.span(self.tokens[self.pos - 1]).line < self.span(tok).line
                 if starts_line:
                     return
@@ -213,7 +246,7 @@ class _Parser:
                 self.error("unmatched '}'")
                 self.advance()
                 continue
-            tok, start = self.tokens[self.pos], self.pos
+            tok, start = self.split(), self.pos
             if tok[0] != "IDENT":
                 self.error(f"expected a statement, found {self._describe(tok)}")
                 self.advance()
@@ -264,18 +297,21 @@ class _Parser:
         return ThimacDecl(path, tuple(stages), self.span(start))
 
     def dotted(self, what: str) -> str | None:
-        """Read `IDENT ('.' IDENT)*` and return its names joined by dots;
-        `what` names the expected first token."""
-        tok = self.expect("IDENT", what)
-        if tok is None:
-            return None
-        dotted = tok[1]
+        """Read `IDENT ('.' IDENT)*`, where an IDENT may itself be a joined
+        dotted name, and return its names joined by dots; `what` names the
+        expected first token."""
         tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[0] != "IDENT":
+            return self.expect("IDENT", what)  # None, after reporting it
+        self.pos += 1
+        dotted = tok[1]
         while tokens[self.pos][0] == ".":
             self.pos += 1
-            tok = self.expect("IDENT", "name after '.'")
-            if tok is None:
-                return None
+            tok = tokens[self.pos]
+            if tok[0] != "IDENT":
+                return self.expect("IDENT", "name after '.'")
+            self.pos += 1
             dotted = f"{dotted}.{tok[1]}"
         return dotted
 
@@ -293,14 +329,16 @@ class _Parser:
 
     def stage_ref(self, dotted: str) -> StageRef | None:
         """`thimac.path.kind` from the dotted name `dotted` just read, so
-        the last token read names the kind.  Equal references share one
+        the last token read ends with the kind.  Equal references share one
         `StageRef` within a parse."""
         ref = self.refs.get(dotted)
         if ref is None:
-            kind = self._kind(self.tokens[self.pos - 1])
+            path, _, name = dotted.rpartition(".")
+            _, value, offset = self.tokens[self.pos - 1]
+            kind = self._kind(("IDENT", name, offset + len(value) - len(name)))
             if kind is None:
                 return None
-            ref = self.refs[dotted] = StageRef(dotted.rpartition(".")[0], kind)
+            ref = self.refs[dotted] = StageRef(path, kind)
         return ref
 
     def parse_stage_ref(self) -> StageRef | None:

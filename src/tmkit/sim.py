@@ -156,8 +156,14 @@ def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
     else:
         raise ConfigError(f"unknown channel mode {config.channels!r}")
     capacities = config.capacities
-    if isinstance(capacities, int) and capacities <= 0:
-        raise ConfigError(f"every channel has capacity {capacities}")
+    if isinstance(capacities, int):
+        if capacities <= 0:
+            raise ConfigError(f"every channel has capacity {capacities}")
+    else:
+        channels = set(edges)
+        for key in capacities:
+            if key not in channels:
+                raise ConfigError(f"capacity given for {key!r}, which is not a channel")
 
     ids = [f"{a}->{b}" for a, b in edges]
     capacity = []
@@ -252,7 +258,8 @@ def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     At each step one enabled event is picked by the seeded RNG and fired;
     the run stops at `max_steps` or when nothing is enabled.  Raises
     NoInitialEventsError when the initial marking is empty (nothing could
-    ever fire), and ConfigError for non-positive capacities.
+    ever fire), and ConfigError for non-positive capacities or a capacity
+    given for a pair of events that is not a channel.
     """
     config = config or SimConfig()
     if config.max_steps < 0:

@@ -962,6 +962,31 @@ def brute_force_reach_goal(edges, nodes, goals) -> set:
     return {n for n in nodes if reaches(n)}
 
 
+def reachable_from(behavior: BehaviorGraph, start: str) -> set[str]:
+    """Nodes reachable from `start` by one or more behavior edges, by one
+    breadth-first search."""
+    seen: set[str] = set()
+    queue = deque(behavior.successors(start))
+    while queue:
+        cur = queue.popleft()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        queue.extend(behavior.successors(cur))
+    return seen
+
+
+def reference_check_behavior(model: TMModel) -> tuple[list[str], list[str]]:
+    """The subjects of `check_behavior`'s E_CHRONOLOGY_GAP and
+    W_UNSUPPORTED_EDGE diagnostics, in order, from one search per node."""
+    behavior = model.behavior
+    inferred = infer_dependencies(model)
+    reach = {name: reachable_from(behavior, name) for name in behavior.nodes}
+    gaps = [f"({a}, {b})" for a, b in sorted(inferred) if b not in reach.get(a, set())]
+    unsupported = [f"({a}, {b})" for a, b in behavior.edges if (a, b) not in inferred]
+    return gaps, unsupported
+
+
 def scan_arcs_from(model: TMModel, ref) -> tuple:
     """Arcs whose source is `ref`, by a full scan: flows, then triggers."""
     return tuple(a for a in model.flows + model.triggers if a.source == ref)
@@ -1202,6 +1227,10 @@ def reference_build_net(
     nodes, edges = _reference_edges_for(model, config.channels)
     if isinstance(config.capacities, int) and config.capacities <= 0:
         raise ConfigError(f"every channel has capacity {config.capacities}")
+    if not isinstance(config.capacities, int):
+        for key in config.capacities:
+            if key not in edges:
+                raise ConfigError(f"capacity given for {key!r}, which is not a channel")
 
     def capacity(edge: tuple[str, str]) -> int:
         if isinstance(config.capacities, int):

@@ -17,10 +17,24 @@ from tmkit import (
     nonfunctional_events,
     parse,
 )
-from tmkit.behavior import reachable_from
-from tmkit.model import BehaviorGraph, Event, EventDecl, FlowDecl, StageRef
+from tmkit.model import (
+    BehaviorDecl,
+    BehaviorGraph,
+    Event,
+    EventDecl,
+    FlowDecl,
+    StageRef,
+    TriggerDecl,
+)
 
-from helpers import bitmap_dependencies, brute_force_reach_goal, load_model, variant
+from helpers import (
+    bitmap_dependencies,
+    brute_force_reach_goal,
+    load_model,
+    reachable_from,
+    reference_check_behavior,
+    variant,
+)
 
 
 def ref(text):
@@ -186,6 +200,59 @@ def test_transitive_closure_always_passes():
     closure = BehaviorGraph(nodes, tuple(sorted(inferred)))
     diags = check_behavior(variant(model, behavior=closure))
     assert all(d.code != "E_CHRONOLOGY_GAP" for d in diags)
+
+
+def _relay_decls(names, pairs):
+    """One event per name, each over its own `create` stage, and a trigger
+    for each (earlier, later) name pair: the inferred relation is `pairs`."""
+    stage = {name: StageRef(name, StageKind.CREATE) for name in names}
+    decls = [EventDecl(name, (stage[name],)) for name in names]
+    decls += [TriggerDecl(stage[a], stage[b]) for a, b in pairs]
+    return decls
+
+
+@st.composite
+def _cyclic_chronologies(draw):
+    """A model whose inferred relation and declared chronology are random
+    self-loop-free digraphs over up to 8 events, so both have cycles and
+    back edges; some events may be missing from the chronology's nodes,
+    and its edges may name events that are not among them."""
+    names = [f"E{i}" for i in range(draw(st.integers(1, 8)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1]
+    )
+    inferred = draw(st.lists(pairs, unique=True, max_size=12))
+    model = assemble_model(_relay_decls(names, inferred))
+    nodes = draw(st.lists(st.sampled_from(names), unique=True))
+    edges = draw(st.lists(pairs, max_size=12))
+    return variant(model, behavior=BehaviorGraph(tuple(nodes), tuple(edges)))
+
+
+@given(_cyclic_chronologies())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_chronology_check_matches_search_per_node(model):
+    diags = check_behavior(model)
+    subjects = (
+        [d.subject for d in diags if d.code == "E_CHRONOLOGY_GAP"],
+        [d.subject for d in diags if d.code == "W_UNSUPPORTED_EDGE"],
+    )
+    assert subjects == reference_check_behavior(model)
+    assert len(diags) == sum(map(len, subjects))
+
+
+def test_long_cycle_and_chain_check_without_recursion():
+    n = 5000
+    cycle = [f"C{i}" for i in range(n)]
+    chain = [f"P{i}" for i in range(n)]
+    ring = list(zip(cycle, cycle[1:] + cycle[:1]))
+    line = list(zip(chain, chain[1:]))
+    back = (chain[-1], chain[0])  # inferred, but the chain never orders it
+    decls = _relay_decls(cycle + chain, ring + line + [back])
+    decls += [BehaviorDecl(tuple(cycle + cycle[:1])), BehaviorDecl(tuple(chain))]
+    diags = check_behavior(assemble_model(decls))
+    assert [(d.code, d.subject) for d in diags] == [
+        ("E_CHRONOLOGY_GAP", f"({chain[-1]}, {chain[0]})")
+    ]
 
 
 def test_pump_noise_event_is_nonfunctional():

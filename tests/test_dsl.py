@@ -271,11 +271,22 @@ _LEX_ALPHABET = '{}:,@.->~"\\# \t\r\naxZ_09é١²½Ⅻ'
 
 
 def _lexed(text):
-    """`_tokenize`'s tokens with each offset as a line and a column."""
+    """`_tokenize`'s tokens with each offset as a line and a column, and
+    each joined dotted name (`A.b`) as its `IDENT '.' IDENT` tokens."""
     diags, lines = [], _Lines(text)
-    tokens = _tokenize(text, lines, diags)
-    spans = [lines.span(offset) for _, _, offset in tokens]
-    return [(kind, value, s.line, s.col) for (kind, value, _), s in zip(tokens, spans)], diags
+    expanded = []
+    for kind, value, offset in _tokenize(text, lines, diags):
+        if kind == "IDENT":
+            for i, name in enumerate(value.split(".")):
+                if i:
+                    expanded.append((".", ".", offset))
+                    offset += 1
+                expanded.append(("IDENT", name, offset))
+                offset += len(name)
+        else:
+            expanded.append((kind, value, offset))
+    spans = [lines.span(offset) for _, _, offset in expanded]
+    return [(kind, value, s.line, s.col) for (kind, value, _), s in zip(expanded, spans)], diags
 
 
 def _reference_lexed(text):
@@ -284,8 +295,29 @@ def _reference_lexed(text):
     return [(t.kind, t.value, t.line, t.col) for t in tokens], diags
 
 
+# Inputs where the parser cuts a joined dotted name back into its tokens: a
+# keyword, a label, a kind or a failed `expect` meets one, or recovery skips
+# one or stops at one; and a joined name whose second segment starts with '²'.
+_SPLIT_PATHS = [
+    "flow.x: A.b.create -> B.c.process",
+    "thimac A { create.x }",
+    "flow L.x: A.b.create -> A.b.process",
+    "trigger A.b.create ~> B.\nflow L: A.b.create -> A.b.process",
+    "event E { A.x.create, , B.\nflow L: A.b.create -> A.b.process",
+    "thimac x.² { create }",
+    "flow X: A.stor -> B.create\nflow.y: A.b.create -> A.b.process",
+]
+
+
 @settings(max_examples=2000, derandomize=True, deadline=None)
 @given(st.text(alphabet=_LEX_ALPHABET, max_size=60))
+@example(_SPLIT_PATHS[0])
+@example(_SPLIT_PATHS[1])
+@example(_SPLIT_PATHS[2])
+@example(_SPLIT_PATHS[3])
+@example(_SPLIT_PATHS[4])
+@example(_SPLIT_PATHS[5])
+@example(_SPLIT_PATHS[6])
 def test_tokenize_matches_reference_on_text(text):
     assert _lexed(text) == _reference_lexed(text)
 
@@ -342,6 +374,29 @@ def _parse_outcome(parse_fn, text):
 def test_parse_matches_reference(text):
     # Declarations compare with their spans, diagnostics with theirs.
     assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", _SPLIT_PATHS)
+def test_split_dotted_names_parse_like_the_reference(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+
+def test_dotted_names_with_or_without_blanks_are_one_reference():
+    joined, spaced = parse(
+        "flow X: A.b.create -> A . b . release\nflow Y: A.b . release -> A .b.create"
+    )
+    assert joined.chain == spaced.chain[::-1] == (
+        StageRef("A.b", StageKind.CREATE),
+        StageRef("A.b", StageKind.RELEASE),
+    )
+    assert joined.chain[0] is spaced.chain[1]  # one interned StageRef
+
+
+def test_unknown_kind_points_at_the_kind_in_a_joined_name():
+    with pytest.raises(ParseError) as exc_info:
+        parse("flow X: A.b.create -> A.b.stor")
+    (diag,) = exc_info.value.diagnostics
+    assert (diag.code, diag.span.line, diag.span.col) == ("E_UNKNOWN_KIND", 1, 27)
 
 
 _NAMES = ["A", "b_2", "Mill", "é", "_x", "create", "model", "thimac", "flow",

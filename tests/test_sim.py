@@ -1,6 +1,7 @@
 """Token simulation and state-space exploration."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from tmkit import (
     check_behavior,
     explore_state_space,
     infer_dependencies,
+    parse,
     simulate,
 )
 from tmkit.model import BehaviorGraph
@@ -72,6 +74,26 @@ def test_zero_capacity_rejected():
             simulate(model, SimConfig(capacities=0))
         with pytest.raises(ConfigError):
             explore_state_space(model, ExploreConfig(capacities=-2))
+
+
+def test_capacity_for_a_pair_that_is_not_a_channel_rejected():
+    # E1 -> E2 is a channel in both modes; ("Nope", "X") and E2 -> E1 are not.
+    model = assemble_model(
+        parse(
+            "flow X: A.create -> A.release\n"
+            "event E1 { A.create }\nevent E2 { A.release }\nbehavior E1 -> E2"
+        )
+    )
+    for channels in ("declared", "inferred"):
+        ok = {("E1", "E2"): 2}
+        assert simulate(model, SimConfig(capacities=ok, channels=channels)).firings
+        assert explore_state_space(model, ExploreConfig(capacities=ok, channels=channels))
+        for key in (("Nope", "X"), ("E2", "E1")):
+            bad = {("E1", "E2"): 2, key: 0}
+            with pytest.raises(ConfigError, match=re.escape(repr(key))):
+                simulate(model, SimConfig(capacities=bad, channels=channels))
+            with pytest.raises(ConfigError, match=re.escape(repr(key))):
+                explore_state_space(model, ExploreConfig(capacities=bad, channels=channels))
 
 
 def test_coffee_mill_fires_in_topological_order_then_halts():
@@ -325,8 +347,11 @@ def token_runs(draw):
     if draw(st.booleans()):
         model = load_model(draw(st.sampled_from(ALL_FIXTURES)))
         nodes = tuple(model.events)
-        edges = list(model.behavior.edges)
         channels = draw(st.sampled_from(["declared", "inferred"]))
+        if channels == "declared":
+            edges = list(model.behavior.edges)
+        else:
+            edges = sorted(infer_dependencies(model))
     else:
         nodes = tuple(f"e{i}" for i in range(draw(st.integers(1, 5))))
         pairs = [(a, b) for a in nodes for b in nodes]
