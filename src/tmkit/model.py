@@ -26,6 +26,10 @@ class StageKind(enum.Enum):
     TRANSFER = "transfer"
     RECEIVE = "receive"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # serves and, unlike `Enum.__hash__`, runs no Python code.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -50,8 +54,9 @@ class StageRef(Record):
     kind: StageKind
 
     def __init__(self, thimac: str, kind: StageKind) -> None:
-        # Stage refs key most of the model's indices, and `Enum.__hash__`
-        # runs in Python: the hash is computed once and kept in a slot.
+        # Stage refs key most of the model's indices, and the generic
+        # `Record.__hash__` builds a tuple on every call: the hash is computed
+        # once and kept in a slot.
         init_field(self, "thimac", thimac)
         init_field(self, "kind", kind)
         init_field(self, "_hash", hash((thimac, kind)))
@@ -118,20 +123,8 @@ class Event(Record):
 class BehaviorGraph(Record):
     """Chronology of events: nodes are event names, edges are earlier->later."""
 
-    __slots__ = ("__dict__",)  # for the cached index
-
     nodes: tuple[str, ...] = ()
     edges: tuple[tuple[str, str], ...] = ()
-
-    def successors(self, name: str) -> tuple[str, ...]:
-        return tuple(self._successors.get(name, ()))
-
-    @cached_property
-    def _successors(self) -> dict[str, list[str]]:
-        succ: dict[str, list[str]] = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        return succ
 
 
 class TMModel(Record):

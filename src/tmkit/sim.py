@@ -121,7 +121,7 @@ class _Net(Record):
     initial: int
     enabled: tuple[int, ...]  # the positions enabled at `initial`
     delta: tuple[int, ...]  # per position
-    stale: tuple[frozenset[int], ...]  # per position: positions sharing a channel
+    stale: tuple[frozenset[int], ...]  # per position: tested ones sharing a channel
     near: tuple[tuple[_Test, ...], ...]  # per position: the tests of `stale`
     sinks: tuple[str, ...]  # events with no output channel
     fields: tuple[tuple[str, int, int], ...]  # (id, shift, mask) in id order
@@ -151,41 +151,34 @@ def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
     if config.channels == "inferred":
         edges = sorted(infer_dependencies(model))
     elif config.channels == "declared":
-        # A repeated behavior edge is one channel, as in `assemble_model`.
-        edges = list(dict.fromkeys(model.behavior.edges))
+        edges = model.behavior.edges
     else:
         raise ConfigError(f"unknown channel mode {config.channels!r}")
+    # Each channel's capacity; a repeated behavior edge is one channel, as in
+    # `assemble_model`.
     capacities = config.capacities
     if isinstance(capacities, int):
         if capacities <= 0:
             raise ConfigError(f"every channel has capacity {capacities}")
+        capacity = dict.fromkeys(edges, capacities)
     else:
-        channels = set(edges)
+        capacity = dict.fromkeys(edges, 1)
         for key in capacities:
-            if key not in channels:
+            if key not in capacity:
                 raise ConfigError(f"capacity given for {key!r}, which is not a channel")
+        capacity.update(capacities)
+        for (a, b), cap in capacity.items():
+            if cap <= 0:
+                raise ConfigError(f"channel {a}->{b} has capacity {cap}")
 
-    ids = [f"{a}->{b}" for a, b in edges]
-    capacity = []
-    inputs: dict[str, list[int]] = {n: [] for n in nodes}
-    outputs: dict[str, list[int]] = {n: [] for n in nodes}
-    for i, (a, b) in enumerate(edges):
-        cap = capacities if isinstance(capacities, int) else capacities.get((a, b), 1)
-        if cap <= 0:
-            raise ConfigError(f"channel {a}->{b} has capacity {cap}")
-        capacity.append(cap)
-        if b in inputs:
-            inputs[b].append(i)
-        if a in outputs:
-            outputs[a].append(i)
-
+    fed = {b for _, b in capacity}  # events with an input channel
     initial = config.initial_events
     if initial is None:
-        sources = [n for n in nodes if not inputs[n]]
+        sources = [n for n in nodes if n not in fed]
         if sources:
             initial = frozenset(sources)
-        elif edges:
-            initial = frozenset({edges[0][0]})
+        elif capacity:
+            initial = frozenset({next(iter(capacity))[0]})
         else:
             initial = frozenset()
     unknown = set(initial) - set(nodes)
@@ -194,60 +187,62 @@ def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
             f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
         )
 
-    tokens = [0] * len(edges)
-    for name in sorted(initial):
-        if inputs[name]:
-            for i in inputs[name]:
-                tokens[i] = min(capacity[i], tokens[i] + 1)
-        else:
-            inputs[name].append(len(ids))
-            ids.append(f"->{name}")
-            capacity.append(1)
-            tokens.append(1)
+    # (id, capacity, start tokens, source position, target position), with
+    # the position None for an endpoint outside `nodes`.  A channel into an
+    # initial event starts with its token; an initial event with no input
+    # gets a one-token start channel.
+    position = {name: p for p, name in enumerate(nodes)}
+    channels = [
+        (f"{a}->{b}", cap, int(b in initial), position.get(a), position.get(b))
+        for (a, b), cap in capacity.items()
+    ]
+    channels += [
+        (f"->{n}", 1, 1, None, position[n]) for n in sorted(initial) if n not in fed
+    ]
 
-    # Lay the fields out from bit 0, each under its guard bit (see `_Net`).
-    unit, guard, room, fields = [], [], [], []
+    # One pass lays the fields out from bit 0, each under its guard bit (see
+    # `_Net`), and sums each event's G_in, L_in, A_out, G_out and L_out.  A
+    # channel's target has an input, so it joins the links of both ends; the
+    # source joins the target's links, and leaves them below if it has none.
+    masks = [[0] * 5 for _ in nodes]
+    links = [set() for _ in nodes]
+    fields = []
     initial_marking = at = 0
-    for cid, cap, count in zip(ids, capacity, tokens):
+    for cid, cap, count, source, target in channels:
         width = cap.bit_length()
-        unit.append(1 << at)
-        guard.append(1 << (at + width))
-        room.append(((1 << width) - cap) << at)
+        unit, guard = 1 << at, 1 << (at + width)
+        if target is not None:
+            masks[target][0] += guard
+            masks[target][1] += unit
+            links[target].update((source, target))
+        if source is not None:
+            out = masks[source]
+            out[2] += ((1 << width) - cap) << at
+            out[3] += guard
+            out[4] += unit
+            links[source].add(target)
         fields.append((cid, at, (1 << width) - 1))
         initial_marking += count << at
         at += width + 1
 
-    delta = []
-    tests: list[_Test | None] = []
-    touching: list[list[int]] = [[] for _ in ids]  # positions per channel
-    for p, name in enumerate(nodes):
-        g_in = l_in = a_out = g_out = l_out = 0
-        for i in inputs[name]:
-            g_in += guard[i]
-            l_in += unit[i]
-            touching[i].append(p)
-        for i in outputs[name]:
-            a_out += room[i]
-            g_out += guard[i]
-            l_out += unit[i]
-            touching[i].append(p)
-        delta.append(l_out - l_in)
-        tests.append((p, g_in, l_in, a_out, g_out) if l_in else None)
-    near, stale = [], []
-    for name in nodes:
-        around = frozenset().union(*[touching[i] for i in inputs[name] + outputs[name]])
-        near.append(tuple([tests[q] for q in around if tests[q]]))
-        stale.append(around)
-
+    # An event with no input channel is never enabled: it has no test, and
+    # no `stale` entry needs to name it.
+    tests = {
+        p: (p, g_in, l_in, a_out, g_out)
+        for p, (g_in, l_in, a_out, g_out, _) in enumerate(masks)
+        if l_in
+    }
+    tested = frozenset(tests)
+    stale = [tested & linked for linked in links]
     fields.sort()
     return _Net(
         nodes=nodes,
         initial=initial_marking,
-        enabled=tuple(_retest((), initial_marking, frozenset(), filter(None, tests))),
-        delta=tuple(delta),
+        enabled=tuple(_retest((), initial_marking, frozenset(), tests.values())),
+        delta=tuple([l_out - l_in for _, l_in, _, _, l_out in masks]),
         stale=tuple(stale),
-        near=tuple(near),
-        sinks=tuple([n for n in nodes if not outputs[n]]),
+        near=tuple([tuple([tests[q] for q in around]) for around in stale]),
+        sinks=tuple([n for n, (*_, l_out) in zip(nodes, masks) if not l_out]),
         fields=tuple(fields),
     )
 

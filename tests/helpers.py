@@ -74,9 +74,9 @@ def variant(
     )
 
 
-def run_tm(args, **kwargs):
-    # The child sees a minimal environment, but always imports the tmkit of
-    # this checkout (first on PYTHONPATH), installed or not.
+def run_tm(args, env=None, **kwargs):
+    # The child sees a minimal environment, plus `env`, but always imports
+    # the tmkit of this checkout (first on PYTHONPATH), installed or not.
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = str(SRC) + (os.pathsep + inherited if inherited else "")
     return subprocess.run(
@@ -88,6 +88,7 @@ def run_tm(args, **kwargs):
             "TM_COLOR": "never",
             "PATH": "/usr/bin:/bin",
             "PYTHONPATH": pythonpath,
+            **(env or {}),
         },
         **kwargs,
     )
@@ -965,14 +966,17 @@ def brute_force_reach_goal(edges, nodes, goals) -> set:
 def reachable_from(behavior: BehaviorGraph, start: str) -> set[str]:
     """Nodes reachable from `start` by one or more behavior edges, by one
     breadth-first search."""
+    successors: dict[str, list[str]] = {}
+    for a, b in behavior.edges:
+        successors.setdefault(a, []).append(b)
     seen: set[str] = set()
-    queue = deque(behavior.successors(start))
+    queue = deque(successors.get(start, ()))
     while queue:
         cur = queue.popleft()
         if cur in seen:
             continue
         seen.add(cur)
-        queue.extend(behavior.successors(cur))
+        queue.extend(successors.get(cur, ()))
     return seen
 
 
@@ -1005,11 +1009,6 @@ def scan_region_arcs(model: TMModel, region) -> list:
         for a in model.flows + model.triggers
         if a.source in stages and a.target in stages
     ]
-
-
-def scan_successors(behavior, name: str) -> tuple:
-    """Successors of `name` in a behavior graph, by scanning every edge."""
-    return tuple(b for a, b in behavior.edges if a == name)
 
 
 def bitmap_dependencies(model: TMModel) -> set[tuple[str, str]]:

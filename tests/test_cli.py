@@ -190,6 +190,23 @@ def test_simplify_prints_sorted_edge_list():
     assert any("[flow, Water]" in line for line in lines)
 
 
+_SEED_FIXTURES = ("fixture:add-service", "fixture:pay-service")
+_SEED_RUNS = [
+    [command, fixture]
+    for command in ("check", "fmt", "render", "simplify", "explore", "simulate")
+    for fixture in _SEED_FIXTURES
+] + [["dedup", *_SEED_FIXTURES]]
+
+
+@pytest.mark.parametrize("args", _SEED_RUNS, ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(args):
+    # String hashes, and with them the iteration order of sets of names and
+    # stage references, change with PYTHONHASHSEED; no output may follow it.
+    first, second = (run_tm(args, env={"PYTHONHASHSEED": seed}) for seed in "01")
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
 def test_render_to_file(tmp_path):
     out = tmp_path / "auto.dot"
     result = run_tm(

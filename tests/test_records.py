@@ -178,7 +178,3 @@ def test_cached_indexes_are_built_on_first_use():
     assert "_arcs_by_end" not in model.__dict__
     assert len(model.arcs_from(tmkit.StageRef("A", tmkit.StageKind.CREATE))) == 1
     assert "_arcs_by_end" in model.__dict__
-    graph = tmkit.BehaviorGraph(("E1", "E2"), (("E1", "E2"),))
-    assert "_successors" not in graph.__dict__
-    assert graph.successors("E1") == ("E2",)
-    assert "_successors" in graph.__dict__

@@ -339,6 +339,35 @@ def test_truncated_exploration_matches_reference(max_states, terminal):
     assert len(result.deadlocks) == (terminal is not None and result.bounded)
 
 
+def _assert_net_matches_reference(model, config):
+    """`build_net`'s tables against the reference net's channels: `near[p]`
+    (and `stale[p]`) holds exactly the events with an input channel that
+    share a channel with p; the initial marking, its enabled events and the
+    sinks agree."""
+    net = build_net(model, config)
+    ref = reference_build_net(model, config)
+    position = {name: p for p, name in enumerate(ref.nodes)}
+    tested = {name for name in ref.nodes if ref.incoming[name]}
+    for p, name in enumerate(ref.nodes):
+        shared = {
+            end
+            for ch in ref.incoming[name] + ref.outgoing[name]
+            for end in (ch.src, ch.dst)
+        }
+        near = {q for q, *_ in net.near[p]}
+        assert near == {position[n] for n in shared & tested}
+        assert net.stale[p] == near
+    assert [net.nodes[p] for p in net.enabled] == ref.enabled_nodes(ref.initial)
+    assert net.decode(net.initial) == ref.marking_items(ref.initial)
+    assert net.sinks == tuple(n for n in ref.nodes if not ref.outgoing[n])
+
+
+@pytest.mark.parametrize("channels", ["declared", "inferred"])
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_net_tables_match_reference_on_fixtures(name, channels):
+    _assert_net_matches_reference(load_model(name), ExploreConfig(channels=channels))
+
+
 @st.composite
 def token_runs(draw):
     """A model and one simulate and one explore config.  Either a fixture in
@@ -403,6 +432,8 @@ def _capacity_of(channel_id, capacities):
 @given(token_runs())
 def test_engine_matches_reference_and_respects_capacities(run):
     model, sim, explore = run
+    if not isinstance(_outcome(build_net, model, explore), type):
+        _assert_net_matches_reference(model, explore)
     trace = _outcome(simulate, model, sim)
     assert trace == _outcome(reference_simulate, model, sim)
     result = _outcome(explore_state_space, model, explore)
