@@ -229,17 +229,9 @@ def nonfunctional_events(behavior: BehaviorGraph, goals: set[str]) -> set[str]:
         raise UnknownGoalError(
             f"goal(s) not in the behavior graph: {', '.join(sorted(unknown))}"
         )
-    predecessors: dict[str, list[str]] = {}
-    for a, b in behavior.edges:
-        predecessors.setdefault(b, []).append(a)
-    can_reach = set(goals)
-    queue = deque(goals)
-    while queue:
-        for node in predecessors.get(queue.popleft(), ()):
-            if node not in can_reach:
-                can_reach.add(node)
-                queue.append(node)
-    return set(behavior.nodes) - can_reach
+    index, down = _descendants(behavior)
+    goal_bits = sum(1 << index[goal] for goal in goals)
+    return {node for node in behavior.nodes if not down[index[node]] & goal_bits}
 
 
 def check_all_events(model: TMModel) -> list[Diagnostic]:

@@ -142,6 +142,10 @@ def _syntax_error(message: str, offset: int, lines: _Lines) -> Diagnostic:
     return Diagnostic(Severity.ERROR, "E_SYNTAX", message, span=lines.span(offset))
 
 
+class _Failed(Exception):
+    """The statement being parsed failed; `_Parser.fail` has reported why."""
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], lines: _Lines, diags: list[Diagnostic]):
         self.tokens = tokens
@@ -154,7 +158,9 @@ class _Parser:
     # Only `advance` can meet EOF: no caller accepts or expects it.  Only
     # `dotted` takes a joined dotted name whole; a statement keyword and
     # `expect` first call `split`, so they see the tokens that `A . b`
-    # would have given.
+    # would have given.  A miss goes through `fail`, which reports it and
+    # raises `_Failed`; `parse_file` catches that, abandons the statement
+    # and resyncs, so a failed statement reports only its first error.
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -172,13 +178,12 @@ class _Parser:
             return tok
         return None
 
-    def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> _Token | None:
+    def expect(self, kind: str, what: str, code: str = "E_SYNTAX") -> _Token:
         tok = self.split()
-        if tok[0] == kind:
-            self.pos += 1
-            return tok
-        self.error(f"expected {what}, found {self._describe(tok)}", code)
-        return None
+        if tok[0] != kind:
+            self.missing(what, code)
+        self.pos += 1
+        return tok
 
     def split(self) -> _Token:
         """The token at `pos`, after cutting a joined dotted name there into
@@ -197,21 +202,28 @@ class _Parser:
         self.tokens[self.pos : self.pos + 1] = parts
         return parts[0]
 
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        kind, value, _ = tok
-        if kind == "EOF":
-            return "end of input"
-        if kind in ("IDENT", "STRING"):
-            return f"{value!r}"
-        return f"{kind!r}"
-
     def span(self, tok: _Token) -> SourceSpan:
         return self.lines.span(tok[2])
 
     def error(self, message: str, code: str = "E_SYNTAX", tok: _Token | None = None) -> None:
         tok = tok or self.tokens[self.pos]
         self.diags.append(Diagnostic(Severity.ERROR, code, message, span=self.span(tok)))
+
+    def fail(self, message: str, code: str = "E_SYNTAX", tok: _Token | None = None):
+        """Report the statement's error and abandon the statement."""
+        self.error(message, code, tok)
+        raise _Failed
+
+    def missing(self, what: str, code: str = "E_SYNTAX"):
+        """`fail` at the token at `pos`, which is not the `what` expected."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "EOF":
+            found = "end of input"
+        elif kind in ("IDENT", "STRING"):
+            found = repr(value)
+        else:
+            found = repr(kind)
+        self.fail(f"expected {what}, found {found}", code)
 
     def sync(self, start: int) -> None:
         """Skip the rest of the failed statement that began at token
@@ -239,87 +251,69 @@ class _Parser:
         in_model_block = False
         while not self.match("EOF"):
             if self.match("}"):
-                if in_model_block:
-                    self.advance()
-                    in_model_block = False
-                    continue
-                self.error("unmatched '}'")
+                if not in_model_block:
+                    self.error("unmatched '}'")
+                in_model_block = False
                 self.advance()
                 continue
-            tok, start = self.split(), self.pos
-            if tok[0] != "IDENT":
-                self.error(f"expected a statement, found {self._describe(tok)}")
-                self.advance()
-                self.sync(start)
-                continue
-            before = len(self.diags)
-            statement = _STATEMENTS.get(tok[1])
-            if statement is None:
-                self.error(f"unknown statement {tok[1]!r}")
-                self.advance()
-            else:
+            start = self.pos
+            try:
+                tok = self.split()
+                if tok[0] != "IDENT":
+                    self.missing("a statement")
+                statement = _STATEMENTS.get(tok[1])
+                if statement is None:
+                    self.fail(f"unknown statement {tok[1]!r}")
                 decl = statement(self)
-                if decl is not None:
-                    decls.append(decl)
-                    in_model_block = in_model_block or isinstance(decl, ModelDecl)
-            if len(self.diags) > before:
+            except _Failed:
                 self.sync(start)
+                continue
+            decls.append(decl)
+            in_model_block = in_model_block or isinstance(decl, ModelDecl)
         if in_model_block:
             self.error("missing '}' at end of model block", "E_UNTERMINATED_BLOCK")
         return decls
 
-    def parse_model_header(self) -> ModelDecl | None:
+    def parse_model_header(self) -> ModelDecl:
         start = self.advance()
-        name = self.expect("IDENT", "model name")
-        if name is None:
-            return None
-        if self.expect("{", "'{' after model name") is None:
-            return None
-        return ModelDecl(name[1], self.span(start))
+        name = self.expect("IDENT", "model name")[1]
+        self.expect("{", "'{' after model name")
+        return ModelDecl(name, self.span(start))
 
-    def parse_thimac(self) -> ThimacDecl | None:
+    def parse_thimac(self) -> ThimacDecl:
         start = self.advance()
         path = self.dotted("a name")
-        if path is None:
-            return None
-        stages: list = []
+        stages: list[StageKind] = []
         if self.accept("{"):
             while not self.match("}") and not self.match("EOF"):
-                tok = self.expect("IDENT", "stage kind")
-                if tok is None:
-                    return None
-                kind = self._kind(tok)
-                if kind is None:
-                    return None
-                stages.append(kind)
-            if self.expect("}", "'}' closing stage list") is None:
-                return None
+                stages.append(self._kind(self.expect("IDENT", "stage kind")))
+            self.expect("}", "'}' closing stage list")
         return ThimacDecl(path, tuple(stages), self.span(start))
 
-    def dotted(self, what: str) -> str | None:
+    def dotted(self, what: str) -> str:
         """Read `IDENT ('.' IDENT)*`, where an IDENT may itself be a joined
         dotted name, and return its names joined by dots; `what` names the
         expected first token."""
         tokens = self.tokens
         tok = tokens[self.pos]
         if tok[0] != "IDENT":
-            return self.expect("IDENT", what)  # None, after reporting it
+            self.missing(what)
         self.pos += 1
         dotted = tok[1]
         while tokens[self.pos][0] == ".":
             self.pos += 1
             tok = tokens[self.pos]
             if tok[0] != "IDENT":
-                return self.expect("IDENT", "name after '.'")
+                self.missing("name after '.'")
             self.pos += 1
             dotted = f"{dotted}.{tok[1]}"
         return dotted
 
-    def _kind(self, tok: _Token) -> StageKind | None:
-        """The stage kind `tok` names, or None after reporting it."""
+    def _kind(self, tok: _Token) -> StageKind:
+        """The stage kind `tok` names."""
         kind = kind_from_name(tok[1])
         if kind is None:
-            self.error(
+            self.fail(
                 f"{tok[1]!r} is not a stage kind "
                 f"(expected one of {', '.join(k.value for k in KIND_ORDER)})",
                 "E_UNKNOWN_KIND",
@@ -327,7 +321,7 @@ class _Parser:
             )
         return kind
 
-    def stage_ref(self, dotted: str) -> StageRef | None:
+    def stage_ref(self, dotted: str) -> StageRef:
         """`thimac.path.kind` from the dotted name `dotted` just read, so
         the last token read ends with the kind.  Equal references share one
         `StageRef` within a parse."""
@@ -336,109 +330,61 @@ class _Parser:
             path, _, name = dotted.rpartition(".")
             _, value, offset = self.tokens[self.pos - 1]
             kind = self._kind(("IDENT", name, offset + len(value) - len(name)))
-            if kind is None:
-                return None
             ref = self.refs[dotted] = StageRef(path, kind)
         return ref
 
-    def parse_stage_ref(self) -> StageRef | None:
+    def parse_stage_ref(self) -> StageRef:
         dotted = self.dotted("a stage reference")
-        if dotted is None:
-            return None
         if "." not in dotted:
-            self.error(
+            self.fail(
                 f"stage reference needs a thimac and a stage kind, got {dotted!r}",
                 tok=self.tokens[self.pos - 1],
             )
-            return None
         return self.stage_ref(dotted)
 
-    def parse_flow(self) -> FlowDecl | None:
+    def parse_flow(self) -> FlowDecl:
         start = self.advance()
-        label = self.expect("IDENT", "thing label")
-        if label is None:
-            return None
-        if self.expect(":", "':' after thing label") is None:
-            return None
-        chain: list[StageRef] = []
-        ref = self.parse_stage_ref()
-        if ref is None:
-            return None
-        chain.append(ref)
+        label = self.expect("IDENT", "thing label")[1]
+        self.expect(":", "':' after thing label")
+        chain = [self.parse_stage_ref()]
         while self.accept("->"):
-            ref = self.parse_stage_ref()
-            if ref is None:
-                return None
-            chain.append(ref)
+            chain.append(self.parse_stage_ref())
         if len(chain) < 2:
-            self.error("flow chain needs at least two stage references", tok=start)
-            return None
-        return FlowDecl(label[1], tuple(chain), self.span(start))
+            self.fail("flow chain needs at least two stage references", tok=start)
+        return FlowDecl(label, tuple(chain), self.span(start))
 
-    def parse_trigger(self) -> TriggerDecl | None:
+    def parse_trigger(self) -> TriggerDecl:
         start = self.advance()
         source = self.parse_stage_ref()
-        if source is None:
-            return None
-        if self.expect("~>", "'~>' between trigger endpoints") is None:
-            return None
-        target = self.parse_stage_ref()
-        if target is None:
-            return None
-        return TriggerDecl(source, target, self.span(start))
+        self.expect("~>", "'~>' between trigger endpoints")
+        return TriggerDecl(source, self.parse_stage_ref(), self.span(start))
 
-    def parse_event(self) -> EventDecl | None:
+    def parse_event(self) -> EventDecl:
         start = self.advance()
-        name = self.expect("IDENT", "event name")
-        if name is None:
-            return None
-        description = None
-        time = None
+        name = self.expect("IDENT", "event name")[1]
         tok = self.accept("STRING")
-        if tok is not None:
-            description = tok[1]
+        description = tok[1] if tok else None
+        time = None
         if self.accept("@"):
-            tok = self.expect("STRING", "time annotation string after '@'")
-            if tok is None:
-                return None
-            time = tok[1]
-        if self.expect("{", "'{' opening the event region") is None:
-            return None
+            time = self.expect("STRING", "time annotation string after '@'")[1]
+        self.expect("{", "'{' opening the event region")
         members: list[StageRef | str] = []
         more = not self.match("}")  # `{ }` is an empty region
         while more:
             dotted = self.dotted("a region member")
-            if dotted is None:
-                return None
-            if "." not in dotted:
-                members.append(dotted)  # arc id reference
-            else:
-                ref = self.stage_ref(dotted)
-                if ref is None:
-                    return None
-                members.append(ref)
+            # A name without a dot is an arc id reference.
+            members.append(self.stage_ref(dotted) if "." in dotted else dotted)
             more = self.accept(",") is not None
-        if self.expect("}", "'}' closing the event region", "E_UNTERMINATED_BLOCK") is None:
-            return None
-        return EventDecl(
-            name[1], tuple(members), description, time, self.span(start)
-        )
+        self.expect("}", "'}' closing the event region", "E_UNTERMINATED_BLOCK")
+        return EventDecl(name, tuple(members), description, time, self.span(start))
 
-    def parse_behavior(self) -> BehaviorDecl | None:
+    def parse_behavior(self) -> BehaviorDecl:
         start = self.advance()
-        chain: list[str] = []
-        tok = self.expect("IDENT", "event name")
-        if tok is None:
-            return None
-        chain.append(tok[1])
+        chain = [self.expect("IDENT", "event name")[1]]
         while self.accept("->"):
-            tok = self.expect("IDENT", "event name after '->'")
-            if tok is None:
-                return None
-            chain.append(tok[1])
+            chain.append(self.expect("IDENT", "event name after '->'")[1])
         if len(chain) < 2:
-            self.error("behavior chain needs at least two event names", tok=start)
-            return None
+            self.fail("behavior chain needs at least two event names", tok=start)
         return BehaviorDecl(tuple(chain), self.span(start))
 
 

@@ -148,6 +148,12 @@ def _retest(
 
 def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
     nodes = tuple(model.events) or model.behavior.nodes
+    position = {name: p for p, name in enumerate(nodes)}
+    if len(position) < len(nodes):
+        repeated = {name for p, name in enumerate(nodes) if position[name] != p}
+        raise ConfigError(
+            f"event(s) repeated in the behavior: {', '.join(sorted(repeated))}"
+        )
     if config.channels == "inferred":
         edges = sorted(infer_dependencies(model))
     elif config.channels == "declared":
@@ -191,7 +197,6 @@ def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
     # the position None for an endpoint outside `nodes`.  A channel into an
     # initial event starts with its token; an initial event with no input
     # gets a one-token start channel.
-    position = {name: p for p, name in enumerate(nodes)}
     channels = [
         (f"{a}->{b}", cap, int(b in initial), position.get(a), position.get(b))
         for (a, b), cap in capacity.items()
@@ -253,8 +258,9 @@ def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     At each step one enabled event is picked by the seeded RNG and fired;
     the run stops at `max_steps` or when nothing is enabled.  Raises
     NoInitialEventsError when the initial marking is empty (nothing could
-    ever fire), and ConfigError for non-positive capacities or a capacity
-    given for a pair of events that is not a channel.
+    ever fire), and ConfigError for non-positive capacities, a capacity
+    given for a pair of events that is not a channel, or a chronology whose
+    nodes repeat an event name.
     """
     config = config or SimConfig()
     if config.max_steps < 0:

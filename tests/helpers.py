@@ -1213,6 +1213,9 @@ def _reference_edges_for(
     model: TMModel, mode: str
 ) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
     nodes = tuple(model.events) or model.behavior.nodes
+    repeated = sorted({name for name in nodes if nodes.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"event(s) repeated in the behavior: {', '.join(repeated)}")
     if mode == "inferred":
         return nodes, tuple(sorted(infer_dependencies(model)))
     if mode != "declared":

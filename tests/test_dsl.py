@@ -371,6 +371,10 @@ def _parse_outcome(parse_fn, text):
 @example('event E "say \\"hi\\" \\\\ bye" @ "t\\\\" { A.x.create, F1 }')
 @example("flow X: A.b.create -> # the target is missing")
 @example("thimac x² { create }\nflow ½: x².create -> Ⅻ.release")
+@example("thimac A { create")
+@example("flow X: A.create")
+@example("event E @ x { A.create }")
+@example("behavior E1 -> ->")
 def test_parse_matches_reference(text):
     # Declarations compare with their spans, diagnostics with theirs.
     assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)

@@ -302,6 +302,25 @@ def test_repeated_behavior_edge_is_one_channel():
     )
 
 
+@pytest.mark.parametrize(
+    "run, config_type",
+    [
+        (simulate, SimConfig),
+        (reference_simulate, SimConfig),
+        (explore_state_space, ExploreConfig),
+        (reference_explore_state_space, ExploreConfig),
+    ],
+)
+def test_repeated_behavior_node_is_a_config_error(run, config_type):
+    # `assemble_model` never repeats a node; a hand-built graph may.
+    behavior = BehaviorGraph(
+        ("A", "B", "A", "C", "D"), (("A", "B"), ("B", "A"), ("C", "D"), ("D", "C"))
+    )
+    model = variant(assemble_model([]), behavior=behavior)
+    with pytest.raises(ConfigError, match=r"event\(s\) repeated in the behavior: A$"):
+        run(model, config_type(initial_events=frozenset({"A", "C"})))
+
+
 @pytest.mark.parametrize("capacity", range(1, 10))
 def test_channel_fills_to_capacity(capacity):
     # P keeps its self-loop token (the loop needs room for it too) and feeds
