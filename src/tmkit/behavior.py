@@ -6,19 +6,21 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 
-from .diagnostics import Diagnostic, Severity, TMError, sort_diagnostics
+from .diagnostics import Diagnostic, ModelError, Severity, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel
 
 
-class OverlapAmbiguityError(TMError):
+class OverlapAmbiguityError(ModelError):
     """An arc lies fully inside two or more regions, so its precedence
-    contribution cannot be attributed; reported rather than guessed."""
+    contribution cannot be attributed; reported rather than guessed.
+    The diagnostic's subject lists the arc ids."""
+
+    code = "E_REGION_OVERLAP"
 
     def __init__(self, arcs: list[str]):
         self.arc_ids = tuple(arcs)
-        super().__init__(
-            "arc(s) fully inside two or more event regions: " + ", ".join(arcs)
-        )
+        ids = ", ".join(arcs)
+        super().__init__(f"arc(s) fully inside two or more event regions: {ids}", subject=ids)
 
 
 class UnknownGoalError(TMError):

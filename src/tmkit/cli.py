@@ -16,7 +16,7 @@ import sys
 # loads only the analyses it runs.
 from . import corpus
 from .diagnostics import Diagnostic, ModelError, Severity, TMError, sort_diagnostics
-from .dsl import ParseError, format_model, parse
+from .dsl import format_model, parse
 from .model import TMModel, assemble_model
 from .validate import check_static, has_errors
 
@@ -34,22 +34,14 @@ def _say(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-class _InvalidModel(TMError):
-    """The model has Error-severity static diagnostics, so the analysis
-    that needs a valid model does not run."""
-
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("the model has static errors")
-        self.diagnostics = diagnostics
-
-
 def _read_source(spec: str) -> str:
     if spec.startswith("fixture:"):
         return corpus.fixture_source(spec[len("fixture:") :])
     from pathlib import Path  # its errors name the path as Path normalizes it
 
     try:
-        return Path(spec).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, and only a leading one.
+        return Path(spec).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise OSError(f"{spec}: not UTF-8 text ({exc.reason})") from None
 
@@ -61,12 +53,8 @@ def _load(spec: str, valid: bool = True) -> TMModel:
     if valid:
         static = check_static(model)
         if has_errors(static):
-            raise _InvalidModel(static)
+            raise ModelError("the model has static errors", diagnostics=static)
     return model
-
-
-def _error_diag(code: str, message: str, span=None) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, span=span)
 
 
 def _report(diags: list[Diagnostic]) -> int:
@@ -91,11 +79,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         diags.extend(check_behavior(model))
     except OverlapAmbiguityError as exc:
         # Reported beside the other findings rather than instead of them.
-        diags.append(
-            Diagnostic(
-                Severity.ERROR, "E_REGION_OVERLAP", str(exc), ", ".join(exc.arc_ids)
-            )
-        )
+        diags.extend(exc.diagnostics)
     return _report(sort_diagnostics(diags))
 
 
@@ -314,10 +298,8 @@ def run(argv: list[str]) -> int:
     except (OSError, corpus.UnknownFixtureError) as exc:
         _say(str(exc))
         return USAGE
-    except (ParseError, _InvalidModel) as exc:
-        return _report(exc.diagnostics)
     except ModelError as exc:
-        return _report([_error_diag(exc.code, str(exc), exc.span)])
+        return _report(exc.diagnostics)
     except TMError as exc:
         _say(str(exc))
         return DIAG_ERRORS

@@ -11,7 +11,7 @@ import os
 from collections.abc import Mapping
 
 from .diagnostics import TMError
-from .records import Record, init_field
+from .records import Record
 
 #: The eleven primary fixtures, one per worked example.
 FIXTURE_NAMES: tuple[str, ...] = (
@@ -88,20 +88,8 @@ class UnknownFixtureError(TMError):
 class Fixture(Record):
     name: str
     source: str
-    goldens: Mapping[str, str] | None = None  # a fresh {} when omitted
+    goldens: Mapping[str, str]
     provenance: str = ""
-
-    def __init__(
-        self,
-        name: str,
-        source: str,
-        goldens: Mapping[str, str] | None = None,
-        provenance: str = "",
-    ) -> None:
-        init_field(self, "name", name)
-        init_field(self, "source", source)
-        init_field(self, "goldens", {} if goldens is None else goldens)
-        init_field(self, "provenance", provenance)
 
 
 #: The shipped fixtures, next to this module (the package data of tmkit).

@@ -27,14 +27,6 @@ class SourceSpan(Record):
     col: int
 
 
-class ModelError(TMError):
-    """An error about the model that is reported as one Error diagnostic:
-    it carries the diagnostic's `code` and, where known, its `span`."""
-
-    code: str
-    span: SourceSpan | None = None
-
-
 class Diagnostic(Record):
     """A single finding about a model, suitable for JSON-lines reporting.
 
@@ -67,6 +59,26 @@ class Diagnostic(Record):
             },
             sort_keys=True,
         )
+
+
+class ModelError(TMError):
+    """An error about the model, carried as the `diagnostics` that `tm`
+    prints for it: the list it is given, or else one Error diagnostic made
+    of the class's `code`, the message, `subject` and, where known, `span`."""
+
+    code: str
+
+    def __init__(
+        self,
+        message: str,
+        span: SourceSpan | None = None,
+        subject: str = "",
+        diagnostics: list[Diagnostic] | None = None,
+    ):
+        super().__init__(message)
+        if diagnostics is None:
+            diagnostics = [Diagnostic(Severity.ERROR, self.code, message, subject, span)]
+        self.diagnostics = diagnostics
 
 
 def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:

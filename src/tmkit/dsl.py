@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 
-from .diagnostics import Diagnostic, Severity, SourceSpan, TMError
+from .diagnostics import Diagnostic, ModelError, Severity, SourceSpan
 from .model import (
     BehaviorDecl,
     Declaration,
@@ -40,15 +40,14 @@ from .model import (
 )
 
 
-class ParseError(TMError):
+class ParseError(ModelError):
     """Raised when parsing fails; carries every diagnostic found in the pass."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
         first = diagnostics[0]
         where = f"{first.span.line}:{first.span.col}: " if first.span else ""
         more = f" (+{len(diagnostics) - 1} more)" if len(diagnostics) > 1 else ""
-        super().__init__(f"{where}{first.message}{more}")
+        super().__init__(f"{where}{first.message}{more}", diagnostics=diagnostics)
 
 
 # A token is a plain `(kind, value, offset)` tuple: kind is IDENT, STRING,

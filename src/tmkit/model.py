@@ -227,10 +227,6 @@ class AssemblyError(ModelError):
 
     code = "E_ASSEMBLY"
 
-    def __init__(self, message: str, span: SourceSpan | None = None):
-        super().__init__(message)
-        self.span = span
-
 
 class DuplicatePathError(AssemblyError):
     code = "E_DUPLICATE_PATH"

@@ -6,9 +6,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmkit import cli
+from tmkit import assemble_model, cli, parse
+from tmkit.corpus import fixture_source
+from tmkit.diagnostics import ModelError
+from tmkit.match import simplify
+from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate
 
 from helpers import mutated_corpus_text, run_tm
+
+#: Two events whose regions both hold the whole of arc F1.
+_OVERLAP = (
+    "flow X: A.create -> A.process\n"
+    "event E1 { A.create, A.process }\n"
+    "event E2 { A.create, A.process }\n"
+)
+
+#: A.release fans out toward both B.process and C.process.
+_SPLICE = (
+    "flow X: A.create -> A.release -> A.transfer -> B.transfer -> B.receive -> B.process\n"
+    "flow Y: A.release -> A.transfer -> C.transfer -> C.receive -> C.process\n"
+)
 
 
 def test_fixtures_flag_lists_corpus():
@@ -241,12 +258,7 @@ def test_explore_state_limit_exits_three():
 
 def test_check_reports_region_overlap(tmp_path):
     f = tmp_path / "overlap.tm"
-    f.write_text(
-        "flow X: A.create -> A.process\n"
-        "event E1 { A.create, A.process }\n"
-        "event E2 { A.create, A.process }\n",
-        encoding="utf-8",
-    )
+    f.write_text(_OVERLAP, encoding="utf-8")
     result = run_tm(["check", str(f)])
     assert result.returncode == 1
     found = [json.loads(line) for line in result.stdout.splitlines()]
@@ -330,16 +342,70 @@ def test_every_command_reports_model_errors_as_jsonl(tmp_path, command):
 )
 def test_ambiguous_splice_is_one_diagnostic(tmp_path, command):
     f = tmp_path / "splice.tm"
-    f.write_text(
-        "flow X: A.create -> A.release -> A.transfer -> B.transfer -> B.receive -> B.process\n"
-        "flow Y: A.release -> A.transfer -> C.transfer -> C.receive -> C.process\n",
-        encoding="utf-8",
-    )
+    f.write_text(_SPLICE, encoding="utf-8")
     result = run_tm(command + [str(f)])
     assert result.returncode == 1
     codes = [json.loads(line)["code"] for line in result.stdout.splitlines()]
     assert codes == ["E_AMBIGUOUS_SPLICE"]
     assert "1 error(s)" in result.stderr
+
+
+def _model(path):
+    return assemble_model(parse(path.read_text(encoding="utf-8")))
+
+
+# Per failure: the `tm` arguments before the file, the model text, and the
+# library call that fails on that file the way the subcommand does.
+_MODEL_ERRORS = {
+    "parse": (["check"], "flow X: A.create -> A.store\n",
+              lambda path: parse(path.read_text(encoding="utf-8"))),
+    "assembly": (["check"], "flow X: A.create -> A.process\n" * 2, _model),
+    "splice": (["simplify"], _SPLICE, lambda path: simplify(_model(path))),
+    "static": (["simulate"], "flow X: A.process -> A.create\n",
+               lambda path: cli._load(str(path))),
+    "overlap-simulate": (
+        ["simulate", "--channels", "inferred"], _OVERLAP,
+        lambda path: simulate(_model(path), SimConfig(channels="inferred")),
+    ),
+    "overlap-explore": (
+        ["explore", "--channels", "inferred"], _OVERLAP,
+        lambda path: explore_state_space(_model(path), ExploreConfig(channels="inferred")),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MODEL_ERRORS)
+def test_tm_prints_the_diagnostics_of_the_model_error(tmp_path, case):
+    command, text, call = _MODEL_ERRORS[case]
+    f = tmp_path / "model.tm"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelError) as exc_info:
+        call(f)
+    result = run_tm(command + [str(f)])
+    assert result.returncode == 1, result.stderr
+    assert result.stdout.splitlines() == [d.to_json() for d in exc_info.value.diagnostics]
+    assert "error(s)" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, command):
+    text = fixture_source("pump") + "flow Bad: Z.process -> Z.create\n"
+    plain, marked = tmp_path / "plain.tm", tmp_path / "marked.tm"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected = run_tm([command, str(plain)])
+    result = run_tm([command, str(marked)])
+    assert (result.returncode, result.stdout) == (expected.returncode, expected.stdout)
+    assert result.stdout
+
+
+def test_a_byte_order_mark_after_the_start_is_a_syntax_error(tmp_path):
+    f = tmp_path / "model.tm"
+    f.write_text("flow X: A.create -> A.process\n\ufeff", encoding="utf-8")
+    result = run_tm(["check", str(f)])
+    assert result.returncode == 1
+    (payload,) = [json.loads(line) for line in result.stdout.splitlines()]
+    assert (payload["code"], payload["line"], payload["col"]) == ("E_SYNTAX", 2, 1)
 
 
 # Fragments the fuzz splices into corpus text: the DSL's punctuation and

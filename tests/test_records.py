@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 import tmkit
-from tmkit.corpus import Fixture
 from tmkit.match import Edge, Node, NodeMapping
 from tmkit.records import Record
 from tmkit.sim import Firing
@@ -166,11 +165,6 @@ def test_wrong_arguments_are_type_errors():
 def test_a_mapping_is_true_when_it_maps_something():
     assert not NodeMapping(())
     assert NodeMapping((("a", "b"),))
-
-
-def test_each_fixture_has_goldens_of_its_own():
-    a, b = Fixture("a", "text"), Fixture("b", "text")
-    assert a.goldens == {} and a.goldens is not b.goldens
 
 
 def test_cached_indexes_are_built_on_first_use():
