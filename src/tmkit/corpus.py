@@ -1,5 +1,5 @@
 """The embedded fixture corpus: one hand-encoded `.tm` model per worked
-transport/grinding/pumping/ordering example, with golden analysis outputs.
+transport/grinding/pumping/ordering example.
 
 Fixtures are shipped as plain `.tm` files in the package's `corpus/`
 directory and are addressable from the CLI as `fixture:NAME`.
@@ -11,7 +11,6 @@ import os
 from collections.abc import Mapping
 
 from .diagnostics import TMError
-from .records import Record
 
 #: The eleven primary fixtures, one per worked example.
 FIXTURE_NAMES: tuple[str, ...] = (
@@ -63,20 +62,6 @@ PROVENANCE: Mapping[str, str] = {
     "participants is deliberately not modeled",
 }
 
-#: Analyses for which golden files exist, keyed by file suffix.
-GOLDEN_ANALYSES: tuple[str, ...] = (
-    "diagnostics",
-    "dependencies",
-    "simplified",
-    "format",
-    "dot-static",
-    "dot-behavior",
-    "dot-simplified",
-    "trace",
-    "explore",
-    "signature",
-)
-
 
 class UnknownFixtureError(TMError):
     def __init__(self, name: str):
@@ -85,35 +70,12 @@ class UnknownFixtureError(TMError):
         )
 
 
-class Fixture(Record):
-    name: str
-    source: str
-    goldens: Mapping[str, str]
-    provenance: str = ""
-
-
 #: The shipped fixtures, next to this module (the package data of tmkit).
 _CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
-
-
-def _read(*path: str) -> str:
-    with open(os.path.join(_CORPUS_DIR, *path), encoding="utf-8") as f:
-        return f.read()
 
 
 def fixture_source(name: str) -> str:
     if name not in ALL_NAMES:
         raise UnknownFixtureError(name)
-    return _read(f"{name}.tm")
-
-
-def load_fixture(name: str) -> Fixture:
-    """Load a fixture with whatever golden outputs are shipped for it."""
-    source = fixture_source(name)
-    goldens: dict[str, str] = {}
-    for analysis in GOLDEN_ANALYSES:
-        try:
-            goldens[analysis] = _read("goldens", f"{name}.{analysis}.txt")
-        except OSError:
-            continue
-    return Fixture(name, source, goldens, PROVENANCE.get(name, ""))
+    with open(os.path.join(_CORPUS_DIR, f"{name}.tm"), encoding="utf-8") as f:
+        return f.read()

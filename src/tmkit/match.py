@@ -282,19 +282,15 @@ def signature(g: SimplifiedGraph, policy: MatchPolicy = STRICT) -> str:
     Equal graphs up to renumbering get equal signatures; unequal
     signatures prove non-isomorphism (the converse does not hold).
     """
-    return _signature(g, _refine_colors(g, policy))
-
-
-def _signature(g: SimplifiedGraph, colors: dict[str, str]) -> str:
     if not g.nodes:
         return "tmg:0:0:empty"
-    descriptors = sorted(colors[n.id] for n in g.nodes)
+    descriptors = sorted(_refine_colors(g, policy).values())
     return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + _digest("|".join(descriptors))
 
 
 def canonical_signature(g: SimplifiedGraph) -> str:
     """Signature under the strict policy (all labels significant)."""
-    return signature(g, STRICT)
+    return signature(g)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +330,14 @@ def isomorphic(
 
     Stage kinds always have to match; role names and thing labels match
     per the policy.  Returns the lexicographically least valid mapping
-    under node id order, or None.  Signature and color-class mismatches
-    reject quickly before the backtracking search runs.
+    under node id order, or None.  Unequal node or edge counts, or unequal
+    multisets of refined colors, reject before the backtracking search runs.
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return None
     colors1 = _refine_colors(g1, policy)
     colors2 = _refine_colors(g2, policy)
-    if _signature(g1, colors1) != _signature(g2, colors2):
+    if sorted(colors1.values()) != sorted(colors2.values()):
         return None
 
     by_color: dict[str, list[str]] = {}

@@ -72,14 +72,6 @@ class StageRef(Record):
     def __str__(self) -> str:
         return f"{self.thimac}.{self.kind.value}"
 
-    @classmethod
-    def parse(cls, text: str) -> StageRef:
-        path, _, kind_name = text.rpartition(".")
-        kind = kind_from_name(kind_name)
-        if not path or kind is None:
-            raise ValueError(f"not a stage reference: {text!r}")
-        return cls(path, kind)
-
 
 class Thimac(Record):
     """A thing/machine node in the hierarchy, keyed by its `path`."""

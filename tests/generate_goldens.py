@@ -1,20 +1,22 @@
-"""Compute (and, when run as a script, write) the corpus golden files.
+"""Compute the corpus golden files, and check or rewrite the stale ones.
 
-Each golden is the serialized output of one analysis over one fixture;
-the corpus test asserts that every shipped golden regenerates
-bit-identically from the fixture source through the pipeline.
+Each golden is the serialized output of one analysis over one fixture.
+`stale_goldens` is the one golden check: a golden is current when its
+file holds exactly the bytes that the pipeline regenerates from the
+fixture source.  The corpus tests, `--check` and the write mode all call it.
 
-    PYTHONPATH=src python tests/generate_goldens.py            # rewrite them
+    PYTHONPATH=src python tests/generate_goldens.py            # rewrite the stale ones
     PYTHONPATH=src python tests/generate_goldens.py --check    # compare only
 
-`--check` writes nothing; it names every golden that would change and
-then exits 1.  It needs only tmkit, not the test dependencies.
+`--check` writes nothing; it names every stale golden and then exits 1.
+It needs only tmkit, not the test dependencies.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from tmkit import (
@@ -37,6 +39,10 @@ from tmkit import (
 from tmkit.behavior import check_all_events
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.match import signature
+
+#: The checkout, and the goldens' directory within it.
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = Path("src", "tmkit", "corpus", "goldens")
 
 
 def compute_goldens(name: str) -> dict[str, str]:
@@ -62,33 +68,40 @@ def compute_goldens(name: str) -> dict[str, str]:
     return goldens
 
 
+def stale_goldens(names: Iterable[str]) -> dict[Path, bytes]:
+    """Each golden of the fixtures `names` whose file is missing or differs
+    byte for byte from `compute_goldens`, with the bytes it should hold."""
+    stale = {}
+    for name in names:
+        for analysis, text in compute_goldens(name).items():
+            path = ROOT / GOLDENS / f"{name}.{analysis}.txt"
+            data = text.encode("utf-8")
+            if not path.is_file() or path.read_bytes() != data:
+                stale[path] = data
+    return stale
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="write nothing; exit 1 naming every golden that would change",
+        help="write nothing; exit 1 naming every stale golden",
     )
     args = parser.parse_args(argv)
-    root = Path(__file__).resolve().parent.parent
-    out_dir = root / "src" / "tmkit" / "corpus" / "goldens"
-    if not args.check:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    stale = []
-    for name in ALL_NAMES:
-        for analysis, text in compute_goldens(name).items():
-            path = out_dir / f"{name}.{analysis}.txt"
-            data = text.encode("utf-8")
-            if args.check:
-                if not path.is_file() or path.read_bytes() != data:
-                    stale.append(path)
-            else:
-                path.write_bytes(data)
-                print(f"wrote {path.relative_to(root)}")
-    for path in stale:
-        print(f"stale {path.relative_to(root)}")
-    if args.check:
-        print(f"{len(stale)} stale golden(s)" if stale else "every golden is current")
-    return 1 if stale else 0
+    stale = stale_goldens(ALL_NAMES)
+    for path, data in stale.items():
+        if args.check:
+            print(f"stale {path.relative_to(ROOT)}")
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+            print(f"wrote {path.relative_to(ROOT)}")
+    if args.check and stale:
+        print(f"{len(stale)} stale golden(s)")
+        return 1
+    if not stale:
+        print("every golden is current")
+    return 0
 
 
 if __name__ == "__main__":

@@ -38,7 +38,8 @@ from helpers import (
 
 
 def ref(text):
-    return StageRef.parse(text)
+    path, _, kind = text.rpartition(".")
+    return StageRef(path, StageKind(kind))
 
 
 def test_automobile_move_region_is_valid():

@@ -1,5 +1,7 @@
 """Fixture corpus: loading, coverage, and golden regeneration."""
 
+import shutil
+
 import pytest
 
 from tmkit import assemble_model, parse
@@ -8,9 +10,11 @@ from tmkit.corpus import (
     FIXTURE_NAMES,
     PROVENANCE,
     UnknownFixtureError,
-    load_fixture,
+    fixture_source,
 )
 
+import generate_goldens
+from generate_goldens import GOLDENS, stale_goldens
 from helpers import load_model
 
 
@@ -32,24 +36,22 @@ def test_corpus_covers_every_worked_example():
     assert set(PROVENANCE) == set(ALL_NAMES)
 
 
-def test_load_fixture_automobile():
-    fixture = load_fixture("automobile")
-    model = assemble_model(parse(fixture.source))
+def test_fixture_source_automobile():
+    model = assemble_model(parse(fixture_source("automobile")))
     assert set(model.events) == {"E1", "E2", "E3"}
     assert model.behavior.edges == (("E1", "E2"), ("E2", "E3"))
-    assert fixture.provenance
+    assert PROVENANCE["automobile"]
 
 
-def test_load_fixture_hammer_nails():
-    fixture = load_fixture("hammer-nails")
-    model = assemble_model(parse(fixture.source))
+def test_fixture_source_hammer_nails():
+    model = assemble_model(parse(fixture_source("hammer-nails")))
     assert {"Hand", "Hammer", "Nail", "PhysicalObject"} <= set(model.thimacs)
     assert set(model.events) == {"E1", "E2", "E3", "E4"}
 
 
 def test_unknown_fixture_raises():
     with pytest.raises(UnknownFixtureError):
-        load_fixture("no-such")
+        fixture_source("no-such")
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -60,18 +62,10 @@ def test_every_fixture_assembles(name):
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_goldens_regenerate_bit_identically(name):
-    from generate_goldens import compute_goldens
-
-    fixture = load_fixture(name)
-    assert fixture.goldens, f"no goldens shipped for {name}"
-    regenerated = compute_goldens(name)
-    for analysis, expected in fixture.goldens.items():
-        assert regenerated[analysis] == expected, (name, analysis)
+    assert stale_goldens([name]) == {}
 
 
 def test_golden_check_names_stale_goldens_and_writes_nothing(monkeypatch, capsys):
-    import generate_goldens
-
     compute = generate_goldens.compute_goldens
 
     def one_stale(name):
@@ -80,11 +74,34 @@ def test_golden_check_names_stale_goldens_and_writes_nothing(monkeypatch, capsys
             goldens["format"] += "# changed\n"
         return goldens
 
-    golden = load_fixture("pump").goldens["format"]
+    path = generate_goldens.ROOT / GOLDENS / "pump.format.txt"
+    golden = path.read_bytes()
     monkeypatch.setattr(generate_goldens, "compute_goldens", one_stale)
     assert generate_goldens.main(["--check"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "stale src/tmkit/corpus/goldens/pump.format.txt",
         "1 stale golden(s)",
     ]
-    assert load_fixture("pump").goldens["format"] == golden
+    assert path.read_bytes() == golden
+
+
+@pytest.mark.parametrize("damage", ["deleted", "crlf"])
+def test_a_damaged_golden_is_stale_and_rewritten(damage, tmp_path, monkeypatch, capsys):
+    shutil.copytree(generate_goldens.ROOT / GOLDENS, tmp_path / GOLDENS)
+    monkeypatch.setattr(generate_goldens, "ROOT", tmp_path)
+    path = tmp_path / GOLDENS / "window.explore.txt"
+    golden = path.read_bytes()
+    if damage == "deleted":
+        path.unlink()
+    else:
+        path.write_bytes(golden.replace(b"\n", b"\r\n"))
+
+    assert stale_goldens(["window"]) == {path: golden}
+    assert generate_goldens.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"stale {GOLDENS / 'window.explore.txt'}",
+        "1 stale golden(s)",
+    ]
+    assert generate_goldens.main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"wrote {GOLDENS / 'window.explore.txt'}"]
+    assert path.read_bytes() == golden
