@@ -399,15 +399,122 @@ _STATEMENTS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# The statement reader: one regex match per statement of a well-formed file
+# ---------------------------------------------------------------------------
+
+# Blanks and comments between statements.  A comment must run to the end of
+# its line: were it allowed to stop early, a failed match would retry every
+# way of cutting a `####` run into comments (exponential in its length), and
+# could restart inside a comment at a keyword.  So the skip matches any text
+# one way only, and backtracking out of it costs time linear in its length.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*"
+_B = r"[ \t\r\n]*"  # blanks inside a statement
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_DOTTED = rf"{_NAME}(?:\.{_NAME})*"
+_KIND = "|".join(k.value for k in KIND_ORDER)
+_REF = rf"{_DOTTED}\.(?:{_KIND})\b"  # a joined stage reference
+_MEMBER = rf"(?:{_REF}|{_NAME})"  # of a region: a stage reference or an arc id
+_TEXT = r'[^"\\\n]*'  # a string's body, with no escape
+
+# Inside a statement only blanks may separate its tokens, a name is ASCII,
+# and a string has no backslash.  Each statement ends where `_Parser` ends
+# it: the text after it must start the next statement (a keyword with a
+# blank after it), close the model or end the file, so a `->`, `.` or `{`
+# that `_Parser` would read on with makes the file decline.
+_STATEMENT = re.compile(
+    _SKIP
+    + "(?:"
+    + "|".join(
+        f"(?P<{keyword}>{keyword}[ \\t\\r\\n]+{body})"
+        for keyword, body in (
+            ("event", rf"(?P<event_name>{_NAME}){_B}"
+                      rf'(?:"(?P<description>{_TEXT})"{_B})?'
+                      rf'(?:@{_B}"(?P<time>{_TEXT})"{_B})?'
+                      rf"\{{{_B}(?:(?P<members>{_MEMBER}(?:{_B},{_B}{_MEMBER})*){_B})?\}}"),
+            ("flow", rf"(?P<label>{_NAME}){_B}:{_B}(?P<chain>{_REF}(?:{_B}->{_B}{_REF})+)"),
+            ("trigger", rf"(?P<source>{_REF}){_B}~>{_B}(?P<target>{_REF})"),
+            ("thimac", rf"(?P<path>{_DOTTED})"
+                       rf"(?:{_B}\{{{_B}(?P<kinds>(?:(?:{_KIND})\b{_B})*)\}})?"),
+            ("behavior", rf"(?P<order>{_NAME}(?:{_B}->{_B}{_NAME})+)"),
+            ("model", rf"(?P<model_name>{_NAME}){_B}\{{"),
+        )
+    )
+    + ")"
+)
+# What may follow the last statement: the model's `}`, then nothing.
+_END = re.compile(_SKIP + rf"(?:(\}}){_SKIP})?\Z")
+
+
+class _Refs(dict):
+    """Stage refs by dotted name, made on first use, so equal references
+    share one `StageRef` within a read."""
+
+    def __missing__(self, dotted: str) -> StageRef:
+        path, _, kind = dotted.rpartition(".")
+        ref = self[dotted] = StageRef(path, kind_from_name(kind))
+        return ref
+
+
+def _read_statements(text: str, lines: _Lines) -> list[Declaration] | None:
+    """The declarations `_Parser` reads from `text`, spans included, if
+    every statement of it is in the reader's grammar; None otherwise.
+
+    The grammar is a subset of the valid files: an optional leading
+    `model NAME {` closed by a `}` that ends the file, and statements whose
+    names are ASCII, whose stage references are joined (`A.b.create`), and
+    whose strings hold no backslash, with blanks and comments between
+    statements and only blanks inside one."""
+    decls: list[Declaration] = []
+    append = decls.append
+    refs = _Refs()
+    in_model_block = False
+    pos = 0
+    match = _STATEMENT.match
+    while (m := match(text, pos)) is not None:
+        pos = m.end()
+        keyword = m.lastgroup
+        span = lines.span(m.start(keyword))
+        if keyword == "event":
+            # A name without a dot is an arc id reference.
+            members = (m["members"] or "").replace(",", " ").split()
+            region = tuple([refs[x] if "." in x else x for x in members])
+            append(EventDecl(m["event_name"], region, m["description"], m["time"], span))
+        elif keyword == "flow":
+            chain = m["chain"].replace("->", " ").split()
+            append(FlowDecl(m["label"], tuple([refs[x] for x in chain]), span))
+        elif keyword == "trigger":
+            append(TriggerDecl(refs[m["source"]], refs[m["target"]], span))
+        elif keyword == "thimac":
+            stages = tuple(map(kind_from_name, (m["kinds"] or "").split()))
+            append(ThimacDecl(m["path"], stages, span))
+        elif keyword == "behavior":
+            append(BehaviorDecl(tuple(m["order"].replace("->", " ").split()), span))
+        elif decls:  # a `model` after the first statement
+            return None
+        else:
+            append(ModelDecl(m["model_name"], span))
+            in_model_block = True
+    end = _END.match(text, pos)
+    if end is None or (end[1] is not None) != in_model_block:
+        return None
+    return decls
+
+
 def parse(text: str) -> list[Declaration]:
     """Parse `.tm` source into declarations, in source order.
 
-    On malformed input, recovery continues at the next statement so a
-    single call reports every statement-level error; the collected
-    diagnostics are raised as a ParseError.
+    A well-formed file is read one statement at a time by
+    `_read_statements`; any other goes to the token parser.  On malformed
+    input, recovery continues at the next statement so a single call
+    reports every statement-level error; the collected diagnostics are
+    raised as a ParseError.
     """
-    diags: list[Diagnostic] = []
     lines = _Lines(text)
+    decls = _read_statements(text, lines)
+    if decls is not None:
+        return decls
+    diags: list[Diagnostic] = []
     tokens = _tokenize(text, lines, diags)
     decls = _Parser(tokens, lines, diags).parse_file()
     if diags:

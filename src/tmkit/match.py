@@ -79,8 +79,6 @@ class GraphIndex(Record):
     #: Per neighbour, in `order`: the edge labels toward it and from it,
     #: each a sorted tuple of (label, count), or None for no edge.
     near: dict[str, dict[str, tuple]]
-    #: The (edge labels, neighbour label) pairs of its neighbours.
-    ties: dict[str, frozenset[tuple]]
     #: Node ids by falling neighbour count, then by id.
     order: list[str]
 
@@ -117,11 +115,7 @@ class GraphIndex(Record):
             }
             for u, nbrs in counts.items()
         }
-        ties = {
-            u: frozenset((key, labels[x]) for x, key in nbrs.items())
-            for u, nbrs in near.items()
-        }
-        return cls(labels, near, ties, order)
+        return cls(labels, near, order)
 
 
 class SimplifiedGraph(Record):
@@ -456,11 +450,12 @@ def find_shared_functionality(
     if min_size < 2:
         raise ValueError("min_size must be >= 2")
     sides = (g1.index(policy), g2.index(policy))
+    ties = (_ties(sides[0]), _ties(sides[1]))
     used: tuple[set[str], set[str]] = (set(), set())
     budget = SEARCH_NODE_BUDGET
     matches: list[tuple[NodeMapping, int]] = []
     while budget >= 0:
-        search = _Search(sides, used)
+        search = _Search(sides, ties, used)
         pairs, budget = search.largest(min_size - 1, budget)
         if not pairs:
             break
@@ -468,6 +463,16 @@ def find_shared_functionality(
         used[0].update(u for u, _ in pairs)
         used[1].update(w for _, w in pairs)
     return SharedFunctionality(tuple(matches), approximate=budget < 0)
+
+
+def _ties(index: GraphIndex) -> dict[str, frozenset[tuple]]:
+    """Per node: the (edge labels, neighbour label) pairs of its neighbours.
+    Two nodes with none in common start no fragment of two or more."""
+    labels = index.labels
+    return {
+        u: frozenset((key, labels[x]) for x, key in nbrs.items())
+        for u, nbrs in index.near.items()
+    }
 
 
 class _Search:
@@ -484,8 +489,14 @@ class _Search:
     maps and the size of the classes next to the mapping, not in graph size.
     """
 
-    def __init__(self, sides: tuple[GraphIndex, GraphIndex], used: tuple[set[str], set[str]]):
+    def __init__(
+        self,
+        sides: tuple[GraphIndex, GraphIndex],
+        ties: tuple[dict, dict],
+        used: tuple[set[str], set[str]],
+    ):
         self.sides = sides
+        self.ties = ties
         #: Per label: its pooled nodes of g1 and of g2, in `order`.
         self.pools: dict[tuple, _Class] = {}
         for u in sides[0].order:
@@ -531,7 +542,7 @@ class _Search:
         """A largest common connected induced fragment of more than `floor`
         pairs, or [] if there is none, and the budget left.  A negative
         budget means the search stopped early with the best fragment so far."""
-        ties1, ties2 = self.sides[0].ties, self.sides[1].ties
+        ties1, ties2 = self.ties
         best: list[tuple[str, str]] = []
         incumbent, target = floor, self.pooled
         mapping: list[tuple[str, str]] = []

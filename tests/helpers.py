@@ -604,7 +604,7 @@ def reference_parse(text: str) -> list[Declaration]:
 def scan_index(g: SimplifiedGraph, policy: MatchPolicy) -> GraphIndex:
     """`SimplifiedGraph.index` by a plain scan of every edge for every node:
     its label and self-loops, its neighbours (by falling neighbour count,
-    then id) with the edge labels toward and from each, and their ties."""
+    then id) with the edge labels toward and from each."""
     def counted(src: str, dst: str) -> tuple | None:
         labels = Counter(
             e.label(policy.match_thing_labels)
@@ -624,8 +624,17 @@ def scan_index(g: SimplifiedGraph, policy: MatchPolicy) -> GraphIndex:
         u: {x: (counted(u, x), counted(x, u)) for x in order if x in around[u]}
         for u in ids
     }
-    ties = {u: frozenset((key, labels[x]) for x, key in near[u].items()) for u in ids}
-    return GraphIndex(labels, near, ties, order)
+    return GraphIndex(labels, near, order)
+
+
+def scan_ties(g: SimplifiedGraph, policy: MatchPolicy) -> dict[str, frozenset[tuple]]:
+    """The fragment search's `ties` by a plain scan: per node, the (edge
+    labels toward and from, label) of each neighbour."""
+    index = scan_index(g, policy)
+    return {
+        u: frozenset((key, index.labels[x]) for x, key in index.near[u].items())
+        for u in index.labels
+    }
 
 
 def scan_verify_mapping(

@@ -1,5 +1,7 @@
 """Parser and formatter behavior, including error recovery."""
 
+import random
+import time
 from collections import Counter
 
 import pytest
@@ -15,7 +17,8 @@ from tmkit import (
     parse,
 )
 from tmkit.behavior import check_all_events
-from tmkit.dsl import _Lines, _tokenize
+from tmkit.corpus import ALL_NAMES, fixture_source
+from tmkit.dsl import _Lines, _Parser, _read_statements, _tokenize
 from tmkit.model import (
     KIND_ORDER,
     BehaviorDecl,
@@ -351,6 +354,22 @@ _PARSE_PIECES = list(_LEX_ALPHABET) + [
 ]
 
 
+# One text per way the statement reader declines a file; all but the last
+# two are valid, so the token parser reads them.
+_DECLINED = [
+    "flow X: A.b.create -> # the target is next\n  B.c.create",  # a comment inside a chain
+    "flow X: A.b.create # c\n-> B.c.create",  # `->` after a comment
+    "flow X: A . b.create -> B.c.create",  # a dotted name with blanks
+    "thimac Mühle { create }",  # a non-ASCII name
+    'event E "say \\"hi\\"" { A.b.create }',  # an escaped string
+    "model M {\n  thimac A\n}\nthimac B",  # a statement after the model's `}`
+    "model M {\n  model N {\n}",  # a second `model`
+    "thimac A # stages:\n{ create }",  # `{` after a comment
+    "flow.x: A.b.create -> B.c.create",  # a keyword with no blank after it
+    "trigger A.b.create ~> B.c.createflow X: A.b.create -> B.c.create",  # no blank after a kind
+]
+
+
 def _parse_outcome(parse_fn, text):
     """The declarations, or the diagnostics and message of the ParseError."""
     try:
@@ -375,6 +394,18 @@ def _parse_outcome(parse_fn, text):
 @example("flow X: A.create")
 @example("event E @ x { A.create }")
 @example("behavior E1 -> ->")
+@example("thimac A\n{ create }")  # the statement reader takes a stage list on the next line
+@example(_DECLINED[0])
+@example(_DECLINED[1])
+@example(_DECLINED[2])
+@example(_DECLINED[3])
+@example(_DECLINED[4])
+@example(_DECLINED[5])
+@example(_DECLINED[6])
+@example(_DECLINED[7])
+@example(_DECLINED[8])
+@example(_DECLINED[9])
+@example("thimac A\n# flow X: A.b.create -> A.c.create")  # a statement inside a comment
 def test_parse_matches_reference(text):
     # Declarations compare with their spans, diagnostics with theirs.
     assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
@@ -383,6 +414,93 @@ def test_parse_matches_reference(text):
 @pytest.mark.parametrize("text", _SPLIT_PATHS)
 def test_split_dotted_names_parse_like_the_reference(text):
     assert _parse_outcome(parse, text) == _parse_outcome(reference_parse, text)
+
+
+def _token_parsed(text):
+    """The token parser's declarations for the valid `text`."""
+    diags, lines = [], _Lines(text)
+    decls = _Parser(_tokenize(text, lines, diags), lines, diags).parse_file()
+    assert not diags
+    return decls
+
+
+def _read(text):
+    return _read_statements(text, _Lines(text))
+
+
+def _dialogue_text(n, seed=0):
+    """A request/response chain of `n` events written the way the
+    benchmark's generator writes one: two role thimacs, then each event's
+    flow, event (region shuffled) and trigger in shuffled order, then the
+    behavior chain."""
+    rng = random.Random(seed)
+    roles = ("ClientA", "ServerB")
+    body, names = [], []
+    for i in range(n):
+        src, dst = roles[i % 2], roles[1 - i % 2]
+        label, name = f"Msg{i}", f"Ev{i}"
+        refs = [f"{src}.{label}.create", f"{src}.{label}.release", f"{src}.{label}.transfer",
+                f"{dst}.{label}.transfer", f"{dst}.{label}.receive", f"{dst}.{label}.process"]
+        body.append(f"flow {label}: " + " -> ".join(refs))
+        region = rng.sample(refs, len(refs))
+        body.append(f'event {name} "{src} hands {label} to {dst}" @ "t{i}" {{ {", ".join(region)} }}')
+        if i:
+            body.append(f"trigger {src}.Msg{i - 1}.process ~> {src}.{label}.create")
+        names.append(name)
+    rng.shuffle(body)
+    lines = [f"thimac {role}" for role in roles] + body + ["behavior " + " -> ".join(names)]
+    return "model dialogue {\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+
+
+_READER_TEXTS = {name: fixture_source(name) for name in ALL_NAMES}
+_READER_TEXTS["chain"] = _chain_text(300)
+_READER_TEXTS["dialogue"] = _dialogue_text(60)
+
+
+@pytest.mark.parametrize("name", sorted(_READER_TEXTS))
+def test_statement_reader_takes_well_formed_files(name):
+    text = _READER_TEXTS[name]
+    decls = _read(text)
+    assert decls is not None
+    assert decls == _token_parsed(text)  # spans included
+
+
+def test_statement_reader_shares_one_stage_ref_per_name():
+    refs = {}
+    for decl in _read(_chain_text(20)):
+        for ref in (*getattr(decl, "chain", ()), *getattr(decl, "members", ())):
+            if isinstance(ref, StageRef):
+                assert refs.setdefault(str(ref), ref) is ref
+    assert len(refs) == 20 * 5
+
+
+@pytest.mark.parametrize("text", _DECLINED)
+def test_statement_reader_declines_outside_its_grammar(text):
+    assert _read(text) is None
+
+
+# After each statement: 10,000 blanks, 500 comments made of '#' runs, and a
+# token that continues the statement or that no statement can start with.
+_FAR_TAILS = " " * 10_000 + ("# " + "#" * 30 + "\n") * 500
+
+
+@pytest.mark.parametrize(
+    "statement, tail",
+    [
+        ("flow X: A.b.create -> A.b.release", "-> A.c.create"),
+        ("flow X: A.b.create -> A.b.release", "?"),
+        ("trigger A.b.create ~> A.b.release", ". x"),
+        ("trigger A.b.create ~> A.b.release", "?"),
+        ("thimac A", "{ create }"),
+        ("thimac A", "?"),
+    ],
+)
+def test_parse_time_is_linear_in_blanks_and_comments(statement, tail):
+    text = statement + _FAR_TAILS + tail
+    start = time.perf_counter()
+    outcome = _parse_outcome(parse, text)
+    assert time.perf_counter() - start < 0.2
+    assert outcome == _parse_outcome(reference_parse, text)
 
 
 def test_dotted_names_with_or_without_blanks_are_one_reference():
@@ -470,3 +588,6 @@ def test_format_round_trips_generated_models(decls):
     again = assemble_model(parse(text))
     assert format_model(again) == text
     assert _structure(again) == _structure(model)
+    # The statement reader declines the text or reads what the token parser reads.
+    read = _read(text)
+    assert read is None or read == _token_parsed(text)

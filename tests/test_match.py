@@ -21,7 +21,7 @@ from tmkit import (
     simplify,
     verify_mapping,
 )
-from tmkit.match import STRICT, NodeMapping, signature
+from tmkit.match import STRICT, NodeMapping, _ties, signature
 
 from helpers import (
     brute_force_isomorphic,
@@ -36,6 +36,7 @@ from helpers import (
     reference_isomorphic,
     reference_signature,
     scan_index,
+    scan_ties,
     scan_verify_mapping,
     weakly_connected,
 )
@@ -364,6 +365,7 @@ def test_index_and_search_agree_with_the_scans(pair, data):
         for g in pair:
             index, scanned = g.index(policy), scan_index(g, policy)
             assert index == scanned
+            assert _ties(index) == scan_ties(g, policy)
             assert [list(index.near[u]) for u in index.order] == [
                 list(scanned.near[u]) for u in scanned.order
             ]
