@@ -31,9 +31,9 @@ _EXPORTS = {
         "MatchPolicy",
         "NodeMapping",
         "SimplifiedGraph",
-        "canonical_signature",
         "find_shared_functionality",
         "isomorphic",
+        "signature",
         "simplify",
         "verify_mapping",
     ),

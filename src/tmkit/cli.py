@@ -119,10 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .sim import SimConfig, simulate
 
     config = SimConfig(
-        capacities=args.capacity,
-        max_steps=args.max_steps,
-        seed=args.seed,
-        channels=args.channels,
+        capacities=args.capacity, channels=args.channels, max_steps=args.max_steps, seed=args.seed
     )
     sys.stdout.write(simulate(_load(args.file), config).to_jsonl())
     return OK
@@ -132,9 +129,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     from .sim import ExploreConfig, explore_state_space
 
     config = ExploreConfig(
-        capacities=args.capacity,
-        max_states=args.max_states,
-        channels=args.channels,
+        capacities=args.capacity, channels=args.channels, max_states=args.max_states
     )
     result = explore_state_space(_load(args.file), config)
     print(result.to_json())
@@ -235,23 +230,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--no-thing-labels", action="store_true")
     p_render.set_defaults(func=cmd_render)
 
-    p_sim = sub.add_parser("simulate", help="run a seeded token simulation")
-    p_sim.add_argument("file")
+    # The token net's inputs (`sim.NetConfig`), shared by simulate and explore.
+    net = argparse.ArgumentParser(add_help=False)
+    net.add_argument("file")
+    net.add_argument("--capacity", type=_int_at_least(1), default=1)
+    net.add_argument("--channels", choices=("declared", "inferred"), default="declared")
+
+    p_sim = sub.add_parser("simulate", parents=[net], help="run a seeded token simulation")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--max-steps", type=_int_at_least(0), default=100)
-    p_sim.add_argument("--capacity", type=_int_at_least(1), default=1)
-    p_sim.add_argument(
-        "--channels", choices=("declared", "inferred"), default="declared"
-    )
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_explore = sub.add_parser("explore", help="enumerate reachable markings")
-    p_explore.add_argument("file")
+    p_explore = sub.add_parser("explore", parents=[net], help="enumerate reachable markings")
     p_explore.add_argument("--max-states", type=_int_at_least(1), default=10_000)
-    p_explore.add_argument("--capacity", type=_int_at_least(1), default=1)
-    p_explore.add_argument(
-        "--channels", choices=("declared", "inferred"), default="declared"
-    )
     p_explore.set_defaults(func=cmd_explore)
 
     p_dedup = sub.add_parser(

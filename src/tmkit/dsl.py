@@ -151,7 +151,7 @@ class _Parser:
         self.pos = 0
         self.lines = lines
         self.diags = diags
-        self.refs: dict[str, StageRef] = {}  # by dotted name, see `stage_ref`
+        self.refs = _Refs()  # see `stage_ref`
 
     # -- token helpers ------------------------------------------------------
     # Only `advance` can meet EOF: no caller accepts or expects it.  Only
@@ -324,13 +324,11 @@ class _Parser:
         """`thimac.path.kind` from the dotted name `dotted` just read, so
         the last token read ends with the kind.  Equal references share one
         `StageRef` within a parse."""
-        ref = self.refs.get(dotted)
-        if ref is None:
-            path, _, name = dotted.rpartition(".")
+        if dotted not in self.refs:  # check its kind, the first time only
+            name = dotted.rpartition(".")[2]
             _, value, offset = self.tokens[self.pos - 1]
-            kind = self._kind(("IDENT", name, offset + len(value) - len(name)))
-            ref = self.refs[dotted] = StageRef(path, kind)
-        return ref
+            self._kind(("IDENT", name, offset + len(value) - len(name)))
+        return self.refs[dotted]
 
     def parse_stage_ref(self) -> StageRef:
         dotted = self.dotted("a stage reference")

@@ -323,11 +323,6 @@ def signature(g: SimplifiedGraph, policy: MatchPolicy = STRICT) -> str:
     return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + _digest("|".join(descriptors))
 
 
-def canonical_signature(g: SimplifiedGraph) -> str:
-    """Signature under the strict policy (all labels significant)."""
-    return signature(g)
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ and gets:
 - ``AttributeError`` on assignment or deletion;
 - ``copy`` and ``pickle`` through the constructor.
 
+A record class may extend one record class.  Its fields are the base's,
+with their defaults, then its own, and its ``__slots__`` holds only its
+own.  Redeclaring an inherited field is a ``TypeError``, and so is a
+required field after a defaulted one, across the boundary too.  A record
+still equals only a record of its own class.
+
 Names in a class's own ``__slots__`` become extra slots that are not
 fields: ``"__dict__"`` lets `functools.cached_property` keep a lazily
 built index, and a record may cache a derived value in a slot of its own.
@@ -37,7 +43,7 @@ init_field = object.__setattr__
 def _make_init(cls, fields: tuple[str, ...], defaults: dict) -> None:
     """Give `cls` an ``__init__(self, <fields>)`` that sets each field's
     slot through the slot's own ``__set__``, a global of the generated code."""
-    scope = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+    scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
     scope.update((f"_default_{f}", value) for f, value in defaults.items())
     scope["__name__"] = cls.__module__
     params = "".join(f", {f}=_default_{f}" if f in defaults else f", {f}" for f in fields)
@@ -50,15 +56,21 @@ def _make_init(cls, fields: tuple[str, ...], defaults: dict) -> None:
 
 class _RecordType(type):
     def __new__(mcls, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        own = tuple(namespace.get("__annotations__", ()))
+        base = bases[0] if bases else object  # its fields and defaults come first
+        inherited = getattr(base, "_fields", ())
+        if redeclared := [f for f in own if f in inherited]:
+            raise TypeError(f"{name}: field {redeclared[0]!r} is inherited from {base.__name__}")
+        fields = inherited + own
+        defaults = dict(getattr(base, "_defaults", {}))
+        defaults.update((f, namespace.pop(f)) for f in own if f in namespace)
         for before, after in zip(fields, fields[1:]):
             if before in defaults and after not in defaults:
                 raise TypeError(f"{name}: field {after!r} without a default "
                                 f"follows field {before!r} with one")
-        namespace["__slots__"] = fields + tuple(namespace.get("__slots__", ()))
+        namespace["__slots__"] = own + tuple(namespace.get("__slots__", ()))
         cls = super().__new__(mcls, name, bases, namespace)
-        cls._fields = fields
+        cls._fields, cls._defaults = fields, defaults
         if "__init__" not in namespace:
             _make_init(cls, fields, defaults)
         # The field tuple, for equality, hashing and pickling.

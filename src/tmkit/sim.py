@@ -66,20 +66,22 @@ class Trace(Record):
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-class SimConfig(Record):
+class NetConfig(Record):
+    """The token net's inputs, read by `build_net`."""
+
     capacities: int | Mapping[tuple[str, str], int] = 1
-    max_steps: int = 100
-    seed: int = 0
     initial_events: frozenset[str] | None = None
     channels: str = "declared"  # or "inferred"
 
 
-class ExploreConfig(Record):
-    capacities: int | Mapping[tuple[str, str], int] = 1
+class SimConfig(NetConfig):
+    max_steps: int = 100
+    seed: int = 0
+
+
+class ExploreConfig(NetConfig):
     max_states: int = 10_000
-    initial_events: frozenset[str] | None = None
     terminal_events: frozenset[str] | None = None
-    channels: str = "declared"
 
 
 class ExploreResult(Record):
@@ -146,7 +148,12 @@ def _retest(
     return out
 
 
-def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
+def _check_events(role: str, events: Iterable[str], nodes: Iterable[str]) -> None:
+    if unknown := set(events).difference(nodes):
+        raise ConfigError(f"{role} event(s) not in the behavior: {', '.join(sorted(unknown))}")
+
+
+def build_net(model: TMModel, config: NetConfig) -> _Net:
     nodes = tuple(model.events) or model.behavior.nodes
     position = {name: p for p, name in enumerate(nodes)}
     if len(position) < len(nodes):
@@ -187,11 +194,7 @@ def build_net(model: TMModel, config: SimConfig | ExploreConfig) -> _Net:
             initial = frozenset({next(iter(capacity))[0]})
         else:
             initial = frozenset()
-    unknown = set(initial) - set(nodes)
-    if unknown:
-        raise ConfigError(
-            f"initial event(s) not in the behavior: {', '.join(sorted(unknown))}"
-        )
+    _check_events("initial", initial, nodes)
 
     # (id, capacity, start tokens, source position, target position), with
     # the position None for an endpoint outside `nodes`.  A channel into an
@@ -312,11 +315,7 @@ def explore_state_space(
     net = build_net(model, config)
 
     if config.terminal_events is not None:
-        unknown = set(config.terminal_events) - set(net.nodes)
-        if unknown:
-            raise ConfigError(
-                f"terminal event(s) not in the behavior: {', '.join(sorted(unknown))}"
-            )
+        _check_events("terminal", config.terminal_events, net.nodes)
         terminal = bool(config.terminal_events)
     else:
         terminal = bool(net.sinks)

@@ -25,20 +25,19 @@ from tmkit import (
     RenderOptions,
     SimConfig,
     assemble_model,
-    canonical_signature,
     check_behavior,
     check_static,
     explore_state_space,
     format_model,
     infer_dependencies,
     parse,
+    signature,
     simplify,
     simulate,
     to_dot,
 )
 from tmkit.behavior import check_all_events
 from tmkit.corpus import ALL_NAMES, fixture_source
-from tmkit.match import signature
 
 #: The checkout, and the goldens' directory within it.
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,7 +59,7 @@ def compute_goldens(name: str) -> dict[str, str]:
         "dot-simplified": to_dot(graph, RenderOptions(view="simplified")),
         "trace": simulate(model, SimConfig(max_steps=8, seed=0)).to_jsonl(),
         "explore": explore_state_space(model, ExploreConfig()).to_json() + "\n",
-        "signature": canonical_signature(graph)
+        "signature": signature(graph)
         + "\n"
         + signature(graph, MatchPolicy(match_role_names=False))
         + "\n",

@@ -19,7 +19,6 @@ from tmkit import (
     SimConfig,
     StageKind,
     assemble_model,
-    canonical_signature,
     check_behavior,
     check_static,
     explore_state_space,
@@ -30,6 +29,7 @@ from tmkit import (
     isomorphic,
     nonfunctional_events,
     parse,
+    signature,
     simplify,
     simulate,
     to_dot,
@@ -176,10 +176,10 @@ def test_criterion_07_permutation_closure():
     rng = random.Random(7)
     for name in ALL_NAMES:
         g = simplify(load_model(name))
-        sig = canonical_signature(g)
+        sig = signature(g)
         for _ in range(100):
             permuted = permute_graph(g, rng)
-            assert canonical_signature(permuted) == sig, name
+            assert signature(permuted) == sig, name
             assert isomorphic(g, permuted) is not None, name
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -242,10 +242,10 @@ def test_criterion_09_simulation_exploration_consistency():
 def test_criterion_10_round_trip_stability():
     for name in ALL_NAMES:
         m1 = assemble_model(parse(fixture_source(name)))
-        sig1 = canonical_signature(simplify(m1))
+        sig1 = signature(simplify(m1))
         text1 = format_model(m1)
         m2 = assemble_model(parse(text1))
-        assert canonical_signature(simplify(m2)) == sig1, name
+        assert signature(simplify(m2)) == sig1, name
         text2 = format_model(m2)
         assert text2 == text1, name
     _pass(10, "parse-assemble-format round trip preserves signatures; "

@@ -1,13 +1,17 @@
 """CLI behavior: subcommands, exit codes, and machine-readable output."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmkit import assemble_model, cli, parse
-from tmkit.corpus import fixture_source
+from tmkit import assemble_model, cli, match, parse
+from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import ModelError
 from tmkit.match import simplify
 from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate
@@ -256,6 +260,23 @@ def test_explore_state_limit_exits_three():
     assert payload["bounded"] is False
 
 
+@pytest.mark.parametrize(
+    ("command", "config", "analysis"),
+    [("simulate", SimConfig, simulate), ("explore", ExploreConfig, explore_state_space)],
+)
+def test_simulate_and_explore_share_the_net_options(capsys, command, config, analysis):
+    for option, value in (("--capacity", "0"), ("--channels", "bogus")):
+        assert cli.run([command, "fixture:pump", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and option in captured.err
+    argv = [command, "fixture:pump", "--channels", "inferred", "--capacity", "2"]
+    assert cli.run(argv) == 0
+    model = assemble_model(parse(fixture_source("pump")))
+    result = analysis(model, config(capacities=2, channels="inferred"))
+    text = result.to_jsonl() if command == "simulate" else result.to_json() + "\n"
+    assert capsys.readouterr().out == text
+
+
 def test_check_reports_region_overlap(tmp_path):
     f = tmp_path / "overlap.tm"
     f.write_text(_OVERLAP, encoding="utf-8")
@@ -442,3 +463,90 @@ def test_fuzzed_models_end_with_a_documented_exit_code(tmp_path, capsys, text, c
     f.write_text(text, encoding="utf-8")
     assert cli.run([command[0], str(f), *command[1:]]) in (0, 1, 2, 3)
     capsys.readouterr()
+
+
+# Each subcommand's options, with values to draw for each: in range, out
+# of range and not numbers at all.  None marks a flag.  An argument "@..."
+# names a file in the test's temporary directory (see `_resolve`).
+_NUMBERS = ["-1", "0", "1", "2", "3", "x"]
+_OPTIONS = {
+    "check": {},
+    "fmt": {},
+    "simplify": {},
+    "render": {
+        "--view": ["static", "behavior", "simplified", "bogus"],
+        "-o": ["@out.dot", "@no-such-dir/out.dot"],
+        "--no-thing-labels": None,
+    },
+    "simulate": {
+        "--seed": ["-3", "0", "7", "x"],
+        "--max-steps": ["-1", "0", "1", "5", "30"],
+        "--capacity": _NUMBERS,
+        "--channels": ["declared", "inferred", "bogus"],
+    },
+    "explore": {
+        "--max-states": ["-1", "0", "1", "5", "50", "200"],
+        "--capacity": _NUMBERS,
+        "--channels": ["declared", "inferred", "bogus"],
+    },
+    "dedup": {"--min-size": ["1", "2", "3", "4", "x"], "--match-roles": None},
+}
+#: Limits that keep one run small; always given, so never left at the default.
+_SMALL = {"simulate": "--max-steps", "explore": "--max-states"}
+
+_FILES = st.one_of(
+    st.sampled_from(
+        [f"fixture:{name}" for name in ALL_NAMES]
+        + ["fixture:no-such-fixture", "@missing.tm", "@no-such-dir/a.tm"]
+    ),
+    mutated_corpus_text(_PIECES).map(lambda text: ("text", text)),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A `tm` argv drawn from the seven subcommands, their options and
+    unknown ones; a file operand is a spec or ("text", the file's text)."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command, draw(_FILES)]
+    if command == "dedup":
+        argv.append(draw(_FILES))
+    if command in _SMALL:
+        argv += [_SMALL[command], draw(st.sampled_from(options[_SMALL[command]]))]
+    # Besides its own options: one no command knows, and a net option that
+    # only simulate and explore know.
+    names = st.sampled_from([*options, "--bogus", "--capacity"])
+    for name in draw(st.lists(names, max_size=2)):
+        argv.append(name)
+        values = options.get(name)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def _resolve(argv, directory: Path) -> list[str]:
+    """`argv` with each drawn text written to a file in `directory`, and
+    each "@name" made a path in it."""
+    out = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            path = directory / f"drawn{i}.tm"
+            path.write_text(arg[1], encoding="utf-8")
+            arg = path
+        elif arg.startswith("@"):
+            arg = directory / arg[1:]
+        out.append(str(arg))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=_command_lines())
+def test_every_command_line_ends_with_a_documented_exit_code(argv):
+    # The directory is made here, since Hypothesis rejects function-scoped
+    # fixtures such as `tmp_path`.
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(match, "SEARCH_NODE_BUDGET", 5)  # so dedup meets its limit
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(_resolve(argv, Path(directory)))
+    assert code in (0, 1, 2, 3), argv

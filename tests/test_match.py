@@ -13,15 +13,15 @@ from tmkit import (
     Severity,
     StageKind,
     assemble_model,
-    canonical_signature,
     check_static,
     find_shared_functionality,
     isomorphic,
     parse,
+    signature,
     simplify,
     verify_mapping,
 )
-from tmkit.match import STRICT, NodeMapping, _ties, signature
+from tmkit.match import STRICT, NodeMapping, _ties
 
 from helpers import (
     brute_force_isomorphic,
@@ -143,20 +143,20 @@ def test_edge_list_text_is_sorted():
 
 
 # ---------------------------------------------------------------------------
-# canonical_signature
+# signature
 # ---------------------------------------------------------------------------
 
 def test_empty_graph_signature_constant():
-    assert canonical_signature(make_graph([], [])) == "tmg:0:0:empty"
+    assert signature(make_graph([], [])) == "tmg:0:0:empty"
 
 
 def test_signature_invariant_under_permutation():
     rng = random.Random(7)
     for name in ("pump", "coffee-mill", "pay-service"):
         g = simplify(load_model(name))
-        sig = canonical_signature(g)
+        sig = signature(g)
         for _ in range(20):
-            assert canonical_signature(permute_graph(g, rng)) == sig
+            assert signature(permute_graph(g, rng)) == sig
 
 
 def test_signature_distinguishes_edge_labels():
@@ -166,13 +166,13 @@ def test_signature_distinguishes_edge_labels():
     g2 = make_graph(
         [("a", "A", C), ("b", "B", P)], [("a", "b", "flow", "steam")]
     )
-    assert canonical_signature(g1) != canonical_signature(g2)
+    assert signature(g1) != signature(g2)
 
 
 def test_signature_distinguishes_edge_kind():
     g1 = make_graph([("a", "A", C), ("b", "B", P)], [("a", "b", "flow", "")])
     g2 = make_graph([("a", "A", C), ("b", "B", P)], [("a", "b", "trigger", "")])
-    assert canonical_signature(g1) != canonical_signature(g2)
+    assert signature(g1) != signature(g2)
 
 
 def test_signature_policy_projection():

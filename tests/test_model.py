@@ -14,10 +14,10 @@ from tmkit import (
     StageRef,
     UnknownParentError,
     assemble_model,
-    canonical_signature,
     check_behavior,
     check_static,
     parse,
+    signature,
     simplify,
 )
 from tmkit.behavior import check_all_events
@@ -186,7 +186,7 @@ def test_assembly_is_deterministic():
     )
     m1 = assemble_model(parse(text))
     m2 = assemble_model(parse(text))
-    assert canonical_signature(simplify(m1)) == canonical_signature(simplify(m2))
+    assert signature(simplify(m1)) == signature(simplify(m2))
     assert dict(m1.thimacs) == dict(m2.thimacs)
     assert m1.flows == m2.flows
 

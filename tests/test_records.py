@@ -12,7 +12,7 @@ import pytest
 import tmkit
 from tmkit.match import Edge, Node, NodeMapping
 from tmkit.records import Record
-from tmkit.sim import Firing
+from tmkit.sim import ExploreConfig, Firing, NetConfig, SimConfig
 
 #: The defaults each public record declares, by class name.
 DEFAULTS = {
@@ -22,24 +22,25 @@ DEFAULTS = {
     "Event": {"description": None, "time": None, "span": None},
     "ExploreConfig": {
         "capacities": 1,
-        "max_states": 10_000,
         "initial_events": None,
-        "terminal_events": None,
         "channels": "declared",
+        "max_states": 10_000,
+        "terminal_events": None,
     },
     "ExploreResult": {},
     "Firing": {},
     "FlowArc": {"span": None},
     "MatchPolicy": {"match_thing_labels": True, "match_role_names": True},
+    "NetConfig": {"capacities": 1, "initial_events": None, "channels": "declared"},
     "Node": {"is_env": False},
     "NodeMapping": {},
     "RenderOptions": {"view": "static", "show_thing_labels": True},
     "SimConfig": {
         "capacities": 1,
-        "max_steps": 100,
-        "seed": 0,
         "initial_events": None,
         "channels": "declared",
+        "max_steps": 100,
+        "seed": 0,
     },
     "SimplifiedGraph": {},
     "SourceSpan": {},
@@ -56,13 +57,13 @@ RECORDS = sorted(
         for value in (getattr(tmkit, name) for name in tmkit.__all__)
         if isinstance(value, type) and issubclass(value, Record)
     }
-    | {Node, Edge, Firing},
+    | {Node, Edge, Firing, NetConfig},
     key=lambda cls: cls.__name__,
 )
 
 
 def fields(cls):
-    return tuple(cls.__annotations__)
+    return cls._fields
 
 
 def values(cls, tag="v"):
@@ -143,6 +144,56 @@ def test_a_required_field_may_not_follow_a_defaulted_one():
         class Bad(Record):
             a: int = 0
             b: int
+
+
+def test_a_record_extends_a_record_with_its_fields_first():
+    class Sub(SimConfig):
+        extra: int = 0
+
+    assert Sub._fields == (*SimConfig._fields, "extra")
+    assert Sub.__slots__ == ("extra",)
+    assert SimConfig.__slots__ == ("max_steps", "seed")
+    assert ExploreConfig.__slots__ == ("max_states", "terminal_events")
+    params = inspect.signature(Sub).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        (f, DEFAULTS["SimConfig"][f]) for f in SimConfig._fields
+    ] + [("extra", 0)]
+    assert Sub().capacities == 1 and Sub(extra=3).extra == 3
+    assert Sub(2, None, "inferred", 5, 6, 7) == Sub(
+        capacities=2, channels="inferred", max_steps=5, seed=6, extra=7
+    )
+    assert repr(SimConfig(seed=1)) == (
+        "SimConfig(capacities=1, initial_events=None, channels='declared', "
+        "max_steps=100, seed=1)"
+    )
+
+
+def test_an_inherited_field_may_not_be_redeclared():
+    with pytest.raises(TypeError, match="field 'seed' is inherited from SimConfig"):
+        class Bad(SimConfig):
+            seed: int = 1
+
+
+def test_a_required_field_may_not_follow_an_inherited_defaulted_one():
+    with pytest.raises(TypeError, match="field 'extra' without a default follows field 'seed'"):
+        class Bad(SimConfig):
+            extra: int
+
+
+def test_a_subclass_record_never_equals_its_base():
+    class Same(NetConfig):
+        pass
+
+    assert Same._fields == NetConfig._fields
+    assert Same() != NetConfig() and NetConfig() != Same()
+    assert SimConfig() != NetConfig() != ExploreConfig()
+    assert len({Same(), NetConfig()}) == 2
+
+
+def test_a_subclass_record_copies_and_pickles_by_value():
+    record = SimConfig(capacities=2, initial_events=frozenset({"E1"}), seed=4)
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and type(clone) is SimConfig
 
 
 def test_wrong_arguments_are_type_errors():
