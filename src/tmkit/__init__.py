@@ -30,6 +30,7 @@ _EXPORTS = {
         "AmbiguousSpliceError",
         "MatchPolicy",
         "NodeMapping",
+        "SearchLimitError",
         "SimplifiedGraph",
         "find_shared_functionality",
         "isomorphic",

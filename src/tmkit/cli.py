@@ -143,6 +143,7 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     from .match import (
         SEARCH_NODE_BUDGET,
         MatchPolicy,
+        SearchLimitError,
         find_shared_functionality,
         isomorphic,
         simplify,
@@ -154,12 +155,17 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         graphs.append(simplify(model))
         names.append(model.name or spec)
     policy = MatchPolicy(match_thing_labels=True, match_role_names=args.match_roles)
-    mapping = isomorphic(graphs[0], graphs[1], policy)
+    # A spent budget leaves the verdict undecided (null); the cover still runs.
+    mapping, undecided = None, None
+    try:
+        mapping = isomorphic(graphs[0], graphs[1], policy)
+    except SearchLimitError as exc:
+        undecided = str(exc)
     print(
         json.dumps(
             {
                 "models": names,
-                "isomorphic": mapping is not None,
+                "isomorphic": None if undecided else mapping is not None,
                 "mapping": mapping.as_dict() if mapping is not None else None,
             },
             sort_keys=True,
@@ -170,13 +176,14 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     )
     for fragment, size in shared.matches:
         print(json.dumps({"size": size, "mapping": fragment.as_dict()}, sort_keys=True))
+    if undecided:
+        _say(undecided)
     if shared.approximate:
         _say(
             "shared-functionality search stopped at its search-node budget "
             f"(SEARCH_NODE_BUDGET = {SEARCH_NODE_BUDGET}); fragments are approximate"
         )
-        return LIMIT
-    return OK
+    return LIMIT if undecided or shared.approximate else OK
 
 
 def _int_at_least(low: int):

@@ -11,12 +11,11 @@ duplication analyses compare.
 
 from __future__ import annotations
 
-import hashlib
-import json
+from collections import deque
 from collections.abc import Iterator
 from functools import cached_property
 
-from .diagnostics import ModelError
+from .diagnostics import ModelError, TMError
 from .model import FlowArc, StageKind, StageRef, TMModel
 from .records import Record
 
@@ -25,6 +24,11 @@ TRIGGER = "trigger"
 
 #: Label of every environment node.
 ENV_ROLE = "env"
+
+#: Search nodes one `isomorphic` call may open (each tried pair), and one
+#: `find_shared_functionality` call over its whole cover (each tried pair,
+#: and each node left out of the mapping).
+SEARCH_NODE_BUDGET = 100_000
 
 
 class AmbiguousSpliceError(ModelError):
@@ -37,6 +41,18 @@ class AmbiguousSpliceError(ModelError):
         self.stage = stage
         super().__init__(
             f"elided stage {stage} reaches more than one create/process stage"
+        )
+
+
+class SearchLimitError(TMError):
+    """`isomorphic` tried `SEARCH_NODE_BUDGET` pairs without a verdict: the
+    graphs may or may not be isomorphic."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        super().__init__(
+            "isomorphism search stopped at its search-node budget "
+            f"(SEARCH_NODE_BUDGET = {budget}); the verdict is undecided"
         )
 
 
@@ -270,77 +286,242 @@ def simplify(model: TMModel) -> SimplifiedGraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical signatures (color refinement)
+# Colour refinement
 # ---------------------------------------------------------------------------
 
-def _refine_colors(g: SimplifiedGraph, policy: MatchPolicy) -> dict[str, str]:
-    """Stable per-node colors from iterated neighborhood refinement.
+class _Partition:
+    """A colouring of the nodes of one graph, or of two graphs side by side
+    in one colour space, refined until equitable: nodes of one colour have,
+    per edge label and direction, as many edges into each colour.
 
-    Colors are content hashes, so equal structures get equal colors even
-    across different graphs.  A new color hashes the old one, so a round
-    can only split classes: refinement is stable once their number stops
-    growing.
+    Nodes are ints, each graph's in id order and g1's before g2's.  Colours
+    are ints too, and each colour's nodes form one block of `elems`, so a
+    split moves only the nodes it touches.  Refinement pops splitter
+    colours from a FIFO queue; a colour that splits while not queued queues
+    all its parts but the largest (Hopcroft's rule; Cardon & Crochemore,
+    TCS 19, 1982), so one refinement costs O(m log n).  New colours are
+    numbered in the order of processing: splitters in queue order, then the
+    colours they touch and their parts in sorted order.  That order never
+    reads a node id, so the colouring is invariant under renaming.
     """
-    index = g.index(policy)
-    colors = {u: _digest(json.dumps(label)) for u, (label, _) in index.labels.items()}
 
-    # Each node's edges out, then in (a self-loop in both), as (label, other end).
-    ends = {u: ([], []) for u in colors}
-    for u, (_, loops) in index.labels.items():
-        for x, key in [(u, (loops, loops)), *index.near[u].items()]:
-            for side, labels in zip(ends[u], key):
-                for label, count in labels or ():
-                    side += [(list(label), x)] * count
+    def __init__(
+        self,
+        ids: list[str],
+        keys: list,
+        into: list[list[tuple[int, int]]],
+        labels: list[tuple],
+        n1: int,
+    ):
+        #: Per node: its id, its initial label, and the (arc type, node) pairs
+        #: whose node gains that arc into a splitter the node joins.
+        self.ids, self.keys, self.into = ids, keys, into
+        #: The edge labels, in sorted order: label i gives arc types 2i, 2i + 1.
+        self.labels = labels
+        n = len(keys)
+        #: The number of g1 nodes, and whether g2's nodes follow them.  In a
+        #: pair a colour is balanced when it holds as many g1 as g2 nodes.
+        self.n1, self.pair = n1, n1 < n
+        #: The nodes, each colour's in one block, and each node's position
+        #: and colour.  Colour c's block is elems[start[c]:end[c]].
+        self.elems = elems = sorted(range(n), key=keys.__getitem__)
+        self.start = [p for p in range(n) if not p or keys[elems[p]] != keys[elems[p - 1]]]
+        self.end = [*self.start[1:], n] if n else []
+        self.pos = [0] * n
+        self.cls = [0] * n
+        for c, (a, b) in enumerate(zip(self.start, self.end)):
+            for p in range(a, b):
+                self.pos[elems[p]] = p
+                self.cls[elems[p]] = c
+        #: Per colour: how many g1 nodes it holds.
+        self.ones = [sum(u < n1 for u in elems[a:b]) for a, b in zip(self.start, self.end)]
+        self.queued = [True] * len(self.start)
+        self.queue = deque(range(len(self.start)))
+        #: Per split: the colour that split and its first new colour.
+        self.trail: list[tuple[int, int]] = []
 
-    def tally(side: list) -> list:
-        return sorted((label, colors[x]) for label, x in side)
+    @classmethod
+    def of(cls, graphs: tuple[SimplifiedGraph, ...], policy: MatchPolicy) -> _Partition:
+        """The initial colouring of one graph, by node label, or of a pair,
+        by node label with self-loop labels.  Raises ValueError for a
+        malformed graph, as `GraphIndex.of` does."""
+        ids: list[str] = []
+        keys: list = []
+        # Per edge or self-loop: its ends as ints, its label and its count.
+        edges: list[tuple[int, tuple, int, int]] = []
+        for g in graphs:
+            index = g.index(policy)
+            number = {u: len(ids) + i for i, u in enumerate(sorted(index.labels))}
+            ids += number
+            for u, x in number.items():
+                label, loops = index.labels[u]
+                keys.append((label, loops or ()) if len(graphs) == 2 else label)
+                edges += [(x, loop, x, count) for loop, count in loops or ()]
+                for v, (outs, _) in index.near[u].items():
+                    edges += [(x, out, number[v], count) for out, count in outs or ()]
+        # An edge x -> y with the i-th edge label in sorted order counts for
+        # x toward y's colour (arc type 2i) and for y toward x's (2i + 1).
+        labels = sorted({label for _, label, _, _ in edges})
+        label_ids = {label: i for i, label in enumerate(labels)}
+        into: list[list[tuple[int, int]]] = [[] for _ in keys]
+        for x, label, y, count in edges:
+            i = 2 * label_ids[label]
+            into[y] += [(i, x)] * count
+            into[x] += [(i + 1, y)] * count
+        return cls(ids, keys, into, labels, len(graphs[0].nodes))
 
-    classes = len(set(colors.values()))
-    for _ in range(max(1, len(g.nodes))):
-        colors = {
-            u: _digest(json.dumps([colors[u], tally(outs), tally(ins)]))
-            for u, (outs, ins) in ends.items()
-        }
-        previous, classes = classes, len(set(colors.values()))
-        if classes == previous:
-            break
-    return colors
+    def balanced(self) -> bool:
+        """Whether every colour holds as many g1 nodes as g2 nodes."""
+        return not self.pair or all(
+            2 * ones == hi - lo for ones, lo, hi in zip(self.ones, self.start, self.end)
+        )
 
+    def refine(self) -> bool:
+        """Refine until equitable and return True.  For a pair, stop as soon
+        as a split leaves a colour unbalanced, and return False."""
+        queue, queued, into, elems = self.queue, self.queued, self.into, self.elems
+        while queue:
+            s = queue.popleft()
+            queued[s] = False
+            # Per node with an arc into s: the types of those arcs.
+            hits: dict[int, list[int]] = {}
+            for v in elems[self.start[s]:self.end[s]]:
+                for a, u in into[v]:
+                    if u in hits:
+                        hits[u].append(a)
+                    else:
+                        hits[u] = [a]
+            if not self._split(hits):
+                for c in queue:
+                    queued[c] = False
+                queue.clear()
+                return False
+        return True
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    def _split(self, hits: dict[int, list[int]]) -> bool:
+        """Split each colour by its nodes' multisets of arc types in `hits`
+        (absent: none).  Returns False when a part is unbalanced."""
+        cls, elems, pos, start, end = self.cls, self.elems, self.pos, self.start, self.end
+        ones, queued, n1, pair = self.ones, self.queued, self.n1, self.pair
+        touched: dict[int, list[int]] = {}
+        for u in hits:
+            c = cls[u]
+            if c in touched:
+                touched[c].append(u)
+            else:
+                touched[c] = [u]
+        balanced = True
+        for c in sorted(touched):
+            lo, hi = start[c], end[c]
+            if hi - lo == 1:
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for u in touched[c]:
+                key = tuple(sorted(hits[u]))
+                if key in groups:
+                    groups[key].append(u)
+                else:
+                    groups[key] = [u]
+            untouched = len(touched[c]) < hi - lo
+            if len(groups) == 1 and not untouched:
+                continue
+            # The parts run [untouched | least key | ... | greatest key] in
+            # the block.  The first part keeps colour c, and the others get
+            # new colours in that order: move them to the block's end, the
+            # greatest key first.
+            keys = sorted(groups)
+            del keys[: not untouched]
+            first = len(start)
+            self.trail.append((c, first))
+            new = range(first, first + len(keys))
+            start += new  # placeholders, set below
+            end += new
+            ones += new
+            queued += [False] * len(new)
+            for d in reversed(new):
+                end[d] = hi
+                g1 = 0
+                for u in groups[keys[d - first]]:
+                    hi -= 1
+                    p, x = pos[u], elems[hi]
+                    elems[p], pos[x] = x, p
+                    elems[hi], pos[u] = u, hi
+                    cls[u] = d
+                    g1 += u < n1
+                start[d] = hi
+                ones[d] = g1
+                ones[c] -= g1
+            end[c] = hi
+            parts = [c, *new]
+            if pair:
+                balanced = balanced and all(2 * ones[d] == end[d] - start[d] for d in parts)
+            if not queued[c]:
+                sizes = [end[d] - start[d] for d in parts]
+                del parts[sizes.index(max(sizes))]
+            for d in parts:
+                if not queued[d]:
+                    queued[d] = True
+                    self.queue.append(d)
+        return balanced
+
+    def individualize(self, u: int, w: int) -> bool:
+        """Give g1 node u and g2 node w, of one balanced colour, a colour of
+        their own and refine; False when a colour ends up unbalanced.  A
+        colour of just u and w is left as it is."""
+        c = self.cls[u]
+        if self.end[c] - self.start[c] == 2:
+            return True
+        self._split({u: [], w: []})  # both parts are balanced
+        return self.refine()
+
+    def undo(self, mark: int) -> None:
+        """Merge back every split made since the trail had `mark` entries."""
+        cls, elems, start, end = self.cls, self.elems, self.start, self.end
+        while len(self.trail) > mark:
+            c, first = self.trail.pop()
+            for p in range(start[first], end[-1]):
+                cls[elems[p]] = c
+            end[c] = end[-1]
+            self.ones[c] += sum(self.ones[first:])
+            del self.ones[first:]
+            del start[first:], end[first:], self.queued[first:]
+
+    def digest(self) -> str:
+        """A digest of the colouring's quotient: per colour its label and
+        size, and per pair of colours and edge label the number of edges."""
+        import hashlib
+
+        cls, start, end = self.cls, self.start, self.end
+        colours = [(self.keys[self.elems[a]], b - a) for a, b in zip(start, end)]
+        arcs: dict[tuple[int, int, int], int] = {}
+        for y, near in enumerate(self.into):
+            for a, x in near:
+                if a % 2 == 0:
+                    key = (cls[x], a // 2, cls[y])
+                    arcs[key] = arcs.get(key, 0) + 1
+        text = repr((self.labels, colours, sorted(arcs.items())))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def signature(g: SimplifiedGraph, policy: MatchPolicy = STRICT) -> str:
-    """A string invariant under node renumbering.
+    """A string invariant under node renumbering: the node and edge counts
+    and a digest of the graph's colour refinement.
 
     Equal graphs up to renumbering get equal signatures; unequal
-    signatures prove non-isomorphism (the converse does not hold).
+    signatures prove non-isomorphism.  The converse does not hold: equal
+    signatures mean only that colour refinement (1-dimensional
+    Weisfeiler-Leman) cannot tell the graphs apart.
     """
-    descriptors = sorted(_refine_colors(g, policy).values())
-    if not descriptors:
+    part = _Partition.of((g,), policy)
+    if not g.nodes:
         return "tmg:0:0:empty"
-    return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + _digest("|".join(descriptors))
+    part.refine()
+    return f"tmg:{len(g.nodes)}:{len(g.edges)}:" + part.digest()
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism
 # ---------------------------------------------------------------------------
-
-def _consistent(near_u: dict, near_w: dict, mapping: dict, used: set) -> bool:
-    """Whether mapping u to w, two nodes with equal labels (self-loops
-    included), keeps every edge between u and the mapped nodes
-    label-for-label.  Only neighbours are read: each mapped neighbour of u
-    meets its image with the same labels, and w has no other mapped
-    neighbour (VF2's feasibility rule)."""
-    mapped = 0
-    for v, key in near_u.items():
-        if v in mapping:
-            if near_w.get(mapping[v]) != key:
-                return False
-            mapped += 1
-    return mapped == sum(x in used for x in near_w)
-
 
 def isomorphic(
     g1: SimplifiedGraph, g2: SimplifiedGraph, policy: MatchPolicy = STRICT
@@ -349,44 +530,51 @@ def isomorphic(
 
     Stage kinds always have to match; role names and thing labels match
     per the policy.  Returns the lexicographically least valid mapping
-    under node id order, or None.  Unequal node or edge counts, or unequal
-    multisets of refined colors, reject before the backtracking search runs.
+    under node id order, or None.  Unequal node or edge counts reject at
+    once.  Otherwise both graphs are refined together, in one colour space,
+    and a colour with unequal numbers of g1 and g2 nodes rejects.  The
+    search then maps g1's nodes in id order, each to the g2 nodes of its
+    colour in id order; after each tentative pair it gives the two nodes a
+    colour of their own, refines again and backs up on an unbalanced
+    colour (McKay & Piperno, J. Symb. Comput. 60, 2014).  Each tried pair
+    is one search node; after `SEARCH_NODE_BUDGET` of them the search
+    raises SearchLimitError, and the verdict is undecided.
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
         return None
-    colors1 = _refine_colors(g1, policy)
-    colors2 = _refine_colors(g2, policy)
-    if sorted(colors1.values()) != sorted(colors2.values()):
+    part = _Partition.of((g1, g2), policy)
+    if not (part.balanced() and part.refine()):
         return None
-
-    index1, index2 = g1.index(policy), g2.index(policy)
-    # Candidates by colour and label (self-loops included), in id order.
-    by_color: dict[tuple, list[str]] = {}
-    for node in sorted(colors2):
-        by_color.setdefault((colors2[node], index2.labels[node]), []).append(node)
-    order = sorted(colors1)
-
+    n1 = len(g1.nodes)
+    budget = SEARCH_NODE_BUDGET
     # Depth-first search with an explicit stack, so graphs of any size stay
-    # clear of the recursion limit: pending[i] yields the untried candidates
-    # for order[i], and mapping holds order[:len(mapping)] in that order.
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    pending: list[Iterator[str]] = []
-    while len(mapping) < len(order):
-        u = order[len(mapping)]
-        if len(pending) == len(mapping):
-            pending.append(iter(by_color.get((colors1[u], index1.labels[u]), ())))
-        for w in pending[-1]:
-            if w not in used and _consistent(index1.near[u], index2.near[w], mapping, used):
-                mapping[u] = w
-                used.add(w)
+    # clear of the recursion limit: node u is g1's u-th node by id, mapping
+    # holds the images of nodes 0..len(mapping)-1, and pending[u] holds
+    # u's untried candidates with the trail length to undo to.
+    mapping: list[int] = []
+    pending: list[tuple[Iterator[int], int]] = []
+    while len(mapping) < n1:
+        u = len(mapping)
+        if len(pending) == u:
+            c = part.cls[u]
+            block = part.elems[part.start[c]:part.end[c]]
+            pending.append((iter(sorted(x for x in block if x >= n1)), len(part.trail)))
+        candidates, mark = pending[-1]
+        for w in candidates:
+            part.undo(mark)
+            budget -= 1
+            if budget < 0:
+                raise SearchLimitError(SEARCH_NODE_BUDGET)
+            if part.individualize(u, w):
+                mapping.append(w)
                 break
         else:
             if not mapping:
                 return None
             pending.pop()
-            used.remove(mapping.popitem()[1])
-    return NodeMapping(tuple(sorted(mapping.items())))
+            mapping.pop()
+    ids = part.ids
+    return NodeMapping(tuple((ids[u], ids[w]) for u, w in enumerate(mapping)))
 
 
 def verify_mapping(
@@ -413,10 +601,6 @@ def verify_mapping(
 # ---------------------------------------------------------------------------
 # Shared functionality (a disjoint cover of maximum common fragments)
 # ---------------------------------------------------------------------------
-
-#: Search nodes one `find_shared_functionality` call may open over its whole
-#: cover: each tried pair, and each node left out of the mapping.
-SEARCH_NODE_BUDGET = 100_000
 
 #: A label class next to the mapped nodes: unmapped nodes of g1 and of g2
 #: that meet every mapped node the same way, so any of its g1 nodes may map

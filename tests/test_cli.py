@@ -177,6 +177,71 @@ def test_dedup_pay_vs_full_add_finds_alt_fragment():
     assert largest["size"] == 13
 
 
+def _ring_text(sizes, prefix):
+    """Rings of `sizes` one-stage thimacs, each stage triggering the next."""
+    lines, at = [], 0
+    for size in sizes:
+        ring = [f"{prefix}{at + i}" for i in range(size)]
+        at += size
+        lines += [f"thimac {name} {{ process }}" for name in ring]
+        lines += [
+            f"trigger {a}.process ~> {b}.process" for a, b in zip(ring, ring[1:] + ring[:1])
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def _dedup_rings(tmp_path, sizes1, sizes2):
+    files = []
+    for sizes, prefix in ((sizes1, "S"), (sizes2, "R")):
+        f = tmp_path / f"{prefix}.tm"
+        f.write_text(_ring_text(sizes, prefix), encoding="utf-8")
+        files.append(str(f))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["dedup", *files])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_dedup_with_a_spent_isomorphism_budget_is_undecided(tmp_path, monkeypatch):
+    # One ring of 20 against two of 10: refinement leaves one colour, so the
+    # verdict needs a search, which meets the budget.
+    code, out, _ = _dedup_rings(tmp_path, [20], [10, 10])
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["isomorphic"] is False
+
+    monkeypatch.setattr(match, "SEARCH_NODE_BUDGET", 5)
+    code, out, err = _dedup_rings(tmp_path, [20], [10, 10])
+    assert code == 3
+    verdict, *fragments = map(json.loads, out.splitlines())
+    assert verdict["isomorphic"] is None and verdict["mapping"] is None
+    assert fragments  # the cover is still printed
+    assert "isomorphism search stopped at its search-node budget" in err
+    assert "(SEARCH_NODE_BUDGET = 5)" in err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    sizes=st.lists(st.lists(st.integers(2, 6), min_size=1, max_size=3), min_size=2, max_size=2),
+    budget=st.integers(1, 40),
+)
+def test_dedup_of_ring_pairs_under_any_budget_decides_or_exits_three(
+    tmp_path, sizes, budget
+):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(match, "SEARCH_NODE_BUDGET", budget)
+        code, out, err = _dedup_rings(tmp_path, *sizes)
+    # Two sets of rings are isomorphic exactly when their ring sizes agree.
+    verdict = json.loads(out.splitlines()[0])
+    assert code in (0, 3)
+    assert (code == 3) == ("SEARCH_NODE_BUDGET" in err)
+    if verdict["isomorphic"] is None:
+        assert code == 3 and "undecided" in err
+    else:
+        assert verdict["isomorphic"] == (sorted(sizes[0]) == sorted(sizes[1]))
+
+
 def test_dedup_min_size_below_two_is_usage_error():
     # Every out-of-range numeric option is rejected the same way.
     for argv in (

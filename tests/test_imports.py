@@ -54,6 +54,25 @@ def test_rendering_a_static_view_imports_no_matching():
     assert added.isdisjoint({"tmkit.match", "hashlib"}), sorted(added)
 
 
+def test_matching_loads_hashlib_only_for_a_signature():
+    # `tm dedup` and the simplified view compute no signature, so they skip
+    # hashlib's OpenSSL import; only `signature` loads it.
+    base = _modules("pass")
+    added = _modules(
+        "import tmkit.cli\n"
+        "assert tmkit.cli.run(['dedup', 'fixture:pump', 'fixture:pump']) == 0\n"
+        "assert tmkit.cli.run(['render', 'fixture:pump', '--view', 'simplified']) == 0"
+    ) - base
+    assert "tmkit.match" in added
+    assert "hashlib" not in added
+    signed = _modules(
+        "from tmkit import assemble_model, parse, signature, simplify\n"
+        "from tmkit.corpus import fixture_source\n"
+        "signature(simplify(assemble_model(parse(fixture_source('pump')))))"
+    ) - base
+    assert "hashlib" in signed
+
+
 def test_public_names_resolve_on_first_use():
     out = _python(
         "import sys, tmkit\n"

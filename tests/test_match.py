@@ -1,15 +1,18 @@
 """Simplification, signatures, isomorphism, and shared functionality."""
 
 import random
+import subprocess
+import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
     AmbiguousSpliceError,
     MatchPolicy,
+    SearchLimitError,
     Severity,
     StageKind,
     assemble_model,
@@ -21,9 +24,14 @@ from tmkit import (
     simplify,
     verify_mapping,
 )
+from tmkit import match
+from tmkit.corpus import ALL_NAMES
 from tmkit.match import STRICT, NodeMapping, _ties
 
 from helpers import (
+    SRC,
+    _reference_partition,
+    _reference_refine_colors,
     brute_force_isomorphic,
     brute_force_mcs_size,
     digraph_pairs,
@@ -44,6 +52,7 @@ from helpers import (
 C, P = StageKind.CREATE, StageKind.PROCESS
 ROLES_OFF = MatchPolicy(match_role_names=False)
 THINGS_OFF = MatchPolicy(match_thing_labels=False)
+_POLICIES = st.sampled_from([ROLES_OFF, STRICT, THINGS_OFF])
 
 
 def simplify_text(text):
@@ -182,6 +191,114 @@ def test_signature_policy_projection():
     assert signature(g1, ROLES_OFF) == signature(g2, ROLES_OFF)
 
 
+def test_signature_tells_corpus_graphs_apart_as_the_reference_does():
+    graphs = {name: simplify(load_model(name)) for name in ALL_NAMES}
+    for policy in (STRICT, ROLES_OFF):
+        ours = {name: signature(g, policy) for name, g in graphs.items()}
+        reference = {name: reference_signature(g, policy) for name, g in graphs.items()}
+        for a in ALL_NAMES:
+            for b in ALL_NAMES:
+                assert (ours[a] == ours[b]) == (reference[a] == reference[b]), (a, b)
+
+
+def _colour_classes(g, policy):
+    """The node sets of `g`'s refined colours."""
+    part = match._Partition.of((g,), policy)
+    part.refine()
+    return frozenset(
+        tuple(sorted(part.ids[x] for x in part.elems[a:b]))
+        for a, b in zip(part.start, part.end)
+    )
+
+
+@st.composite
+def _sparse_digraphs(draw):
+    """A digraph of up to 16 nodes and twice as many edges, with up to four
+    roles, self-loops and parallel edges."""
+    n = draw(st.integers(1, 16))
+    roles = draw(st.sampled_from(["r", "rs", "rst", "rstu"]))
+    kinds = st.sampled_from((C, P))
+    nodes = [(f"v{i}", draw(st.sampled_from(roles)), draw(kinds)) for i in range(n)]
+    labels = st.sampled_from([("flow", ""), ("flow", "t"), ("trigger", "")])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), labels)
+    edges = draw(st.lists(ends, max_size=2 * n))
+    return make_graph(nodes, [(f"v{a}", f"v{b}", *label) for a, b, label in edges])
+
+
+#: Role a's first colour splits role b's colour while that is still queued,
+#: and only the larger part, {v1, v4}, tells v1 from v4: each part of a
+#: queued colour must be queued.
+_SPLIT_WHILE_QUEUED = make_graph(
+    [("v0", "b", C), ("v1", "b", C), ("v2", "a", C), ("v3", "a", C), ("v4", "b", C)],
+    [("v4", "v1", "flow", ""), ("v2", "v2", "flow", ""), ("v3", "v1", "flow", ""),
+     ("v3", "v4", "flow", "")],
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(g=_sparse_digraphs(), seed=st.integers(0, 2**32), policy=_POLICIES)
+@example(g=_SPLIT_WHILE_QUEUED, seed=0, policy=STRICT)
+def test_refinement_matches_the_reference_and_ignores_names(g, seed, policy):
+    # The queue-driven refinement ends in the reference's partition (the
+    # coarsest equitable one), and renaming changes no signature.
+    reference = _reference_partition(_reference_refine_colors(g, policy))
+    assert _colour_classes(g, policy) == reference
+    renamed = permute_graph(g, random.Random(seed))
+    assert signature(renamed, policy) == signature(g, policy)
+    found = isomorphic(g, renamed, policy)
+    assert found is not None and verify_mapping(g, renamed, found, policy)
+
+
+def test_signatures_do_not_depend_on_the_hash_seed():
+    # Colours are numbered in processing order, never by set order or
+    # hash(), so a fresh interpreter with another string hash seed agrees.
+    code = (
+        "from tmkit import MatchPolicy, assemble_model, parse, signature, simplify\n"
+        "from tmkit.corpus import ALL_NAMES, fixture_source\n"
+        "for name in ALL_NAMES:\n"
+        "    g = simplify(assemble_model(parse(fixture_source(name))))\n"
+        "    print(signature(g), signature(g, MatchPolicy(match_role_names=False)))\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+        )
+        for seed in "01"
+    ]
+    assert [out.returncode for out in outputs] == [0, 0], outputs[0].stderr
+    assert len(outputs[0].stdout.splitlines()) == len(ALL_NAMES)
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+def _uniform_path(n):
+    nodes = [(f"v{i}", "X", P) for i in range(n)]
+    return make_graph(nodes, [(f"v{i}", f"v{i + 1}", "flow", "") for i in range(n - 1)])
+
+
+def _best_seconds(run, repeats=3):
+    """The least wall time of `repeats` calls of `run`, and its last result."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def test_signature_of_a_long_uniform_path_is_fast():
+    # One label on every node and edge: refinement peels the path from both
+    # ends, one node a step, and a queue of splitters keeps that linear.
+    g = _uniform_path(1600)
+    seconds, sig = _best_seconds(lambda: signature(g))
+    assert sig == signature(permute_graph(g, random.Random(2)))
+    assert sig != signature(_uniform_path(1599))
+    assert seconds < 0.5
+
+
 # ---------------------------------------------------------------------------
 # isomorphic
 # ---------------------------------------------------------------------------
@@ -216,26 +333,22 @@ def test_pay_service_duplicates_add_service_alt():
     assert isomorphic(gp, ga, STRICT) is None
 
 
-def test_isomorphic_refines_each_graph_once(monkeypatch):
-    from tmkit import match
-
+def test_isomorphic_refines_the_pair_once_jointly(monkeypatch):
     calls = []
-    refine = match._refine_colors
+    build = match._Partition.of
 
-    def counting(g, policy):
-        calls.append(g)
-        return refine(g, policy)
+    def counting(graphs, policy):
+        calls.append(graphs)
+        return build(graphs, policy)
 
-    monkeypatch.setattr(match, "_refine_colors", counting)
+    monkeypatch.setattr(match._Partition, "of", staticmethod(counting))
     gp = simplify(load_model("pay-service"))
     ga = simplify(load_model("add-service-alt"))
     assert isomorphic(gp, ga, ROLES_OFF) is not None
-    assert calls == [gp, ga]
+    assert calls == [(gp, ga)]
 
 
 def test_matching_builds_one_index_per_graph_and_policy(monkeypatch):
-    from tmkit import match
-
     built = []
     build = match.GraphIndex.of
 
@@ -370,13 +483,125 @@ def test_index_and_search_agree_with_the_scans(pair, data):
                 list(scanned.near[u]) for u in scanned.order
             ]
             assert index is g.index(policy)
-            assert signature(g, policy) == reference_signature(g, policy)
+        # Signatures tell the pair apart exactly when the reference's do.
+        assert (signature(g1, policy) == signature(g2, policy)) == (
+            reference_signature(g1, policy) == reference_signature(g2, policy)
+        )
         found = isomorphic(g1, g2, policy)
         assert found == reference_isomorphic(g1, g2, policy)
         candidates = [partial] + ([found.as_dict()] if found else [])
         for pairs in candidates:
             expected = scan_verify_mapping(g1, g2, pairs, policy)
             assert verify_mapping(g1, g2, NodeMapping(tuple(pairs.items())), policy) == expected
+
+
+def _rings(sizes, rng, prefix="n"):
+    """Disjoint directed rings of `sizes` one-label process nodes, the names
+    shuffled over them."""
+    names = [f"{prefix}{i}" for i in range(sum(sizes))]
+    rng.shuffle(names)
+    edges, at = [], 0
+    for size in sizes:
+        ring = names[at:at + size]
+        at += size
+        edges += [(a, b, "flow", "") for a, b in zip(ring, ring[1:] + ring[:1])]
+    return make_graph([(v, "X", P) for v in sorted(names)], edges)
+
+
+@st.composite
+def _refinement_blind_pairs(draw):
+    """Pairs that colour refinement cannot tell apart, isomorphic or not:
+    one ring against k rings, or a 2-regular digraph (each node has one
+    edge of each label out and one in) against a renamed copy, a copy with
+    two edges' ends swapped, or another such digraph."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        cuts = [0, *sorted(draw(st.sets(st.integers(1, n - 1)))), n]
+        sizes = [b - a for a, b in zip(cuts, cuts[1:])]
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        return _rings([n], rng, "v"), _rings(sizes, rng, "w")
+
+    def regular():
+        edges = []
+        for thing in ("a", "b"):
+            image = draw(st.permutations(range(n)))
+            edges += [[i, j, "flow", thing] for i, j in enumerate(image)]
+        return edges
+
+    edges1 = regular()
+    how = draw(st.sampled_from(["renamed", "rewired", "independent"]))
+    edges2 = regular() if how == "independent" else [e[:] for e in edges1]
+    if how == "rewired":
+        i, j = draw(st.permutations(range(len(edges2))))[:2]
+        if edges2[i][3] == edges2[j][3]:
+            edges2[i][1], edges2[j][1] = edges2[j][1], edges2[i][1]
+    rename = draw(st.permutations(range(n)))
+    g1 = make_graph([(f"v{i}", "X", P) for i in range(n)],
+                    [(f"v{a}", f"v{b}", k, t) for a, b, k, t in edges1])
+    g2 = make_graph([(f"w{i}", "X", P) for i in range(n)],
+                    [(f"w{rename[a]}", f"w{rename[b]}", k, t) for a, b, k, t in edges2])
+    return g1, g2
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pair=_refinement_blind_pairs())
+def test_search_decides_pairs_that_refinement_cannot_tell_apart(pair):
+    g1, g2 = pair
+    assert signature(g1) == signature(g2)
+    found = isomorphic(g1, g2)
+    assert found == reference_isomorphic(g1, g2)
+    if found is not None:
+        assert verify_mapping(g1, g2, found)
+
+
+def test_one_ring_against_two_rings_is_rejected_quickly():
+    # Every node has one edge in and one out, so refinement alone leaves
+    # one colour; refining after each tentative pair rejects each start.
+    rng = random.Random(12)
+    g1, g2 = _rings([200], rng), _rings([100, 100], rng)
+    assert signature(g1) == signature(g2)
+    seconds, found = _best_seconds(lambda: isomorphic(g1, g2))
+    assert found is None
+    assert seconds < 0.5
+
+
+def _trigger_chain_text(names):
+    lines = [f"thimac {name} {{ process }}" for name in names]
+    lines += [f"trigger {a}.process ~> {b}.process" for a, b in zip(names, names[1:])]
+    return "\n".join(lines) + "\n"
+
+
+def test_an_800_stage_trigger_chain_maps_onto_a_renamed_copy_quickly():
+    names = [f"S{i}" for i in range(800)]
+    shuffled = [f"T{i}" for i in range(800)]
+    random.Random(4).shuffle(shuffled)
+    g1, g2 = (
+        simplify(assemble_model(parse(_trigger_chain_text(chain))))
+        for chain in (names, shuffled)
+    )
+    seconds, found = _best_seconds(lambda: isomorphic(g1, g2, ROLES_OFF))
+    assert found is not None and len(found) == 800
+    assert found.as_dict()["S0.process"] == f"{shuffled[0]}.process"
+    assert verify_mapping(g1, g2, found, ROLES_OFF)
+    assert seconds < 1.0
+
+
+def test_spent_budget_leaves_isomorphic_undecided(monkeypatch):
+    rng = random.Random(6)
+    g1, g2 = _rings([12], rng), _rings([6, 6], rng)
+    assert isomorphic(g1, g2) is None
+    monkeypatch.setattr(match, "SEARCH_NODE_BUDGET", 5)
+    with pytest.raises(SearchLimitError, match=r"SEARCH_NODE_BUDGET = 5\)") as exc_info:
+        isomorphic(g1, g2)
+    assert exc_info.value.budget == 5
+    # Each call has its own allowance: a pair that refines to singletons
+    # needs one tried pair per node.
+    chain = make_graph(
+        [(f"v{i}", "X", P) for i in range(5)],
+        [(f"v{i}", f"v{i + 1}", "flow", "") for i in range(4)],
+    )
+    for _ in range(3):
+        assert len(isomorphic(chain, chain)) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +743,6 @@ def _assert_greedy_cover(g1, g2, min_size, policy, mcs_size):
         free2 -= set(pairs.values())
     rest1, rest2 = induced_subgraph(g1, free1), induced_subgraph(g2, free2)
     assert mcs_size(rest1, rest2, policy) < min_size
-
-
-_POLICIES = st.sampled_from([ROLES_OFF, STRICT, THINGS_OFF])
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
