@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import chain
 
-from .diagnostics import Diagnostic, ModelError, Severity, TMError, sort_diagnostics
+from .diagnostics import Diagnostic, ModelError, TMError, sort_diagnostics
 from .model import BehaviorGraph, Event, StageRef, TMModel
 
 
@@ -33,7 +33,6 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     if not event.region:
         diags.append(
             Diagnostic(
-                Severity.ERROR,
                 "E_EMPTY_REGION",
                 f"event {event.name!r} has an empty region",
                 subject=event.name,
@@ -46,7 +45,6 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     for ref in unresolved:
         diags.append(
             Diagnostic(
-                Severity.ERROR,
                 "E_UNRESOLVED_REF",
                 f"event {event.name!r} names {ref}, which is not a stage "
                 "of the model",
@@ -77,7 +75,6 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
         missing = sorted(str(r) for r in stages - seen)
         diags.append(
             Diagnostic(
-                Severity.ERROR,
                 "E_DISCONNECTED_REGION",
                 f"event {event.name!r}'s region is not connected; "
                 f"unreached: {', '.join(missing)}",
@@ -183,7 +180,8 @@ def check_behavior(model: TMModel) -> list[Diagnostic]:
     Every inferred dependency (Ei, Ej) must have Ej reachable from Ei in
     the declared graph (E_CHRONOLOGY_GAP otherwise); declared edges with
     no inferred support get W_UNSUPPORTED_EDGE.  Reachability is computed
-    once, so the check is linear in the chronology's size on a chain.
+    once, as one bitset of up to n bits per event, so on n events the
+    check keeps up to n² bits.
     """
     behavior = model.behavior
     inferred = infer_dependencies(model)
@@ -199,7 +197,6 @@ def check_behavior(model: TMModel) -> list[Diagnostic]:
     for a, b in sorted(gaps):
         diags.append(
             Diagnostic(
-                Severity.ERROR,
                 "E_CHRONOLOGY_GAP",
                 f"{b} depends on {a}, but the declared behavior never "
                 f"orders {a} before {b}",
@@ -210,7 +207,6 @@ def check_behavior(model: TMModel) -> list[Diagnostic]:
         if (a, b) not in inferred:
             diags.append(
                 Diagnostic(
-                    Severity.WARNING,
                     "W_UNSUPPORTED_EDGE",
                     f"declared edge {a} -> {b} has no supporting arc "
                     "between the two regions",

@@ -31,15 +31,19 @@ class Diagnostic(Record):
     """A single finding about a model, suitable for JSON-lines reporting.
 
     `code` is a stable short string drawn from the documented set (see
-    README); `subject` names the stage ref, arc id, or event the finding
+    README) and fixes the severity: a `W_` code is a Warning, any other
+    an Error.  `subject` names the stage ref, arc id, or event the finding
     is about.
     """
 
-    severity: Severity
     code: str
     message: str
     subject: str = ""
     span: SourceSpan | None = None
+
+    @property
+    def severity(self) -> Severity:
+        return Severity.WARNING if self.code.startswith("W_") else Severity.ERROR
 
     def sort_key(self) -> tuple[int, int, str, str]:
         # Source-anchored diagnostics first, model-level ones last.
@@ -77,7 +81,7 @@ class ModelError(TMError):
     ):
         super().__init__(message)
         if diagnostics is None:
-            diagnostics = [Diagnostic(Severity.ERROR, self.code, message, subject, span)]
+            diagnostics = [Diagnostic(self.code, message, subject, span)]
         self.diagnostics = diagnostics
 
 

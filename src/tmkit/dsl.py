@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 
-from .diagnostics import Diagnostic, ModelError, Severity, SourceSpan
+from .diagnostics import Diagnostic, ModelError, SourceSpan
 from .model import (
     BehaviorDecl,
     Declaration,
@@ -58,16 +58,17 @@ _Token = tuple[str, str, int]
 # One match skips blanks, line breaks and comments, then reads one lexeme;
 # only the match at the end of the text reads none.  The lexemes are tried
 # in order.  A word is a name, or a dotted name with no blanks around its
-# dots (`A.b.create`), which is one IDENT; the parser cuts it back into
-# `IDENT '.' IDENT ...` wherever it wants a single name.  A string ends at
-# its closing quote or at the end of its line; `\"` and `\\` are its only
-# escapes.
+# dots whose later names start with an ASCII letter or `_` (`A.b.create`),
+# which is one IDENT; the parser cuts it back into `IDENT '.' IDENT ...`
+# wherever it wants a single name, so a dot left unjoined reads the same.
+# A string ends at its closing quote or at the end of its line; `\"` and
+# `\\` are its only escapes.
 _LEXEME = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
     + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in (
-            ("word", r"[^\W\d]\w*(?:\.[^\W\d]\w*)*"),
+            ("word", r"[^\W\d]\w*(?:\.[A-Za-z_]\w*)*"),
             ("punct", r"->|~>|[{}:,@.]"),
             ("string", r'"(?P<body>(?:\\["\\]|[^"\n])*)(?P<closed>"?)'),
             ("other", r"."),
@@ -100,20 +101,12 @@ def _tokenize(text: str, lines: _Lines, diags: list[Diagnostic]) -> list[_Token]
             if kind == "word":
                 value = m[kind]
                 start = m.end() - len(value)
-                if value.isascii():
-                    append(("IDENT", value, start))
-                    continue
-                # `\w` also admits '²', '½', so a segment may start with one:
-                # read the first segment alone and rescan from its end.
-                value = value.partition(".")[0]
+                # `\w` also admits '²', '½', so a word may start with one.
                 if not (value[0].isalpha() or value[0] == "_"):
                     pos = start + 1  # report the character, rescan after it
                     diags.append(_unexpected(text, start, lines))
                     break
                 append(("IDENT", value, start))
-                if start + len(value) < m.end():
-                    pos = start + len(value)
-                    break
             elif kind == "punct":
                 value = m[kind]
                 append((value, value, m.end() - len(value)))
@@ -138,7 +131,7 @@ def _unexpected(text: str, offset: int, lines: _Lines) -> Diagnostic:
 
 
 def _syntax_error(message: str, offset: int, lines: _Lines) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, "E_SYNTAX", message, span=lines.span(offset))
+    return Diagnostic("E_SYNTAX", message, span=lines.span(offset))
 
 
 class _Failed(Exception):
@@ -206,7 +199,7 @@ class _Parser:
 
     def error(self, message: str, code: str = "E_SYNTAX", tok: _Token | None = None) -> None:
         tok = tok or self.tokens[self.pos]
-        self.diags.append(Diagnostic(Severity.ERROR, code, message, span=self.span(tok)))
+        self.diags.append(Diagnostic(code, message, span=self.span(tok)))
 
     def fail(self, message: str, code: str = "E_SYNTAX", tok: _Token | None = None):
         """Report the statement's error and abandon the statement."""

@@ -278,15 +278,14 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                 stages.setdefault(".".join(parts[:i]), set())
         stages[ref.thimac].add(ref.kind)
 
-    flows: list[FlowArc] = []
-    triggers: list[TriggerArc] = []
+    # Each arc kind by its key, in declaration order.
+    flows: dict[tuple[str, StageRef, StageRef], FlowArc] = {}
+    triggers: dict[tuple[StageRef, StageRef], TriggerArc] = {}
     arcs_by_id: dict[str, FlowArc | TriggerArc] = {}
     events: dict[str, Event] = {}
     # Insertion-ordered dicts used as sets: first declaration wins the place.
     behavior_nodes: dict[str, None] = {}
     behavior_edges: dict[tuple[str, str], None] = {}
-    seen_flow_keys: set[tuple[str, StageRef, StageRef]] = set()
-    seen_trigger_keys: set[tuple[StageRef, StageRef]] = set()
 
     for decl in decls:
         if isinstance(decl, ModelDecl):
@@ -300,14 +299,12 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                 touch(ref)
             for src, dst in zip(decl.chain, decl.chain[1:]):
                 key = (decl.label, src, dst)
-                if key in seen_flow_keys:
+                if key in flows:
                     raise DuplicateArcError(
                         f"duplicate flow arc {decl.label}: {src} -> {dst}",
                         decl.span,
                     )
-                seen_flow_keys.add(key)
-                arc = FlowArc(f"F{len(flows) + 1}", decl.label, src, dst, decl.span)
-                flows.append(arc)
+                arc = flows[key] = FlowArc(f"F{len(flows) + 1}", *key, decl.span)
                 arcs_by_id[arc.id] = arc
         elif isinstance(decl, TriggerDecl):
             if decl.source == decl.target:
@@ -318,15 +315,11 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
             touch(decl.source)
             touch(decl.target)
             key = (decl.source, decl.target)
-            if key in seen_trigger_keys:
+            if key in triggers:
                 raise DuplicateArcError(
                     f"duplicate trigger {decl.source} ~> {decl.target}", decl.span
                 )
-            seen_trigger_keys.add(key)
-            trig = TriggerArc(
-                f"T{len(triggers) + 1}", decl.source, decl.target, decl.span
-            )
-            triggers.append(trig)
+            trig = triggers[key] = TriggerArc(f"T{len(triggers) + 1}", *key, decl.span)
             arcs_by_id[trig.id] = trig
         elif isinstance(decl, EventDecl):
             if decl.name in events:
@@ -389,8 +382,8 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     return TMModel(
         name=model_name or "",
         thimacs=MappingProxyType(thimacs),
-        flows=tuple(flows),
-        triggers=tuple(triggers),
+        flows=tuple(flows.values()),
+        triggers=tuple(triggers.values()),
         events=MappingProxyType(events),
         behavior=BehaviorGraph(tuple(behavior_nodes), tuple(behavior_edges)),
     )

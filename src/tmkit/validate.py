@@ -65,7 +65,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         if arc.target.kind is StageKind.CREATE:
             diags.append(
                 Diagnostic(
-                    Severity.ERROR,
                     "E_FLOW_INTO_CREATE",
                     f"flow {arc.label!r} runs into {arc.target}; "
                     "nothing flows into a creation stage",
@@ -76,7 +75,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         elif same and arc.source.kind is StageKind.TRANSFER and arc.target.kind is StageKind.TRANSFER:
             diags.append(
                 Diagnostic(
-                    Severity.ERROR,
                     "E_SELF_BOUNDARY",
                     f"flow {arc.label!r} crosses from {arc.source} to {arc.target}, "
                     "but a boundary crossing needs two thimacs",
@@ -88,7 +86,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
             where = "within one thimac" if same else "across thimacs"
             diags.append(
                 Diagnostic(
-                    Severity.ERROR,
                     "E_ILLEGAL_FLOW",
                     f"flow {arc.label!r} steps {arc.source.kind} -> "
                     f"{arc.target.kind} {where}, which is not a legal move",
@@ -101,7 +98,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         if trig.target.kind not in (StageKind.CREATE, StageKind.PROCESS):
             diags.append(
                 Diagnostic(
-                    Severity.ERROR,
                     "E_TRIGGER_TARGET",
                     f"trigger lands on {trig.target}; triggers may only start "
                     "creation or processing",
@@ -112,7 +108,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         if (trig.source, trig.target) in flow_endpoints:
             diags.append(
                 Diagnostic(
-                    Severity.WARNING,
                     "W_TRIGGER_SHADOWS_FLOW",
                     f"trigger {trig.source} ~> {trig.target} duplicates an "
                     "existing flow arc",
@@ -123,7 +118,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         if trig.source.kind in (StageKind.RELEASE, StageKind.TRANSFER):
             diags.append(
                 Diagnostic(
-                    Severity.WARNING,
                     "W_UNUSUAL_TRIGGER_SOURCE",
                     f"trigger starts at {trig.source}; triggers normally start "
                     "from create, process, or receive",
@@ -136,7 +130,6 @@ def check_static(model: TMModel) -> list[Diagnostic]:
         if not model.arcs_from(ref) and not model.arcs_into(ref):
             diags.append(
                 Diagnostic(
-                    Severity.WARNING,
                     "W_ORPHAN_STAGE",
                     f"stage {ref} has no incident flow or trigger arc",
                     subject=str(ref),

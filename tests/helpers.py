@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from tmkit import assemble_model, parse
 from tmkit.behavior import infer_dependencies
 from tmkit.corpus import ALL_NAMES, fixture_source
-from tmkit.diagnostics import Diagnostic, Severity, SourceSpan
+from tmkit.diagnostics import Diagnostic, SourceSpan
 from tmkit.dsl import ParseError
 from tmkit.match import (
     STRICT,
@@ -285,7 +285,6 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[ReferenceToke
             if not closed:
                 diags.append(
                     Diagnostic(
-                        Severity.ERROR,
                         "E_SYNTAX",
                         "unterminated string literal",
                         span=SourceSpan(start_line, start_col),
@@ -303,7 +302,6 @@ def reference_tokenize(text: str, diags: list[Diagnostic]) -> list[ReferenceToke
             continue
         diags.append(
             Diagnostic(
-                Severity.ERROR,
                 "E_SYNTAX",
                 f"unexpected character {ch!r}",
                 span=SourceSpan(start_line, start_col),
@@ -357,9 +355,7 @@ class _ReferenceParser:
 
     def error(self, message: str, code: str = "E_SYNTAX", tok: ReferenceToken | None = None) -> None:
         tok = tok or self.cur
-        self.diags.append(
-            Diagnostic(Severity.ERROR, code, message, span=tok.span())
-        )
+        self.diags.append(Diagnostic(code, message, span=tok.span()))
 
     def sync(self, start: int) -> None:
         """Skip the rest of the failed statement that began at token

@@ -298,9 +298,13 @@ def _reference_lexed(text):
     return [(t.kind, t.value, t.line, t.col) for t in tokens], diags
 
 
+# A dotted name whose later name starts with a non-ASCII letter.
+_NON_ASCII_AFTER_DOT = "flow X: A.Ämter.create -> A.b.process"
+
 # Inputs where the parser cuts a joined dotted name back into its tokens: a
 # keyword, a label, a kind or a failed `expect` meets one, or recovery skips
-# one or stops at one; and a joined name whose second segment starts with '²'.
+# one or stops at one; and a name, a dot and '²', which the lexer leaves
+# unjoined and reports.
 _SPLIT_PATHS = [
     "flow.x: A.b.create -> B.c.process",
     "thimac A { create.x }",
@@ -321,8 +325,16 @@ _SPLIT_PATHS = [
 @example(_SPLIT_PATHS[4])
 @example(_SPLIT_PATHS[5])
 @example(_SPLIT_PATHS[6])
+@example(_NON_ASCII_AFTER_DOT)
 def test_tokenize_matches_reference_on_text(text):
     assert _lexed(text) == _reference_lexed(text)
+
+
+def test_a_dot_joins_a_name_only_where_it_starts_with_an_ascii_letter():
+    text = "A.b.Ämter.c_d._e"
+    assert _tokenize(text, _Lines(text), []) == [
+        ("IDENT", "A.b", 0), (".", ".", 3), ("IDENT", "Ämter.c_d._e", 4), ("EOF", "", 16),
+    ]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -405,6 +417,7 @@ def _parse_outcome(parse_fn, text):
 @example(_DECLINED[7])
 @example(_DECLINED[8])
 @example(_DECLINED[9])
+@example(_NON_ASCII_AFTER_DOT)
 @example("thimac A\n# flow X: A.b.create -> A.c.create")  # a statement inside a comment
 def test_parse_matches_reference(text):
     # Declarations compare with their spans, diagnostics with theirs.

@@ -207,6 +207,9 @@ def test_wrong_arguments_are_type_errors():
         (Firing, (0, "E1"), {}),
         (tmkit.SimConfig, (), {"max_step": 1}),
         (tmkit.SourceSpan, (1, 2, 3), {}),
+        # A diagnostic's severity comes from its code, not an argument.
+        (tmkit.Diagnostic, ("E_X", "m"), {"severity": tmkit.Severity.ERROR}),
+        (tmkit.Diagnostic, (tmkit.Severity.ERROR, "E_X", "m", "", None), {}),
     ):
         # The message names the record whose constructor was called.
         with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)"):
