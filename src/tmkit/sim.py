@@ -117,6 +117,12 @@ class _Net(Record):
     0`` (no output field is full).  The tests are separate, so a self-loop
     channel needs both a token and room.  An event with no input channel is
     never enabled and has no test.
+
+    The events fall into independent parts: two events are in one part when
+    a channel joins them.  A channel belongs to its endpoints' part, so an
+    event's test and its delta read and write only its part's fields.  A
+    channel with neither endpoint in `nodes` belongs to no part; it never
+    holds a token.
     """
 
     nodes: tuple[str, ...]
@@ -127,6 +133,8 @@ class _Net(Record):
     near: tuple[tuple[_Test, ...], ...]  # per position: the tests of `stale`
     sinks: tuple[str, ...]  # events with no output channel
     fields: tuple[tuple[str, int, int], ...]  # (id, shift, mask) in id order
+    part_of: tuple[int, ...]  # per position: the index of its part
+    part_masks: tuple[int, ...]  # per part: the bits of its channels' fields
 
     def decode(self, marking: int) -> tuple[tuple[str, int], ...]:
         return tuple([(cid, marking >> at & mask) for cid, at, mask in self.fields])
@@ -233,6 +241,25 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
         initial_marking += count << at
         at += width + 1
 
+    # The parts are the components of `links`, numbered by their first
+    # position.  An event's fields are G - L of its inputs and its outputs.
+    part_of = [-1] * len(nodes)
+    part_masks = []
+    for p in range(len(nodes)):
+        if part_of[p] < 0:
+            part = part_of[p] = len(part_masks)
+            bits = 0
+            todo = [p]
+            while todo:
+                q = todo.pop()
+                g_in, l_in, _, g_out, l_out = masks[q]
+                bits |= g_in - l_in | g_out - l_out
+                for r in links[q]:
+                    if r is not None and part_of[r] < 0:
+                        part_of[r] = part
+                        todo.append(r)
+            part_masks.append(bits)
+
     # An event with no input channel is never enabled: it has no test, and
     # no `stale` entry needs to name it.
     tests = {
@@ -252,6 +279,8 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
         near=tuple([tuple([tests[q] for q in around]) for around in stale]),
         sinks=tuple([n for n, (*_, l_out) in zip(nodes, masks) if not l_out]),
         fields=tuple(fields),
+        part_of=tuple(part_of),
+        part_masks=tuple(part_masks),
     )
 
 
@@ -293,10 +322,67 @@ def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     return Trace(tuple(firings))
 
 
+def _search(
+    net: _Net, start: int, enabled: Iterable[int], max_states: int
+) -> tuple[int, list[int], bool]:
+    """Breadth-first search from `start`, whose enabled positions are
+    `enabled`, keeping at most `max_states` markings.  Returns the count of
+    markings kept, the halted ones among them and whether the search ended
+    within the limit.
+
+    Each queued marking carries its enabled positions, so a successor
+    re-tests only the events that share a channel with the fired one.
+    """
+    delta, near, stale = net.delta, net.near, net.stale
+    seen = {start}
+    queue = deque([(start, enabled)])
+    halted = []
+    bounded = True
+    while queue:
+        marking, enabled = queue.popleft()
+        if not enabled:
+            halted.append(marking)
+            continue
+        for p in enabled:
+            nxt = marking + delta[p]
+            if nxt not in seen:
+                if len(seen) >= max_states:
+                    bounded = False
+                    continue
+                seen.add(nxt)
+                queue.append((nxt, _retest(enabled, nxt, stale[p], near[p])))
+    return len(seen), halted, bounded
+
+
+def _search_parts(net: _Net, max_states: int) -> tuple[int, list[int]] | None:
+    """Search each part of `net` alone.  The reachable markings are every
+    sum of one reachable marking per part, and the halted ones every sum of
+    one halted marking per part.  Returns their count and the halted
+    markings, or None when the count is above `max_states`.
+
+    A part may keep `max_states` over the product of the earlier parts'
+    counts, so the first part over its share proves the product too large.
+    """
+    enabled: list[list[int]] = [[] for _ in net.part_masks]
+    for p in net.enabled:
+        enabled[net.part_of[p]].append(p)
+    count = 1
+    halted = [0]  # a channel of no part holds no token
+    for mask, first in zip(net.part_masks, enabled):
+        reached, stops, bounded = _search(
+            net, net.initial & mask, first, max_states // count
+        )
+        if not bounded:
+            return None
+        count *= reached
+        halted = [m + stop for m in halted for stop in stops]
+    return count, halted
+
+
 def explore_state_space(
     model: TMModel, config: ExploreConfig | None = None
 ) -> ExploreResult:
-    """Breadth-first enumeration of every reachable marking.
+    """Count every reachable marking and list the deadlocks.
 
     A halted marking (no event enabled) counts as a normal completion
     only when all channels have drained, at least one firing led to it,
@@ -306,8 +392,16 @@ def explore_state_space(
     Raises ConfigError for `max_states` below 1 (no room for the initial
     marking) or a terminal event outside the net.
 
-    Each queued marking carries its enabled positions, so a successor
-    re-tests only the events that share a channel with the fired one.
+    Parts of the net that share no channel fire independently, so each
+    part is searched breadth-first alone: the count is the product of the
+    parts' counts, and the halted markings are every combination of one
+    halted marking per part.  That costs the sum of the parts' markings
+    plus the halted combinations, not their product.  When the product
+    exceeds `max_states`, or the net is one part, one breadth-first search
+    of the whole net runs instead, and a truncated result keeps the
+    markings it reaches first.  A connected net whose branches interleave,
+    such as a fork-join, still costs every interleaving; stubborn sets
+    would cut that.
     """
     config = config or ExploreConfig()
     if config.max_states < 1:
@@ -320,30 +414,19 @@ def explore_state_space(
     else:
         terminal = bool(net.sinks)
 
-    delta, near, stale = net.delta, net.near, net.stale
-    max_states = config.max_states
+    found = _search_parts(net, config.max_states) if len(net.part_masks) > 1 else None
+    if found is None:
+        count, halted, bounded = _search(net, net.initial, net.enabled, config.max_states)
+    else:
+        (count, halted), bounded = found, True
     initial = net.initial
-    seen = {initial}
-    queue = deque([(initial, net.enabled)])
-    deadlocks: list[tuple[tuple[str, int], ...]] = []
-    bounded = True
-    while queue:
-        marking, enabled = queue.popleft()
-        if not enabled:
-            completed = marking == 0 and marking != initial and terminal
-            if not completed:
-                deadlocks.append(net.decode(marking))
-            continue
-        for p in enabled:
-            nxt = marking + delta[p]
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    bounded = False
-                    continue
-                seen.add(nxt)
-                queue.append((nxt, _retest(enabled, nxt, stale[p], near[p])))
+    deadlocks = [
+        net.decode(marking)
+        for marking in halted
+        if not (marking == 0 and marking != initial and terminal)  # completed
+    ]
     return ExploreResult(
-        reachable_count=len(seen),
+        reachable_count=count,
         deadlocks=tuple(sorted(deadlocks)),
         bounded=bounded,
     )

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from tmkit import (
     ConfigError,
     ExploreConfig,
+    ExploreResult,
     NoInitialEventsError,
     SimConfig,
     assemble_model,
@@ -347,16 +349,21 @@ def test_channel_fills_to_capacity(capacity):
     assert max(dict(f.marking)["P->Q"] for f in trace.firings) == capacity
 
 
+def _parallel_chains(k):
+    """`k` independent 3-event chains: 4**k markings, in `k` parts."""
+    nodes = tuple(f"c{i}e{j}" for i in range(k) for j in range(3))
+    edges = tuple(
+        (f"c{i}e{j}", f"c{i}e{j + 1}") for i in range(k) for j in range(2)
+    )
+    return variant(assemble_model([]), behavior=BehaviorGraph(nodes, edges))
+
+
 @pytest.mark.parametrize("terminal", [None, frozenset()])
 @pytest.mark.parametrize("max_states", [10_000, 500])
 def test_truncated_exploration_matches_reference(max_states, terminal):
     # 5 parallel 3-event chains: 4**5 markings, more than Hypothesis draws,
     # so truncation at 500 cuts the breadth-first order mid-level.
-    nodes = tuple(f"c{i}e{j}" for i in range(5) for j in range(3))
-    edges = tuple(
-        (f"c{i}e{j}", f"c{i}e{j + 1}") for i in range(5) for j in range(2)
-    )
-    model = variant(assemble_model([]), behavior=BehaviorGraph(nodes, edges))
+    model = _parallel_chains(5)
     config = ExploreConfig(max_states=max_states, terminal_events=terminal)
     result = explore_state_space(model, config)
     assert result == reference_explore_state_space(model, config)
@@ -388,11 +395,57 @@ def _assert_net_matches_reference(model, config):
     assert net.decode(net.initial) == ref.marking_items(ref.initial)
     assert net.sinks == tuple(n for n in ref.nodes if not ref.outgoing[n])
 
+    # The parts, numbered by first position, are the components that the
+    # channels make of the events.
+    component = {name: {name} for name in ref.nodes}
+    for ch in ref.channels:
+        if ch.src in component and ch.dst in component:
+            joined = component[ch.src] | component[ch.dst]
+            for name in joined:
+                component[name] = joined
+    assert list(dict.fromkeys(net.part_of)) == list(range(len(net.part_masks)))
+    for p, name in enumerate(ref.nodes):
+        assert {net.nodes[q] for q, part in enumerate(net.part_of)
+                if part == net.part_of[p]} == component[name]
+    # Each channel's field lies in its endpoints' part's mask, and in no
+    # mask when neither endpoint is an event.
+    for cid, at, mask in net.fields:
+        ends = {net.part_of[position[n]] for n in cid.split("->") if n in position}
+        holding = {k for k, bits in enumerate(net.part_masks) if bits & mask << at}
+        assert holding == ends and len(ends) <= 1
+        for k in ends:
+            assert mask << at & ~net.part_masks[k] == 0
+
 
 @pytest.mark.parametrize("channels", ["declared", "inferred"])
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_net_tables_match_reference_on_fixtures(name, channels):
-    _assert_net_matches_reference(load_model(name), ExploreConfig(channels=channels))
+    model, config = load_model(name), ExploreConfig(channels=channels)
+    _assert_net_matches_reference(model, config)
+    # The window's daylight and ventilation share no chronology edge.
+    assert len(build_net(model, config).part_masks) == (2 if name == "window" else 1)
+
+
+def _random_graph(draw, prefix):
+    """Events `{prefix}0`, `{prefix}1`, ... and channels among them: cycles,
+    sources, self-loops, no repeated edge."""
+    nodes = tuple(f"{prefix}{i}" for i in range(draw(st.integers(1, 5))))
+    pairs = [(a, b) for a in nodes for b in nodes]
+    ring = list(zip(nodes, nodes[1:] + nodes[:1])) if draw(st.booleans()) else []
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=7))
+    return nodes, list(dict.fromkeys(ring + extra))
+
+
+def _net_inputs(draw, nodes, edges):
+    """Capacities, initial events (maybe one outside the net) and terminal
+    events for a net on `nodes` and `edges`."""
+    if draw(st.booleans()):
+        capacities = draw(st.integers(1, 9))
+    else:
+        capacities = {e: draw(st.integers(1, 9)) for e in edges if draw(st.booleans())}
+    initial = draw(st.none() | st.frozensets(st.sampled_from(nodes + ("zz",)), max_size=3))
+    terminal = draw(st.none() | st.frozensets(st.sampled_from(nodes), max_size=2))
+    return capacities, initial, terminal
 
 
 @st.composite
@@ -409,19 +462,10 @@ def token_runs(draw):
         else:
             edges = sorted(infer_dependencies(model))
     else:
-        nodes = tuple(f"e{i}" for i in range(draw(st.integers(1, 5))))
-        pairs = [(a, b) for a in nodes for b in nodes]
-        ring = list(zip(nodes, nodes[1:] + nodes[:1])) if draw(st.booleans()) else []
-        extra = draw(st.lists(st.sampled_from(pairs), max_size=7))
-        edges = list(dict.fromkeys(ring + extra))
+        nodes, edges = _random_graph(draw, "e")
         model = variant(assemble_model([]), behavior=BehaviorGraph(nodes, tuple(edges)))
         channels = "declared"
-    if draw(st.booleans()):
-        capacities = draw(st.integers(1, 9))
-    else:
-        capacities = {e: draw(st.integers(1, 9)) for e in edges if draw(st.booleans())}
-    initial = draw(st.none() | st.frozensets(st.sampled_from(nodes + ("zz",)), max_size=3))
-    terminal = draw(st.none() | st.frozensets(st.sampled_from(nodes), max_size=2))
+    capacities, initial, terminal = _net_inputs(draw, nodes, edges)
     sim = SimConfig(
         capacities=capacities,
         max_steps=draw(st.integers(-1, 40)),
@@ -489,3 +533,74 @@ def test_engine_matches_reference_and_respects_capacities(run):
         assert_within_capacity(net.marking_items(marking))
     if result.bounded:
         assert len(reach) == result.reachable_count
+
+
+@st.composite
+def token_unions(draw):
+    """A disjoint union of 2 to 4 random graphs (as in `token_runs`), each
+    with its own event names, and its capacities, initial and terminal
+    events."""
+    nodes, edges = (), []
+    for k in range(draw(st.integers(2, 4))):
+        part_nodes, part_edges = _random_graph(draw, f"p{k}e")
+        nodes += part_nodes
+        edges += part_edges
+    model = variant(assemble_model([]), behavior=BehaviorGraph(nodes, tuple(edges)))
+    return model, _net_inputs(draw, nodes, edges)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(token_unions(), st.integers(-2, 2))
+def test_explore_of_disjoint_nets_matches_reference(union, offset):
+    # A union has a part per graph at least, and its markings are the
+    # product of the parts' (counted here up to 600).  `max_states` just
+    # below the product makes a part spend its share and the whole net run;
+    # at or above it, the parts are multiplied.
+    model, (capacities, initial, terminal) = union
+
+    def config(max_states):
+        return ExploreConfig(capacities=capacities, initial_events=initial,
+                             terminal_events=terminal, max_states=max_states)
+
+    whole = _outcome(reference_explore_state_space, model, config(600))
+    if isinstance(whole, type):
+        assert _outcome(explore_state_space, model, config(600)) is whole
+        return
+    assert len(build_net(model, config(1)).part_masks) >= 2
+    max_states = max(1, whole.reachable_count + offset)
+    result = explore_state_space(model, config(max_states))
+    assert result == reference_explore_state_space(model, config(max_states))
+    if whole.bounded:
+        assert result.bounded == (max_states >= whole.reachable_count)
+
+
+def test_twelve_parallel_chains_multiply():
+    # 4**12 markings: the parts are explored alone and multiplied.
+    model = _parallel_chains(12)
+    start = time.perf_counter()
+    result = explore_state_space(model, ExploreConfig(max_states=20_000_000))
+    elapsed = time.perf_counter() - start
+    assert result == ExploreResult(reachable_count=4**12, deadlocks=(), bounded=True)
+    assert elapsed < 1.0
+    # Over the default limit the seventh part spends its share, and the
+    # whole net is explored breadth-first up to the limit.
+    truncated = explore_state_space(model, ExploreConfig())
+    assert truncated == reference_explore_state_space(model, ExploreConfig())
+    assert not truncated.bounded
+
+
+def test_channels_with_an_end_outside_the_net():
+    # B->X leaves the net and Y->A enters it, so each belongs to the part of
+    # its one event; Y->Z has no event end and belongs to no part.  C, with
+    # no channel, is a part of its own.
+    behavior = BehaviorGraph(
+        ("A", "B", "C"), (("A", "B"), ("B", "X"), ("Y", "A"), ("Y", "Z"))
+    )
+    model = variant(assemble_model([]), behavior=behavior)
+    config = ExploreConfig(initial_events=frozenset({"A"}), capacities={("B", "X"): 3})
+    _assert_net_matches_reference(model, config)
+    net = build_net(model, config)
+    assert net.part_of == (0, 0, 1)
+    assert net.part_masks[1] == 0
+    result = explore_state_space(model, config)
+    assert result == reference_explore_state_space(model, config)
