@@ -2,7 +2,7 @@
 
 Machine-readable results (JSON lines or documented text formats) go to
 stdout; human prose goes to stderr.  Exit codes: 0 ok, 1 Error-severity
-diagnostics, 2 usage or I/O error, 3 analysis limit exceeded.
+diagnostics, 2 usage or I/O error (stdout closed too), 3 analysis limit exceeded.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 # What every subcommand needs; each `cmd_*` imports the rest, so a process
 # loads only the analyses it runs.
@@ -21,6 +22,7 @@ from .model import TMModel, assemble_model
 from .validate import check_static, has_errors
 
 OK, DIAG_ERRORS, USAGE, LIMIT = 0, 1, 2, 3
+SIMULATE_BATCH = 4096  # lines per write: `tm simulate` writes them as it encodes them
 
 
 def _color_enabled() -> bool:
@@ -121,7 +123,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(
         capacities=args.capacity, channels=args.channels, max_steps=args.max_steps, seed=args.seed
     )
-    sys.stdout.write(simulate(_load(args.file), config).to_jsonl())
+    lines = simulate(_load(args.file), config).lines()
+    while batch := "".join(islice(lines, SIMULATE_BATCH)):
+        sys.stdout.write(batch)
     return OK
 
 
@@ -290,7 +294,7 @@ def run(argv: list[str]) -> int:
         _say("a subcommand is required; see --help")
         return USAGE
     # The one place where failures become exit codes.  Model errors are
-    # diagnostics (JSON lines, exit 1); unreadable input is exit 2.
+    # diagnostics (JSON lines, exit 1); unreadable input or output is exit 2.
     try:
         return args.func(args)
     except (OSError, corpus.UnknownFixtureError) as exc:
@@ -304,7 +308,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader closed stdout before the end
+        _say(str(exc))
+        code = USAGE
+        # Python flushes stdout again at exit: what is left goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from .behavior import infer_dependencies
 from .diagnostics import TMError
@@ -37,33 +37,27 @@ class NoInitialEventsError(TMError):
 
 
 class Firing(Record):
-    step: int
     event: str
-    marking: tuple[tuple[str, int], ...]
+    marking: tuple[tuple[str, int], ...]  # after the firing
 
 
 class Trace(Record):
-    firings: tuple[Firing, ...] = ()
+    firings: tuple[Firing, ...] = ()  # a firing's step is its index here
+
+    def lines(self) -> Iterator[str]:
+        """Each firing's line, `json.dumps(..., sort_keys=True)` of its event,
+        marking and step.  Each record is encoded once, keyed by identity:
+        `simulate` shares one record among the steps that repeat a firing."""
+        heads: dict[int, str] = {}
+        for step, f in enumerate(self.firings):
+            head = heads.get(id(f))
+            if head is None:
+                marking = json.dumps(dict(f.marking), sort_keys=True)
+                head = heads[id(f)] = f'{{"event": {json.dumps(f.event)}, "marking": {marking}, "step": '
+            yield f"{head}{step}}}\n"
 
     def to_jsonl(self) -> str:
-        # One line is `json.dumps(..., sort_keys=True)` of the firing; each
-        # distinct marking and event name is encoded once.
-        markings: dict[tuple[tuple[str, int], ...], str] = {}
-        events: dict[str, str] = {}
-        lines = []
-        for f in self.firings:
-            marking = markings.get(f.marking)
-            if marking is None:
-                marking = markings[f.marking] = json.dumps(
-                    dict(f.marking), sort_keys=True
-                )
-            event = events.get(f.event)
-            if event is None:
-                event = events[f.event] = json.dumps(f.event)
-            lines.append(
-                f'{{"event": {event}, "marking": {marking}, "step": {f.step}}}'
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(self.lines())
 
 
 class NetConfig(Record):
@@ -100,8 +94,8 @@ class ExploreResult(Record):
         )
 
 
-# An event's enabling test: (position, G_in, L_in, A_out, G_out); see `_Net`.
-_Test = tuple[int, int, int, int, int]
+# An event's enabling test: (G_in, L_in, A_out, G_out); see `_Net`.
+_Test = tuple[int, int, int, int]
 
 
 class _Net(Record):
@@ -129,8 +123,7 @@ class _Net(Record):
     initial: int
     enabled: tuple[int, ...]  # the positions enabled at `initial`
     delta: tuple[int, ...]  # per position
-    stale: tuple[frozenset[int], ...]  # per position: tested ones sharing a channel
-    near: tuple[tuple[_Test, ...], ...]  # per position: the tests of `stale`
+    near: tuple[dict[int, _Test], ...]  # per position: tested ones sharing a channel
     sinks: tuple[str, ...]  # events with no output channel
     fields: tuple[tuple[str, int, int], ...]  # (id, shift, mask) in id order
     part_of: tuple[int, ...]  # per position: the index of its part
@@ -140,16 +133,11 @@ class _Net(Record):
         return tuple([(cid, marking >> at & mask) for cid, at, mask in self.fields])
 
 
-def _retest(
-    enabled: Iterable[int],
-    marking: int,
-    stale: frozenset[int],
-    near: Iterable[_Test],
-) -> list[int]:
+def _retest(enabled: Iterable[int], marking: int, near: Mapping[int, _Test]) -> list[int]:
     """The positions enabled at `marking`, in position order: `enabled` less
-    `stale`, plus every test in `near` that passes."""
-    out = [p for p in enabled if p not in stale]
-    for p, g_in, l_in, a_out, g_out in near:
+    the positions `near` keys, plus each of those whose test passes."""
+    out = [p for p in enabled if p not in near]
+    for p, (g_in, l_in, a_out, g_out) in near.items():
         if ((marking | g_in) - l_in) & g_in == g_in and not (marking + a_out) & g_out:
             out.append(p)
     out.sort()
@@ -199,7 +187,8 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
         if sources:
             initial = frozenset(sources)
         elif capacity:
-            initial = frozenset({next(iter(capacity))[0]})
+            # The head of the first declared chain, in either channel mode.
+            initial = frozenset({(model.behavior.edges or edges)[0][0]})
         else:
             initial = frozenset()
     _check_events("initial", initial, nodes)
@@ -261,22 +250,19 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
             part_masks.append(bits)
 
     # An event with no input channel is never enabled: it has no test, and
-    # no `stale` entry needs to name it.
+    # no `near` entry needs to name it.
     tests = {
-        p: (p, g_in, l_in, a_out, g_out)
+        p: (g_in, l_in, a_out, g_out)
         for p, (g_in, l_in, a_out, g_out, _) in enumerate(masks)
         if l_in
     }
-    tested = frozenset(tests)
-    stale = [tested & linked for linked in links]
     fields.sort()
     return _Net(
         nodes=nodes,
         initial=initial_marking,
-        enabled=tuple(_retest((), initial_marking, frozenset(), tests.values())),
+        enabled=tuple(_retest((), initial_marking, tests)),
         delta=tuple([l_out - l_in for _, l_in, _, _, l_out in masks]),
-        stale=tuple(stale),
-        near=tuple([tuple([tests[q] for q in around]) for around in stale]),
+        near=tuple([{q: tests[q] for q in linked if q in tests} for linked in links]),
         sinks=tuple([n for n, (*_, l_out) in zip(nodes, masks) if not l_out]),
         fields=tuple(fields),
         part_of=tuple(part_of),
@@ -305,20 +291,20 @@ def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
             "no tokens and no start channels; nothing can ever fire"
         )
     choice = random.Random(config.seed).choice
-    nodes, delta, near, stale = net.nodes, net.delta, net.near, net.stale
+    nodes, delta, near = net.nodes, net.delta, net.near
     marking, enabled = net.initial, net.enabled
-    decoded: dict[int, tuple[tuple[str, int], ...]] = {}  # one tuple per marking
+    records: dict[tuple[int, int], Firing] = {}  # one per distinct firing
     firings: list[Firing] = []
-    for step in range(config.max_steps):
+    for _ in range(config.max_steps):
         if not enabled:
             break
         p = choice(enabled)
         marking += delta[p]
-        enabled = _retest(enabled, marking, stale[p], near[p])
-        items = decoded.get(marking)
-        if items is None:
-            items = decoded[marking] = net.decode(marking)
-        firings.append(Firing(step, nodes[p], items))
+        enabled = _retest(enabled, marking, near[p])
+        record = records.get((p, marking))
+        if record is None:
+            record = records[p, marking] = Firing(nodes[p], net.decode(marking))
+        firings.append(record)
     return Trace(tuple(firings))
 
 
@@ -333,7 +319,7 @@ def _search(
     Each queued marking carries its enabled positions, so a successor
     re-tests only the events that share a channel with the fired one.
     """
-    delta, near, stale = net.delta, net.near, net.stale
+    delta, near = net.delta, net.near
     seen = {start}
     queue = deque([(start, enabled)])
     halted = []
@@ -350,7 +336,7 @@ def _search(
                     bounded = False
                     continue
                 seen.add(nxt)
-                queue.append((nxt, _retest(enabled, nxt, stale[p], near[p])))
+                queue.append((nxt, _retest(enabled, nxt, near[p])))
     return len(seen), halted, bounded
 
 

@@ -82,22 +82,26 @@ def variant(
     )
 
 
-def run_tm(args, env=None, **kwargs):
-    # The child sees a minimal environment, plus `env`, but always imports
-    # the tmkit of this checkout (first on PYTHONPATH), installed or not.
+def tm_env(env=None) -> dict[str, str]:
+    """A child's environment: a minimal one, plus `env`, that always imports
+    the tmkit of this checkout (first on PYTHONPATH), installed or not."""
     inherited = os.environ.get("PYTHONPATH")
     pythonpath = str(SRC) + (os.pathsep + inherited if inherited else "")
+    return {
+        "TM_COLOR": "never",
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": pythonpath,
+        **(env or {}),
+    }
+
+
+def run_tm(args, env=None, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "tmkit", *args],
         capture_output=True,
         text=True,
         timeout=60,
-        env={
-            "TM_COLOR": "never",
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": pythonpath,
-            **(env or {}),
-        },
+        env=tm_env(env),
         **kwargs,
     )
 
@@ -1282,7 +1286,7 @@ def reference_build_net(
         if sources:
             initial = frozenset(sources)
         elif edges:
-            initial = frozenset({edges[0][0]})
+            initial = frozenset({(model.behavior.edges or edges)[0][0]})
         else:
             initial = frozenset()
     else:
@@ -1333,7 +1337,7 @@ def reference_simulate(model: TMModel, config: SimConfig | None = None) -> Trace
     rng = random.Random(config.seed)
     marking = net.initial
     firings: list[Firing] = []
-    for step in range(config.max_steps):
+    for _ in range(config.max_steps):
         enabled = net.enabled_nodes(marking)
         if not enabled:
             break
@@ -1341,7 +1345,7 @@ def reference_simulate(model: TMModel, config: SimConfig | None = None) -> Trace
         marking = net.fire(marking, event)
         for count, ch in zip(marking, net.channels):
             assert 0 <= count <= ch.capacity, "capacity bound violated"
-        firings.append(Firing(step, event, net.marking_items(marking)))
+        firings.append(Firing(event, net.marking_items(marking)))
     return Trace(tuple(firings))
 
 

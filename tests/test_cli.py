@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from tmkit.diagnostics import ModelError
 from tmkit.match import simplify
 from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate
 
-from helpers import mutated_corpus_text, run_tm
+from helpers import mutated_corpus_text, run_tm, tm_env
 
 #: Two events whose regions both hold the whole of arc F1.
 _OVERLAP = (
@@ -309,6 +311,76 @@ def test_simulate_emits_trace_jsonl():
     assert result.returncode == 0
     events = [json.loads(line)["event"] for line in result.stdout.splitlines()]
     assert events == ["Produce", "Consume"] * 3
+
+
+def test_simulate_writes_the_trace_in_batches():
+    steps = 10_001  # three batches, the last one short
+    assert steps > 2 * cli.SIMULATE_BATCH and steps % cli.SIMULATE_BATCH
+    argv = ["simulate", "fixture:producer-consumer", "--max-steps", str(steps)]
+    result = run_tm(argv)
+    assert result.returncode == 0
+    model = assemble_model(parse(fixture_source("producer-consumer")))
+    assert result.stdout == simulate(model, SimConfig(max_steps=steps)).to_jsonl()
+    lines = result.stdout.splitlines()
+    assert [json.loads(line)["step"] for line in lines] == list(range(steps))
+
+    class Lines(io.StringIO):
+        """Counts the lines of each write."""
+
+        def write(self, text):
+            counts.append(text.count("\n"))
+            return super().write(text)
+
+    counts = []
+    with contextlib.redirect_stdout(Lines()) as out:
+        assert cli.run(argv) == 0
+    assert counts == [cli.SIMULATE_BATCH] * 2 + [steps - 2 * cli.SIMULATE_BATCH]
+    assert out.getvalue() == result.stdout
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_a_million_step_simulation_stays_small():
+    # A fresh Python runs `tm` and prints its children's peak RSS, so no
+    # other child of this test run counts.
+    probe = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    argv = ["simulate", "fixture:producer-consumer", "--max-steps", "1000000"]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "tmkit", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=tm_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 64 * 1024  # KiB
+
+
+@pytest.mark.parametrize(
+    ("argv", "read"),
+    [
+        # A write fails while the trace is being written...
+        (["simulate", "fixture:producer-consumer", "--max-steps", "100000"], 1),
+        # ...or the last flush fails, when the reader leaves before any output.
+        (["fmt", "fixture:pump"], 0),
+    ],
+)
+def test_a_reader_that_closes_stdout_early_gets_an_io_error_exit(argv, read):
+    with subprocess.Popen(
+        [sys.executable, "-m", "tmkit", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=tm_env(),
+    ) as tm:
+        for step in range(read):
+            assert json.loads(tm.stdout.readline())["step"] == step
+        tm.stdout.close()
+        stderr = tm.stderr.read().decode()
+        assert tm.wait(timeout=60) == cli.USAGE
+    assert stderr == "[Errno 32] Broken pipe\n"
 
 
 def test_explore_emits_single_json_object():

@@ -609,13 +609,24 @@ def test_spent_budget_leaves_isomorphic_undecided(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_identical_graphs_share_everything():
-    g = simplify(load_model("pump"))
-    shared = find_shared_functionality(g, g, min_size=2)
-    assert shared.matches
-    mapping, size = shared.matches[0]
-    assert size == len(g.nodes)
-    assert mapping.as_dict() == {n.id: n.id for n in g.nodes}
-    assert not shared.approximate
+    # Fragments are connected, so a graph against itself gives one fragment
+    # per weakly connected component of two or more nodes, mapped onto a
+    # whole component (an equal one, not always itself), largest first.
+    for name in ALL_NAMES:
+        g = simplify(load_model(name))
+        shared = find_shared_functionality(g, g, min_size=2)
+        assert not shared.approximate, name
+        sizes = [size for _, size in shared.matches]
+        assert sizes == sorted(sizes, reverse=True), name
+        joined = {v for e in g.edges if e.src != e.dst for v in (e.src, e.dst)}
+        for side in (0, 1):
+            covered = set()
+            for mapping, size in shared.matches:
+                nodes = {pair[side] for pair in mapping.pairs}
+                assert len(nodes) == size and weakly_connected(g, nodes), name
+                assert all((e.src in nodes) == (e.dst in nodes) for e in g.edges), name
+                covered |= nodes
+            assert joined <= covered, name
 
 
 def test_pay_service_fragment_inside_full_add_service():

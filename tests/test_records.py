@@ -204,7 +204,7 @@ def test_wrong_arguments_are_type_errors():
         (Node, ("n1", "A", kind), {"colour": "red"}),
         (Node, ("n1", "A", kind), {"id": "n2"}),
         (tmkit.StageRef, ("A",), {}),
-        (Firing, (0, "E1"), {}),
+        (Firing, ("E1",), {}),
         (tmkit.SimConfig, (), {"max_step": 1}),
         (tmkit.SourceSpan, (1, 2, 3), {}),
         # A diagnostic's severity comes from its code, not an argument.

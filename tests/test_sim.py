@@ -22,7 +22,7 @@ from tmkit import (
     simulate,
 )
 from tmkit.model import BehaviorGraph
-from tmkit.sim import build_net
+from tmkit.sim import Firing, Trace, build_net
 
 from helpers import (
     load_model,
@@ -159,6 +159,41 @@ def test_explore_producer_consumer():
     assert result.reachable_count == 2
     assert result.deadlocks == ()
     assert result.bounded
+
+
+def test_inferred_channels_start_at_the_head_of_the_first_chain():
+    # The cycle has no source, so the run starts at `Produce`, the head of
+    # the declared chain, not at the source of the least inferred channel
+    # (`Consume->Produce`).
+    model = load_model("producer-consumer")
+    trace = simulate(model, SimConfig(channels="inferred", max_steps=2))
+    assert [f.event for f in trace.firings] == ["Produce", "Consume"]
+    assert trace == reference_simulate(model, SimConfig(channels="inferred", max_steps=2))
+    result = explore_state_space(model, ExploreConfig(channels="inferred"))
+    assert result.reachable_count == 2
+    assert result.deadlocks == ()
+
+
+def test_simulate_makes_one_record_per_distinct_firing():
+    model = load_model("producer-consumer")
+    trace = simulate(model, SimConfig(max_steps=1000, seed=3))
+    assert len(trace.firings) == 1000
+    assert len({id(f) for f in trace.firings}) == len(set(trace.firings)) == 2
+
+
+def test_equal_separate_records_encode_like_shared_ones():
+    # `simulate` shares its records; equal records that are separate objects,
+    # and records that share a marking, encode alike.
+    produce = (("Consume->Produce", 0), ("Produce->Consume", 1))
+    consume = (("Consume->Produce", 1), ("Produce->Consume", 0))
+    model = load_model("producer-consumer")
+    shared = simulate(model, SimConfig(max_steps=6)).firings
+    assert shared == (Firing("Produce", produce), Firing("Consume", consume)) * 3
+    separate = [Firing(f.event, tuple(list(f.marking))) for f in shared]
+    assert len({id(f) for f in separate}) == 6
+    assert Trace(tuple(separate)).to_jsonl() == Trace(shared).to_jsonl()
+    one_marking = Trace((Firing("Produce", produce), Firing("Consume", produce)))
+    assert [json.loads(line)["event"] for line in one_marking.lines()] == ["Produce", "Consume"]
 
 
 def test_explore_without_produce_to_consume_channel():
@@ -375,9 +410,8 @@ def test_truncated_exploration_matches_reference(max_states, terminal):
 
 def _assert_net_matches_reference(model, config):
     """`build_net`'s tables against the reference net's channels: `near[p]`
-    (and `stale[p]`) holds exactly the events with an input channel that
-    share a channel with p; the initial marking, its enabled events and the
-    sinks agree."""
+    keys exactly the events with an input channel that share a channel with
+    p; the initial marking, its enabled events and the sinks agree."""
     net = build_net(model, config)
     ref = reference_build_net(model, config)
     position = {name: p for p, name in enumerate(ref.nodes)}
@@ -388,9 +422,7 @@ def _assert_net_matches_reference(model, config):
             for ch in ref.incoming[name] + ref.outgoing[name]
             for end in (ch.src, ch.dst)
         }
-        near = {q for q, *_ in net.near[p]}
-        assert near == {position[n] for n in shared & tested}
-        assert net.stale[p] == near
+        assert set(net.near[p]) == {position[n] for n in shared & tested}
     assert [net.nodes[p] for p in net.enabled] == ref.enabled_nodes(ref.initial)
     assert net.decode(net.initial) == ref.marking_items(ref.initial)
     assert net.sinks == tuple(n for n in ref.nodes if not ref.outgoing[n])
@@ -511,6 +543,11 @@ def test_engine_matches_reference_and_respects_capacities(run):
     assert result == _outcome(reference_explore_state_space, model, explore)
     if isinstance(trace, type) or isinstance(result, type):
         return
+    # Each line is the firing's own `json.dumps`, with its index as its step.
+    assert trace.to_jsonl().splitlines() == [
+        json.dumps({"event": f.event, "marking": dict(f.marking), "step": i}, sort_keys=True)
+        for i, f in enumerate(trace.firings)
+    ]
 
     def assert_within_capacity(items):
         for channel_id, count in items:
