@@ -22,7 +22,7 @@ from .model import TMModel, assemble_model
 from .validate import check_static, has_errors
 
 OK, DIAG_ERRORS, USAGE, LIMIT = 0, 1, 2, 3
-SIMULATE_BATCH = 4096  # lines per write: `tm simulate` writes them as it encodes them
+SIMULATE_BATCH = 4096  # lines per write: `tm simulate` writes them as the engine runs
 
 
 def _color_enabled() -> bool:
@@ -118,12 +118,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim import SimConfig, simulate
+    from .sim import SimConfig, encode_lines, simulate_firings
 
     config = SimConfig(
         capacities=args.capacity, channels=args.channels, max_steps=args.max_steps, seed=args.seed
     )
-    lines = simulate(_load(args.file), config).lines()
+    # The engine's firings go straight to the encoder, so the first batch is
+    # written before the engine has run more than SIMULATE_BATCH steps.
+    lines = encode_lines(simulate_firings(_load(args.file), config))
     while batch := "".join(islice(lines, SIMULATE_BATCH)):
         sys.stdout.write(batch)
     return OK

@@ -45,19 +45,29 @@ class Trace(Record):
     firings: tuple[Firing, ...] = ()  # a firing's step is its index here
 
     def lines(self) -> Iterator[str]:
-        """Each firing's line, `json.dumps(..., sort_keys=True)` of its event,
-        marking and step.  Each record is encoded once, keyed by identity:
-        `simulate` shares one record among the steps that repeat a firing."""
-        heads: dict[int, str] = {}
-        for step, f in enumerate(self.firings):
-            head = heads.get(id(f))
-            if head is None:
-                marking = json.dumps(dict(f.marking), sort_keys=True)
-                head = heads[id(f)] = f'{{"event": {json.dumps(f.event)}, "marking": {marking}, "step": '
-            yield f"{head}{step}}}\n"
+        """Each firing's line, from `encode_lines`.  `tm simulate` streams
+        the same lines from `simulate_firings` without building a trace."""
+        return encode_lines(self.firings)
 
     def to_jsonl(self) -> str:
         return "".join(self.lines())
+
+
+def encode_lines(firings: Iterable[Firing]) -> Iterator[str]:
+    """Each firing's line, `json.dumps(..., sort_keys=True)` of its event,
+    marking and step, where a firing's step is its index in `firings`.
+    Each record is encoded once, keyed by identity: `simulate_firings` yields one record
+    for every step that repeats a firing.  The records stay referenced
+    here, so no id is reused while the lines are made."""
+    heads: dict[int, str] = {}
+    kept: list[Firing] = []
+    for step, f in enumerate(firings):
+        head = heads.get(id(f))
+        if head is None:
+            kept.append(f)
+            marking = json.dumps(dict(f.marking), sort_keys=True)
+            head = heads[id(f)] = f'{{"event": {json.dumps(f.event)}, "marking": {marking}, "step": '
+        yield f"{head}{step}}}\n"
 
 
 class NetConfig(Record):
@@ -273,39 +283,61 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
 def simulate(model: TMModel, config: SimConfig | None = None) -> Trace:
     """Run one seeded execution; deterministic for a given configuration.
 
-    At each step one enabled event is picked by the seeded RNG and fired;
-    the run stops at `max_steps` or when nothing is enabled.  Raises
-    NoInitialEventsError when the initial marking is empty (nothing could
-    ever fire), and ConfigError for non-positive capacities, a capacity
-    given for a pair of events that is not a channel, or a chronology whose
-    nodes repeat an event name.
+    The trace holds what `simulate_firings` yields, one record per step;
+    the steps that repeat a firing share the record made for it once.
+    Raises what `simulate_firings` raises.
     """
-    config = config or SimConfig()
+    return Trace(tuple(simulate_firings(model, config or SimConfig())))
+
+
+def simulate_firings(model: TMModel, config: SimConfig) -> Iterator[Firing]:
+    """Yield the firings of one seeded execution, one per step.
+
+    At each step one enabled event is picked by the seeded RNG and fired;
+    the run stops at `max_steps` or when nothing is enabled.  Raises, when
+    the first firing is asked for, NoInitialEventsError when the initial
+    marking is empty (nothing could ever fire), and ConfigError for a
+    negative `max_steps`, non-positive capacities, a capacity given for a
+    pair of events that is not a channel, or a chronology whose nodes
+    repeat an event name.
+
+    The marking a firing leads to, and the events enabled there, depend
+    only on the fired position and the marking before it.  So the first
+    time a position fires at a marking, the engine adds its delta, re-tests
+    the events near it and decodes the new marking into a `Firing`, and it
+    keeps the three in a table keyed by both.  Each later step that repeats
+    the firing is one table lookup, and yields the same record.  The table
+    holds one entry per distinct firing; the seeded draw is made on every
+    step, so the trace does not depend on the table.
+    """
     if config.max_steps < 0:
         raise ConfigError("max_steps must be >= 0")
     net = build_net(model, config)
     if config.max_steps == 0 or not net.nodes:
-        return Trace()
+        return
     if net.initial == 0:
         raise NoInitialEventsError(
             "no tokens and no start channels; nothing can ever fire"
         )
     choice = random.Random(config.seed).choice
-    nodes, delta, near = net.nodes, net.delta, net.near
+    nodes, delta, near, decode = net.nodes, net.delta, net.near, net.decode
     marking, enabled = net.initial, net.enabled
-    records: dict[tuple[int, int], Firing] = {}  # one per distinct firing
-    firings: list[Firing] = []
+    # Per position: marking before -> (marking after, enabled there, record).
+    table: list[dict[int, tuple[int, list[int], Firing]]] = [{} for _ in nodes]
     for _ in range(config.max_steps):
         if not enabled:
             break
         p = choice(enabled)
-        marking += delta[p]
-        enabled = _retest(enabled, marking, near[p])
-        record = records.get((p, marking))
-        if record is None:
-            record = records[p, marking] = Firing(nodes[p], net.decode(marking))
-        firings.append(record)
-    return Trace(tuple(firings))
+        fired = table[p].get(marking)
+        if fired is None:
+            after = marking + delta[p]
+            fired = table[p][marking] = (
+                after,
+                _retest(enabled, after, near[p]),
+                Firing(nodes[p], decode(after)),
+            )
+        marking, enabled, record = fired
+        yield record
 
 
 def _search(
@@ -386,8 +418,7 @@ def explore_state_space(
     exceeds `max_states`, or the net is one part, one breadth-first search
     of the whole net runs instead, and a truncated result keeps the
     markings it reaches first.  A connected net whose branches interleave,
-    such as a fork-join, still costs every interleaving; stubborn sets
-    would cut that.
+    such as a fork-join, still costs every interleaving.
     """
     config = config or ExploreConfig()
     if config.max_states < 1:

@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -313,7 +315,7 @@ def test_simulate_emits_trace_jsonl():
     assert events == ["Produce", "Consume"] * 3
 
 
-def test_simulate_writes_the_trace_in_batches():
+def test_simulate_writes_the_trace_in_batches(monkeypatch):
     steps = 10_001  # three batches, the last one short
     assert steps > 2 * cli.SIMULATE_BATCH and steps % cli.SIMULATE_BATCH
     argv = ["simulate", "fixture:producer-consumer", "--max-steps", str(steps)]
@@ -325,16 +327,28 @@ def test_simulate_writes_the_trace_in_batches():
     assert [json.loads(line)["step"] for line in lines] == list(range(steps))
 
     class Lines(io.StringIO):
-        """Counts the lines of each write."""
+        """Counts the lines of each write, and the engine's steps before it."""
 
         def write(self, text):
             counts.append(text.count("\n"))
+            steps_at_write.append(drawn[0])
             return super().write(text)
 
-    counts = []
+    class Random(random.Random):
+        """Counts the engine's draws: one per step."""
+
+        def choice(self, seq):
+            drawn[0] += 1
+            return super().choice(seq)
+
+    counts, steps_at_write, drawn = [], [], [0]
+    monkeypatch.setattr("tmkit.sim.random", types.SimpleNamespace(Random=Random))
     with contextlib.redirect_stdout(Lines()) as out:
         assert cli.run(argv) == 0
     assert counts == [cli.SIMULATE_BATCH] * 2 + [steps - 2 * cli.SIMULATE_BATCH]
+    # The first batch is out before the engine has run past it.
+    assert steps_at_write[0] <= cli.SIMULATE_BATCH
+    assert drawn[0] == steps
     assert out.getvalue() == result.stdout
 
 

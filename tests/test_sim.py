@@ -22,7 +22,7 @@ from tmkit import (
     simulate,
 )
 from tmkit.model import BehaviorGraph
-from tmkit.sim import Firing, Trace, build_net
+from tmkit.sim import Firing, Trace, _Net, _retest, build_net, encode_lines
 
 from helpers import (
     load_model,
@@ -179,6 +179,35 @@ def test_simulate_makes_one_record_per_distinct_firing():
     trace = simulate(model, SimConfig(max_steps=1000, seed=3))
     assert len(trace.firings) == 1000
     assert len({id(f) for f in trace.firings}) == len(set(trace.firings)) == 2
+
+
+def test_a_repeated_firing_is_looked_up_not_recomputed(monkeypatch):
+    # The engine re-tests and decodes once per distinct firing; `build_net`
+    # re-tests once more for the initial marking.
+    calls = {"_retest": 0, "decode": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("tmkit.sim._retest", counted("_retest", _retest))
+    monkeypatch.setattr(_Net, "decode", counted("decode", _Net.decode))
+    model = load_model("producer-consumer")
+    config = SimConfig(max_steps=1000)
+    trace = simulate(model, config)
+    assert calls == {"_retest": 2 + 1, "decode": 2}
+    assert trace == reference_simulate(model, config)
+
+
+def test_encoding_a_stream_of_fresh_records_reuses_no_line():
+    # Records that are freed after their line could share an id; the encoder
+    # keeps them, so each fresh record gets its own line.
+    events = [f"E{i % 7}" for i in range(50)]
+    lines = encode_lines(Firing(e, ((e, 1),)) for e in events)
+    assert [json.loads(line)["event"] for line in lines] == events
 
 
 def test_equal_separate_records_encode_like_shared_ones():
@@ -500,7 +529,7 @@ def token_runs(draw):
     capacities, initial, terminal = _net_inputs(draw, nodes, edges)
     sim = SimConfig(
         capacities=capacities,
-        max_steps=draw(st.integers(-1, 40)),
+        max_steps=draw(st.integers(-1, 200)),
         seed=draw(st.integers(0, 5)),
         initial_events=initial,
         channels=channels,
