@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 # What every subcommand needs; each `cmd_*` imports the rest, so a process
 # loads only the analyses it runs.
@@ -118,15 +117,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .sim import SimConfig, encode_lines, simulate_firings
+    from .sim import SimConfig, encode_batches, simulate_firings
 
     config = SimConfig(
         capacities=args.capacity, channels=args.channels, max_steps=args.max_steps, seed=args.seed
     )
     # The engine's firings go straight to the encoder, so the first batch is
     # written before the engine has run more than SIMULATE_BATCH steps.
-    lines = encode_lines(simulate_firings(_load(args.file), config))
-    while batch := "".join(islice(lines, SIMULATE_BATCH)):
+    firings = simulate_firings(_load(args.file), config)
+    for batch in encode_batches(firings, SIMULATE_BATCH):
         sys.stdout.write(batch)
     return OK
 

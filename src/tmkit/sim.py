@@ -21,6 +21,7 @@ import json
 import random
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
+from itertools import islice
 
 from .behavior import infer_dependencies
 from .diagnostics import TMError
@@ -45,29 +46,45 @@ class Trace(Record):
     firings: tuple[Firing, ...] = ()  # a firing's step is its index here
 
     def lines(self) -> Iterator[str]:
-        """Each firing's line, from `encode_lines`.  `tm simulate` streams
-        the same lines from `simulate_firings` without building a trace."""
-        return encode_lines(self.firings)
+        """Each firing's line, cut from `to_jsonl`."""
+        return iter(self.to_jsonl().splitlines(keepends=True))
 
     def to_jsonl(self) -> str:
-        return "".join(self.lines())
+        """Every firing's line, encoded by `encode_batches` as one batch.
+        `tm simulate` writes the same lines in batches as `simulate_firings`
+        yields them, without building a trace."""
+        return "".join(encode_batches(self.firings))
 
 
-def encode_lines(firings: Iterable[Firing]) -> Iterator[str]:
-    """Each firing's line, `json.dumps(..., sort_keys=True)` of its event,
-    marking and step, where a firing's step is its index in `firings`.
-    Each record is encoded once, keyed by identity: `simulate_firings` yields one record
-    for every step that repeats a firing.  The records stay referenced
-    here, so no id is reused while the lines are made."""
+def encode_batches(firings: Iterable[Firing], size: int | None = None) -> Iterator[str]:
+    """Yield the firings' lines joined into batches of `size` lines (all of
+    them in one batch when `size` is None).  A firing's line is
+    `json.dumps(..., sort_keys=True)` of its event, marking and step, where
+    its step is its index in `firings`.
+
+    A line is a head, `{"event": …, "marking": …, "step": `, and a tail,
+    the step and `}` and a newline.  Each record's head is encoded once,
+    keyed by identity: `simulate_firings` yields one record for every step
+    that repeats a firing.  A batch is one join of its heads and tails, so
+    no string is built per line.  The records stay referenced here, so no
+    id is reused while the batches are made."""
     heads: dict[int, str] = {}
     kept: list[Firing] = []
-    for step, f in enumerate(firings):
-        head = heads.get(id(f))
-        if head is None:
-            kept.append(f)
-            marking = json.dumps(dict(f.marking), sort_keys=True)
-            head = heads[id(f)] = f'{{"event": {json.dumps(f.event)}, "marking": {marking}, "step": '
-        yield f"{head}{step}}}\n"
+    steps = enumerate(firings)
+    while True:
+        pieces: list[str] = []
+        append = pieces.append
+        for step, f in islice(steps, size):
+            head = heads.get(id(f))
+            if head is None:
+                kept.append(f)
+                marking = json.dumps(dict(f.marking), sort_keys=True)
+                head = heads[id(f)] = f'{{"event": {json.dumps(f.event)}, "marking": {marking}, "step": '
+            append(head)
+            append(f"{step}}}\n")
+        if not pieces:
+            return
+        yield "".join(pieces)
 
 
 class NetConfig(Record):
@@ -305,10 +322,17 @@ def simulate_firings(model: TMModel, config: SimConfig) -> Iterator[Firing]:
     only on the fired position and the marking before it.  So the first
     time a position fires at a marking, the engine adds its delta, re-tests
     the events near it and decodes the new marking into a `Firing`, and it
-    keeps the three in a table keyed by both.  Each later step that repeats
-    the firing is one table lookup, and yields the same record.  The table
-    holds one entry per distinct firing; the seeded draw is made on every
-    step, so the trace does not depend on the table.
+    keeps them in a table keyed by both, with the count of enabled events
+    and its bit length.  Each later step that repeats the firing is one
+    table lookup, and yields the same record.  The table holds one entry
+    per distinct firing.
+
+    The seeded draw is made on every step, so the trace does not depend on
+    the table.  It is `random.Random(seed).choice(enabled)`, made inline:
+    with n events enabled, draw `getrandbits(n.bit_length())` until it is
+    below n, as `choice` does on CPython 3.10 to 3.13 (even for n == 1).
+    `tests/test_sim.py` pins the two to the same indices and the same
+    generator state.
     """
     if config.max_steps < 0:
         raise ConfigError("max_steps must be >= 0")
@@ -319,24 +343,29 @@ def simulate_firings(model: TMModel, config: SimConfig) -> Iterator[Firing]:
         raise NoInitialEventsError(
             "no tokens and no start channels; nothing can ever fire"
         )
-    choice = random.Random(config.seed).choice
+    getrandbits = random.Random(config.seed).getrandbits
     nodes, delta, near, decode = net.nodes, net.delta, net.near, net.decode
     marking, enabled = net.initial, net.enabled
-    # Per position: marking before -> (marking after, enabled there, record).
-    table: list[dict[int, tuple[int, list[int], Firing]]] = [{} for _ in nodes]
+    n = len(enabled)
+    k = n.bit_length()
+    # Per position: marking before -> (marking after, enabled there, their
+    # count and its bit length, record).
+    table: list[dict[int, tuple[int, list[int], int, int, Firing]]] = [{} for _ in nodes]
     for _ in range(config.max_steps):
-        if not enabled:
+        if not n:
             break
-        p = choice(enabled)
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        p = enabled[r]
         fired = table[p].get(marking)
         if fired is None:
             after = marking + delta[p]
+            on = _retest(enabled, after, near[p])
             fired = table[p][marking] = (
-                after,
-                _retest(enabled, after, near[p]),
-                Firing(nodes[p], decode(after)),
+                after, on, len(on), len(on).bit_length(), Firing(nodes[p], decode(after))
             )
-        marking, enabled, record = fired
+        marking, enabled, n, k, record = fired
         yield record
 
 

@@ -3,11 +3,9 @@
 import contextlib
 import io
 import json
-import random
 import subprocess
 import sys
 import tempfile
-import types
 from pathlib import Path
 
 import pytest
@@ -18,7 +16,7 @@ from tmkit import assemble_model, cli, match, parse
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import ModelError
 from tmkit.match import simplify
-from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate
+from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate, simulate_firings
 
 from helpers import mutated_corpus_text, run_tm, tm_env
 
@@ -331,24 +329,23 @@ def test_simulate_writes_the_trace_in_batches(monkeypatch):
 
         def write(self, text):
             counts.append(text.count("\n"))
-            steps_at_write.append(drawn[0])
+            steps_at_write.append(stepped[0])
             return super().write(text)
 
-    class Random(random.Random):
-        """Counts the engine's draws: one per step."""
+    def counted_firings(model, config):
+        """The engine's firings, counting the records it yields: one per step."""
+        for record in simulate_firings(model, config):
+            stepped[0] += 1
+            yield record
 
-        def choice(self, seq):
-            drawn[0] += 1
-            return super().choice(seq)
-
-    counts, steps_at_write, drawn = [], [], [0]
-    monkeypatch.setattr("tmkit.sim.random", types.SimpleNamespace(Random=Random))
+    counts, steps_at_write, stepped = [], [], [0]
+    monkeypatch.setattr("tmkit.sim.simulate_firings", counted_firings)
     with contextlib.redirect_stdout(Lines()) as out:
         assert cli.run(argv) == 0
     assert counts == [cli.SIMULATE_BATCH] * 2 + [steps - 2 * cli.SIMULATE_BATCH]
     # The first batch is out before the engine has run past it.
     assert steps_at_write[0] <= cli.SIMULATE_BATCH
-    assert drawn[0] == steps
+    assert stepped[0] == steps
     assert out.getvalue() == result.stdout
 
 

@@ -1,8 +1,11 @@
 """Token simulation and state-space exploration."""
 
+import hashlib
 import json
+import random
 import re
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from tmkit import (
     simulate,
 )
 from tmkit.model import BehaviorGraph
-from tmkit.sim import Firing, Trace, _Net, _retest, build_net, encode_lines
+from tmkit.sim import Firing, Trace, _Net, _retest, build_net, encode_batches, simulate_firings
 
 from helpers import (
     load_model,
@@ -204,10 +207,101 @@ def test_a_repeated_firing_is_looked_up_not_recomputed(monkeypatch):
 
 def test_encoding_a_stream_of_fresh_records_reuses_no_line():
     # Records that are freed after their line could share an id; the encoder
-    # keeps them, so each fresh record gets its own line.
+    # keeps them, so each fresh record gets its own line, within a batch and
+    # across batches.
     events = [f"E{i % 7}" for i in range(50)]
-    lines = encode_lines(Firing(e, ((e, 1),)) for e in events)
-    assert [json.loads(line)["event"] for line in lines] == events
+    for size in (None, 1, 3, 8, 50, 64):
+        batches = list(encode_batches((Firing(e, ((e, 1),)) for e in events), size))
+        lines = "".join(batches).splitlines()
+        assert [json.loads(line)["event"] for line in lines] == events
+        assert [json.loads(line)["step"] for line in lines] == list(range(50))
+        assert [b.count("\n") for b in batches[:-1]] == [size] * (len(batches) - 1)
+        assert 0 < batches[-1].count("\n") <= (size or 50)
+
+
+def _draw_lengths(rng: random.Random, steps: int) -> list[int]:
+    """`steps` lengths in 1..70, every power of two and 2**k +- 1 among them."""
+    special = sorted({m for k in range(7) for m in (2**k - 1, 2**k, 2**k + 1) if 1 <= m <= 70})
+    lengths = special + [rng.randint(1, 70) for _ in range(steps - len(special))]
+    rng.shuffle(lengths)
+    return lengths
+
+
+def test_the_engine_draws_as_random_choice(monkeypatch):
+    # The engine inlines `Random(seed).choice`.  Every firing of this net is
+    # new (each position adds 1), so the engine asks `_retest` for the
+    # enabled positions after each one; the patched `_retest` answers with
+    # 0..n-1 for the next drawn length n, so the position fired is the index
+    # drawn.  The indices, and the generator's state after the run, must be
+    # `choice`'s.
+    nodes = tuple(f"E{p}" for p in range(70))
+    made = []
+
+    def recorded_random(seed):
+        made.append(random.Random(seed))
+        return made[-1]
+
+    monkeypatch.setattr("tmkit.sim.random", types.SimpleNamespace(Random=recorded_random))
+    for seed in range(60):
+        lengths = _draw_lengths(random.Random(1000 + seed), 200)
+        net = _Net(
+            nodes=nodes, initial=1, enabled=tuple(range(lengths[0])),
+            delta=(1,) * 70, near=({},) * 70, sinks=(), fields=(), part_of=(0,) * 70,
+            part_masks=(0,),
+        )
+        answers = iter(lengths[1:] + [1])
+        monkeypatch.setattr("tmkit.sim.build_net", lambda model, config: net)
+        monkeypatch.setattr("tmkit.sim._retest", lambda *_: list(range(next(answers))))
+        config = SimConfig(max_steps=len(lengths), seed=seed)
+        drawn = [int(f.event[1:]) for f in simulate_firings(None, config)]
+        reference = random.Random(seed)
+        assert drawn == [reference.choice(range(n)) for n in lengths]
+        assert made[-1].getstate() == reference.getstate()
+
+
+def _cycles_text(k: int) -> str:
+    """k independent two-event cycles A{i} -> B{i} -> A{i}."""
+    return "".join(
+        f"flow F{i}: T{i}.create -> T{i}.release\n"
+        f"event A{i} {{ T{i}.create }}\nevent B{i} {{ T{i}.release }}\n"
+        f"behavior A{i} -> B{i} -> A{i}\n"
+        for i in range(k)
+    )
+
+
+# sha256 of `simulate(...).to_jsonl()` at 10,001 steps: three of `tm
+# simulate`'s batches.  The cycles run at capacity 2 with every event
+# initial, so each channel starts with one token and k to 2k events are
+# enabled at every step.
+LONG_TRACE_SHA256 = {
+    (3, 0): "980bd4804ffd586d3473f14755bf3d71d440166a1bc58ac2f16b2355ef39e2ac",
+    (3, 1): "a2b726bcd098c45f5195defb10e04894fdca764f0bd8c32562753c51dfd1f95a",
+    (3, 2): "102168f19d1b084b0dfd4cde7df8cbc8f2289ef7ed356d4bbfe5d5d0f9ad2ce8",
+    (5, 0): "073aae15de8b5b74e59c0a8ef5fe1f55a2936c5f75730c0b9f68cae3a891fde0",
+    (5, 1): "9abb15d03ff670180717208f497e2f89042426efe84c75281244df80723e88c5",
+    (5, 2): "c705c2d55c197e331090ee7b3f4672dfdb0efa400c8a0bb73f0f90940bb499fb",
+    (7, 0): "2a85f5deb5a9f927a87f9276b32af8935603a88ac844f395bf66c89ca13234c0",
+    (7, 1): "a0bee52c0b1a5343f11f83e7b891aee25e3c97e05bc2a756f107d505b266d735",
+    (7, 2): "c26d253817a49e4e500f244c677b7222494049a341549bfcd86da57f9ba7f04d",
+    ("producer-consumer", 0): "dff735b952b6cab425a2953591f2cda7464ca19205b85b40186f24467d299709",
+    ("producer-consumer", 1): "dff735b952b6cab425a2953591f2cda7464ca19205b85b40186f24467d299709",
+    ("producer-consumer", 2): "dff735b952b6cab425a2953591f2cda7464ca19205b85b40186f24467d299709",
+}
+
+
+@pytest.mark.parametrize("net, seed", sorted(LONG_TRACE_SHA256, key=str))
+def test_long_traces_are_pinned(net, seed):
+    if net == "producer-consumer":
+        model = load_model(net)
+        config = SimConfig(max_steps=10_001, seed=seed)
+    else:
+        model = assemble_model(parse(_cycles_text(net)))
+        config = SimConfig(
+            capacities=2, initial_events=frozenset(model.events), max_steps=10_001, seed=seed
+        )
+    text = simulate(model, config).to_jsonl()
+    assert text.count("\n") == 10_001
+    assert hashlib.sha256(text.encode()).hexdigest() == LONG_TRACE_SHA256[net, seed]
 
 
 def test_equal_separate_records_encode_like_shared_ones():
