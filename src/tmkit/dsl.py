@@ -36,6 +36,8 @@ from .model import (
     ThimacDecl,
     TMModel,
     TriggerDecl,
+    _KIND_BY_NAME,
+    _KIND_NAME,
     kind_from_name,
 )
 
@@ -443,11 +445,11 @@ class _Refs(dict):
 
     def __missing__(self, dotted: str) -> StageRef:
         path, _, kind = dotted.rpartition(".")
-        ref = self[dotted] = StageRef(path, kind_from_name(kind))
+        ref = self[dotted] = StageRef(path, _KIND_BY_NAME[kind])
         return ref
 
 
-def _read_statements(text: str, lines: _Lines) -> list[Declaration] | None:
+def _read_statements(text: str) -> list[Declaration] | None:
     """The declarations `_Parser` reads from `text`, spans included, if
     every statement of it is in the reader's grammar; None otherwise.
 
@@ -461,11 +463,21 @@ def _read_statements(text: str, lines: _Lines) -> list[Declaration] | None:
     refs = _Refs()
     in_model_block = False
     pos = 0
+    # The line of offset `counted`, and the offset its line starts at: each
+    # statement's span counts only the line breaks since the last one.
+    line, line_start, counted = 1, 0, 0
+    count, rfind = text.count, text.rfind
     match = _STATEMENT.match
     while (m := match(text, pos)) is not None:
         pos = m.end()
         keyword = m.lastgroup
-        span = lines.span(m.start(keyword))
+        start = m.start(keyword)
+        breaks = count("\n", counted, start)
+        if breaks:
+            line += breaks
+            line_start = rfind("\n", counted, start) + 1
+        counted = start
+        span = SourceSpan(line, start - line_start + 1)
         if keyword == "event":
             # A name without a dot is an arc id reference.
             members = (m["members"] or "").replace(",", " ").split()
@@ -501,10 +513,10 @@ def parse(text: str) -> list[Declaration]:
     reports every statement-level error; the collected diagnostics are
     raised as a ParseError.
     """
-    lines = _Lines(text)
-    decls = _read_statements(text, lines)
+    decls = _read_statements(text)
     if decls is not None:
         return decls
+    lines = _Lines(text)
     diags: list[Diagnostic] = []
     tokens = _tokenize(text, lines, diags)
     decls = _Parser(tokens, lines, diags).parse_file()
@@ -532,7 +544,7 @@ def format_model(model: TMModel) -> str:
             continue
         thimac = model.thimacs[path]
         if thimac.stages:
-            kinds = " ".join(k.value for k in KIND_ORDER if k in thimac.stages)
+            kinds = " ".join(_KIND_NAME[k] for k in KIND_ORDER if k in thimac.stages)
             lines.append(f"thimac {path} {{ {kinds} }}")
         else:
             lines.append(f"thimac {path}")
@@ -551,7 +563,7 @@ def format_model(model: TMModel) -> str:
             parts.append(f"@ {_quote(event.time)}")
         members = ", ".join(
             str(ref)
-            for ref in sorted(event.region, key=lambda r: (r.thimac, r.kind.value))
+            for ref in sorted(event.region, key=lambda r: (r.thimac, _KIND_NAME[r.kind]))
         )
         lines.append(f"{' '.join(parts)} {{ {members} }}")
     for chain in _stitch(model.behavior.edges, lambda e: e[0], lambda e: e[1]):

@@ -9,12 +9,13 @@ assembled models are immutable and safe to share between analyses.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
 
 from .diagnostics import ModelError, SourceSpan
-from .records import Record, init_field
+from .records import Record
 
 
 class StageKind(enum.Enum):
@@ -39,38 +40,50 @@ KIND_ORDER: tuple[StageKind, ...] = tuple(StageKind)
 
 _KIND_BY_NAME = {k.value: k for k in StageKind}
 
+# Each kind's name, in `KIND_ORDER`, read without `Enum.value` (a Python-level
+# property).
+_KIND_NAME: dict[StageKind, str] = {k: k.value for k in StageKind}
+
 
 def kind_from_name(name: str) -> StageKind | None:
     """Look up a stage kind by its lowercase name, or None if unknown."""
     return _KIND_BY_NAME.get(name)
 
 
-class StageRef(Record):
-    """Addressable stage of a thimac, e.g. ``Mill.Motor`` + ``process``."""
+class StageRef(namedtuple("StageRef", ("thimac", "kind"))):
+    """Addressable stage of a thimac, e.g. ``Mill.Motor`` + ``process``.
 
-    __slots__ = ("_hash",)
+    Stage references key most of the model's indices, so this record is a
+    tuple, not a `Record`: its hash runs in C, building one is one tuple
+    allocation, and a lookup with the model's own ref object never leaves
+    C.  It keeps the record contract: built by position or keyword,
+    immutable, shown as ``StageRef(thimac=..., kind=...)``, copied and
+    pickled by value, equal only to a `StageRef` (never to a plain tuple),
+    and unordered.
+    """
 
-    thimac: str
-    kind: StageKind
-
-    def __init__(self, thimac: str, kind: StageKind) -> None:
-        # Stage refs key most of the model's indices, and the generic
-        # `Record.__hash__` builds a tuple on every call: the hash is computed
-        # once and kept in a slot.
-        init_field(self, "thimac", thimac)
-        init_field(self, "kind", kind)
-        init_field(self, "_hash", hash((thimac, kind)))
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is StageRef:
-            return self.thimac == other.thimac and self.kind == other.kind
-        return NotImplemented
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __ne__(self, other: object) -> bool:
+        # Defined too, or `!=` would be tuple's and find a plain tuple equal.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__  # hash((thimac, kind)), computed in C
+
+    def _unordered(self, other: object):
+        raise TypeError("stage references are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    del _unordered
 
     def __str__(self) -> str:
-        return f"{self.thimac}.{self.kind.value}"
+        return f"{self.thimac}.{_KIND_NAME[self.kind]}"
 
 
 class Thimac(Record):
@@ -137,32 +150,47 @@ class TMModel(Record):
 
     def stage_refs(self) -> list[StageRef]:
         """All stages present in the model, in path-then-kind order."""
-        refs = []
-        for path in sorted(self.thimacs):
-            if not path:
-                continue
-            thimac = self.thimacs[path]
-            for kind in KIND_ORDER:
-                if kind in thimac.stages:
-                    refs.append(StageRef(path, kind))
-        return refs
+        return list(self._stage_refs)
 
     def arcs_from(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
         """Arcs whose source is `ref`: flows, then triggers, in model order."""
-        return tuple(self._arcs_by_end[0].get(ref, ()))
+        return self._arcs_by_end[0].get(ref, ())
 
     def arcs_into(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
         """Arcs whose target is `ref`: flows, then triggers, in model order."""
-        return tuple(self._arcs_by_end[1].get(ref, ()))
+        return self._arcs_by_end[1].get(ref, ())
 
     @cached_property
-    def _arcs_by_end(self) -> tuple[dict[StageRef, list], dict[StageRef, list]]:
+    def _arcs_by_end(self) -> tuple[dict[StageRef, tuple], dict[StageRef, tuple]]:
         by_source: dict[StageRef, list] = {}
         by_target: dict[StageRef, list] = {}
         for arc in self.flows + self.triggers:
             by_source.setdefault(arc.source, []).append(arc)
             by_target.setdefault(arc.target, []).append(arc)
-        return by_source, by_target
+        return (
+            {ref: tuple(arcs) for ref, arcs in by_source.items()},
+            {ref: tuple(arcs) for ref, arcs in by_target.items()},
+        )
+
+    @cached_property
+    def _stage_refs(self) -> tuple[StageRef, ...]:
+        # A stage an arc names is that arc's own ref object, so lookups in
+        # the arc indices hit by identity; only a stage no arc names gets a
+        # new ref.
+        named: dict[str, dict[StageKind, StageRef]] = {}
+        for index in self._arcs_by_end:
+            for ref in index:
+                named.setdefault(ref.thimac, {})[ref.kind] = ref
+        refs = []
+        for path in sorted(self.thimacs):
+            if not path:
+                continue
+            stages = self.thimacs[path].stages
+            known = named.get(path, {})
+            for kind in KIND_ORDER:
+                if kind in stages:
+                    refs.append(known.get(kind) or StageRef(path, kind))
+        return tuple(refs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,58 +298,44 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
         explicit.add(path)
         stages.setdefault(path, set())
 
-    def touch(ref: StageRef) -> None:
-        if ref.thimac not in stages:
-            # Create the thimac and any missing ancestors.
-            parts = ref.thimac.split(".")
-            for i in range(1, len(parts) + 1):
-                stages.setdefault(".".join(parts[:i]), set())
-        stages[ref.thimac].add(ref.kind)
+    def add_stages(refs: Sequence[StageRef]) -> None:
+        """Add each stage to its thimac; a thimac met first here is created
+        with its missing ancestors, outermost first."""
+        for ref in refs:
+            kinds = stages.get(ref.thimac)
+            if kinds is None:
+                missing = [ref.thimac]
+                while (parent := missing[-1].rpartition(".")[0]) not in stages:
+                    missing.append(parent)
+                for path in reversed(missing):
+                    stages[path] = set()
+                kinds = stages[ref.thimac]
+            kinds.add(ref.kind)
 
-    # Each arc kind by its key, in declaration order.
-    flows: dict[tuple[str, StageRef, StageRef], FlowArc] = {}
-    triggers: dict[tuple[StageRef, StageRef], TriggerArc] = {}
-    arcs_by_id: dict[str, FlowArc | TriggerArc] = {}
+    # Each arc kind's keys, and its arcs in declaration order.
+    flow_keys: set[tuple[str, StageRef, StageRef]] = set()
+    flows: list[FlowArc] = []
+    trigger_keys: set[tuple[StageRef, StageRef]] = set()
+    triggers: list[TriggerArc] = []
     events: dict[str, Event] = {}
     # Insertion-ordered dicts used as sets: first declaration wins the place.
     behavior_nodes: dict[str, None] = {}
     behavior_edges: dict[tuple[str, str], None] = {}
 
     for decl in decls:
-        if isinstance(decl, ModelDecl):
-            if model_name is None:
-                model_name = decl.name
-        elif isinstance(decl, ThimacDecl):
-            declare(decl.path, decl.span)
-            stages[decl.path].update(decl.stages)
-        elif isinstance(decl, FlowDecl):
-            for ref in decl.chain:
-                touch(ref)
+        cls = decl.__class__
+        if cls is FlowDecl:
+            add_stages(decl.chain)
+            label, span = decl.label, decl.span
             for src, dst in zip(decl.chain, decl.chain[1:]):
-                key = (decl.label, src, dst)
-                if key in flows:
+                key = (label, src, dst)
+                if key in flow_keys:
                     raise DuplicateArcError(
-                        f"duplicate flow arc {decl.label}: {src} -> {dst}",
-                        decl.span,
+                        f"duplicate flow arc {label}: {src} -> {dst}", span
                     )
-                arc = flows[key] = FlowArc(f"F{len(flows) + 1}", *key, decl.span)
-                arcs_by_id[arc.id] = arc
-        elif isinstance(decl, TriggerDecl):
-            if decl.source == decl.target:
-                raise InvalidArcError(
-                    f"trigger may not point at its own source: {decl.source}",
-                    decl.span,
-                )
-            touch(decl.source)
-            touch(decl.target)
-            key = (decl.source, decl.target)
-            if key in triggers:
-                raise DuplicateArcError(
-                    f"duplicate trigger {decl.source} ~> {decl.target}", decl.span
-                )
-            trig = triggers[key] = TriggerArc(f"T{len(triggers) + 1}", *key, decl.span)
-            arcs_by_id[trig.id] = trig
-        elif isinstance(decl, EventDecl):
+                flow_keys.add(key)
+                flows.append(FlowArc(f"F{len(flows) + 1}", label, src, dst, span))
+        elif cls is EventDecl:
             if decl.name in events:
                 raise DuplicateEventError(
                     f"event {decl.name!r} declared twice", decl.span
@@ -336,18 +350,33 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
             for member in decl.members:
                 if isinstance(member, StageRef):
                     region[member] = None
-                else:
-                    arc = arcs_by_id.get(member)
-                    if arc is None:
-                        raise DanglingRefError(
-                            f"event {decl.name!r} names unknown arc {member!r}",
-                            decl.span,
-                        )
-                    region[arc.source] = region[arc.target] = None
+                    continue
+                arc = _arc_named(member, flows, triggers)
+                if arc is None:
+                    raise DanglingRefError(
+                        f"event {decl.name!r} names unknown arc {member!r}",
+                        decl.span,
+                    )
+                region[arc.source] = region[arc.target] = None
             events[decl.name] = Event(
                 decl.name, tuple(region), decl.description, decl.time, decl.span
             )
-        elif isinstance(decl, BehaviorDecl):
+        elif cls is TriggerDecl:
+            source, target, span = decl.source, decl.target, decl.span
+            if source == target:
+                raise InvalidArcError(
+                    f"trigger may not point at its own source: {source}", span
+                )
+            add_stages((source, target))
+            key = (source, target)
+            if key in trigger_keys:
+                raise DuplicateArcError(f"duplicate trigger {source} ~> {target}", span)
+            trigger_keys.add(key)
+            triggers.append(TriggerArc(f"T{len(triggers) + 1}", source, target, span))
+        elif cls is ThimacDecl:
+            declare(decl.path, decl.span)
+            stages[decl.path].update(decl.stages)
+        elif cls is BehaviorDecl:
             for evt_name in decl.chain:
                 if evt_name not in events:
                     raise DanglingRefError(
@@ -360,6 +389,9 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                         f"behavior edge {a} -> {b} is a self-loop", decl.span
                     )
                 behavior_edges[a, b] = None
+        elif cls is ModelDecl:
+            if model_name is None:
+                model_name = decl.name
         else:
             raise AssemblyError(f"unknown declaration type: {decl!r}")
 
@@ -382,9 +414,26 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     return TMModel(
         name=model_name or "",
         thimacs=MappingProxyType(thimacs),
-        flows=tuple(flows.values()),
-        triggers=tuple(triggers.values()),
+        flows=tuple(flows),
+        triggers=tuple(triggers),
         events=MappingProxyType(events),
         behavior=BehaviorGraph(tuple(behavior_nodes), tuple(behavior_edges)),
     )
 
+
+def _arc_named(
+    arc_id: object, flows: list[FlowArc], triggers: list[TriggerArc]
+) -> FlowArc | TriggerArc | None:
+    """The arc declared so far whose id is `arc_id`, or None.  Arcs are
+    numbered from 1 in declaration order, so ``F<n>`` can only be
+    ``flows[n - 1]`` and ``T<n>`` only ``triggers[n - 1]``."""
+    if not isinstance(arc_id, str):
+        return None
+    arcs = {"F": flows, "T": triggers}.get(arc_id[:1], ())
+    digits = arc_id[1:]
+    # No more digits than the arc count has, so `int` reads a small number.
+    if digits.isascii() and digits.isdigit() and len(digits) <= len(str(len(arcs))):
+        index = int(digits) - 1
+        if 0 <= index < len(arcs) and arcs[index].id == arc_id:
+            return arcs[index]
+    return None

@@ -10,7 +10,7 @@ order, arcs in model order.
 from __future__ import annotations
 
 from .dsl import _quote
-from .model import BehaviorGraph, KIND_ORDER, StageRef, TMModel
+from .model import BehaviorGraph, TMModel, _KIND_NAME
 from .records import Record
 
 _HEADER = "// generated by tmkit; do not edit\n"
@@ -47,13 +47,13 @@ def _static_dot(model: TMModel, opts: RenderOptions) -> str:
     lines.append("  node [shape=box, fontsize=10];")
 
     def stage_lines(path: str, indent: str) -> list[str]:
-        out = []
-        thimac = model.thimacs[path]
-        for kind in KIND_ORDER:
-            if kind in thimac.stages:
-                ref = StageRef(path, kind)
-                out.append(f"{indent}{_quote(str(ref))} [label={_quote(kind.value)}];")
-        return out
+        # A stage prints as its `StageRef` does, `path.kind`.
+        stages = model.thimacs[path].stages
+        return [
+            f"{indent}{_quote(f'{path}.{name}')} [label={_quote(name)}];"
+            for kind, name in _KIND_NAME.items()
+            if kind in stages
+        ]
 
     # An explicit stack of clusters to open and closing lines to emit:
     # thimac paths nest arbitrarily deep.

@@ -1019,6 +1019,18 @@ def reference_check_behavior(model: TMModel) -> tuple[list[str], list[str]]:
     return gaps, unsupported
 
 
+def scan_stage_refs(model: TMModel) -> list[StageRef]:
+    """Every stage of every thimac but the grand one, each as a new
+    `StageRef`, in path-then-kind order."""
+    refs = []
+    for path in sorted(model.thimacs):
+        if path:
+            for kind in KIND_ORDER:
+                if kind in model.thimacs[path].stages:
+                    refs.append(StageRef(path, kind))
+    return refs
+
+
 def scan_arcs_from(model: TMModel, ref) -> tuple:
     """Arcs whose source is `ref`, by a full scan: flows, then triggers."""
     return tuple(a for a in model.flows + model.triggers if a.source == ref)

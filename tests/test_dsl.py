@@ -438,7 +438,7 @@ def _token_parsed(text):
 
 
 def _read(text):
-    return _read_statements(text, _Lines(text))
+    return _read_statements(text)
 
 
 def _dialogue_text(n, seed=0):
@@ -468,6 +468,19 @@ def _dialogue_text(n, seed=0):
 _READER_TEXTS = {name: fixture_source(name) for name in ALL_NAMES}
 _READER_TEXTS["chain"] = _chain_text(300)
 _READER_TEXTS["dialogue"] = _dialogue_text(60)
+# Line and column counting: CRLF line ends, comment-only lines, runs of
+# blank lines, a first statement below line 1 and statements over lines.
+_READER_TEXTS["crlf"] = _dialogue_text(12, seed=1).replace("\n", "\r\n")
+_READER_TEXTS["spaced"] = (
+    "\n\n# a model written by hand\n#\n\n\n   model spaced {\n\n\n"
+    "  # the roles\n  thimac A\n\n\n\n  thimac B { create\n process }\n"
+    "\t# a step\n\n  flow X: A.b.create ->\n\n    A.b.release -> A.b.transfer\n"
+    "  event E1 \"first\"\n  @ \"t1\" {\n    A.b.create,\n\n    F1 }  # trailing\n"
+    "\n#\n##\n  flow Y: A.b.transfer -> B.b.transfer\n"
+    "  event E2 { B.b.transfer,\r\n A.b.transfer } event E3 { F2 }\n"
+    "  trigger B.b.transfer ~> B.create  behavior E1 -> E2\n\n\n}\n\n# done\n"
+)
+_READER_TEXTS["crlf-spaced"] = _READER_TEXTS["spaced"].replace("\n", "\r\n")
 
 
 @pytest.mark.parametrize("name", sorted(_READER_TEXTS))

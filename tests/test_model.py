@@ -38,6 +38,7 @@ from helpers import (
     scan_arcs_from,
     scan_arcs_into,
     scan_region_arcs,
+    scan_stage_refs,
 )
 
 
@@ -170,6 +171,50 @@ def test_event_arc_member_pulls_in_endpoints():
         assemble_model(decls + [EventDecl("E2", ("T1",))])
 
 
+_C, _P = StageRef("A", StageKind.CREATE), StageRef("A", StageKind.PROCESS)
+_B = StageRef("B", StageKind.CREATE)
+
+
+def test_an_arc_id_names_only_an_arc_declared_before_it():
+    event = EventDecl("E1", ("F1",))
+    with pytest.raises(DanglingRefError, match="unknown arc 'F1'"):
+        assemble_model([event, FlowDecl("X", (_C, _P))])
+    with pytest.raises(DanglingRefError, match="unknown arc 'T1'"):
+        assemble_model([EventDecl("E1", ("T1",)), TriggerDecl(_P, _B)])
+
+
+@pytest.mark.parametrize(
+    "member", ["F0", "F01", "F2", "F", "F1.0", "F+1", "F 1", "F\u0661", "f1", "T1", "X1", "1"]
+)
+def test_an_arc_id_is_the_exact_id_of_a_declared_arc(member):
+    flow = FlowDecl("X", (_C, _P))
+    with pytest.raises(DanglingRefError, match="unknown arc"):
+        assemble_model([flow, EventDecl("E1", (member,))])
+
+
+def test_a_trigger_id_resolves_once_the_trigger_exists():
+    flows = [FlowDecl("X", (_C, _P)), FlowDecl("Y", (_C, _P))]
+    with pytest.raises(DanglingRefError):
+        assemble_model(flows + [EventDecl("E1", ("T1",))])
+    model = assemble_model(
+        flows + [TriggerDecl(_P, _B), EventDecl("E1", ("T1", "F2"))]
+    )
+    assert model.events["E1"].region == (_P, _B, _C)
+    with pytest.raises(DanglingRefError, match="unknown arc 'T2'"):
+        assemble_model(
+            flows + [TriggerDecl(_P, _B), EventDecl("E1", ("T2",)), TriggerDecl(_C, _B)]
+        )
+
+
+def test_arc_ids_count_ten_and_more_arcs():
+    refs = [StageRef(f"N{i}", StageKind.TRANSFER) for i in range(13)]
+    decls = [FlowDecl("X", tuple(refs)), EventDecl("E1", ("F12", "F10"))]
+    assert assemble_model(decls).events["E1"].region == tuple(refs[11:13] + refs[9:11])
+    for member in ("F13", "F012", "F1 "):
+        with pytest.raises(DanglingRefError):
+            assemble_model([decls[0], EventDecl("E1", (member,))])
+
+
 def test_model_is_immutable():
     model = assemble_model(_coffee_decls())
     with pytest.raises(TypeError):
@@ -244,8 +289,18 @@ def _connected_by_scan(model, region) -> bool:
 
 
 def _assert_index_matches_scans(model):
+    refs = model.stage_refs()
+    assert refs == scan_stage_refs(model)
+    # Where an arc names a stage, the list holds an arc's own object.
+    listed = {ref: ref for ref in refs}
+    ends: dict[StageRef, set[int]] = {}
+    for arc in model.flows + model.triggers:
+        for end in (arc.source, arc.target):
+            ends.setdefault(end, set()).add(id(end))
+    assert all(id(listed[ref]) in ids for ref, ids in ends.items())
+
     ghost = StageRef("Ghost", StageKind.CREATE)
-    for ref in model.stage_refs() + [ghost]:
+    for ref in refs + [ghost]:
         assert model.arcs_from(ref) == scan_arcs_from(model, ref)
         assert model.arcs_into(ref) == scan_arcs_into(model, ref)
 
@@ -254,7 +309,7 @@ def _assert_index_matches_scans(model):
     }
     assert orphans == {
         str(ref)
-        for ref in model.stage_refs()
+        for ref in refs
         if not scan_arcs_from(model, ref) and not scan_arcs_into(model, ref)
     }
 

@@ -5,6 +5,7 @@ and filled with its defaults where a field is omitted."""
 import copy
 import inspect
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -51,13 +52,15 @@ DEFAULTS = {
     "TriggerArc": {"span": None},
 }
 
+# `StageRef` is a tuple, not a `Record`, and keeps the same contract; its
+# tuple-specific cases are the `test_stage_ref_*` tests below.
 RECORDS = sorted(
     {
         value
         for value in (getattr(tmkit, name) for name in tmkit.__all__)
         if isinstance(value, type) and issubclass(value, Record)
     }
-    | {Node, Edge, Firing, NetConfig},
+    | {Node, Edge, Firing, NetConfig, tmkit.StageRef},
     key=lambda cls: cls.__name__,
 )
 
@@ -126,7 +129,9 @@ def test_omitted_fields_take_their_defaults(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_records_copy_and_pickle_by_value(cls):
     record = cls(*values(cls))
-    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(record, protocol)) for protocol in protocols]
+    for clone in (copy.copy(record), copy.deepcopy(record), *pickled):
         assert clone == record and type(clone) is cls
 
 
@@ -211,8 +216,9 @@ def test_wrong_arguments_are_type_errors():
         (tmkit.Diagnostic, ("E_X", "m"), {"severity": tmkit.Severity.ERROR}),
         (tmkit.Diagnostic, (tmkit.Severity.ERROR, "E_X", "m", "", None), {}),
     ):
-        # The message names the record whose constructor was called.
-        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)"):
+        # The message names the record whose constructor was called: a
+        # `Record`'s generated `__init__`, or the tuple `StageRef`'s `__new__`.
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__(init|new)__\(\)"):
             cls(*args, **kwargs)
 
 
@@ -226,3 +232,43 @@ def test_cached_indexes_are_built_on_first_use():
     assert "_arcs_by_end" not in model.__dict__
     assert len(model.arcs_from(tmkit.StageRef("A", tmkit.StageKind.CREATE))) == 1
     assert "_arcs_by_end" in model.__dict__
+    assert "_stage_refs" not in model.__dict__
+    refs = model.stage_refs()
+    assert "_stage_refs" in model.__dict__
+    assert refs == model.stage_refs() and refs is not model.stage_refs()
+    refs.clear()  # each call returns a list of its own
+    assert len(model.stage_refs()) == 2
+
+
+# The tuple `StageRef`: what the generic record cases above cannot show.
+_KIND = tmkit.StageKind.PROCESS
+
+
+def _ref(thimac="Mill.Motor", kind=_KIND):
+    return tmkit.StageRef(thimac, kind)
+
+
+def test_stage_ref_never_equals_a_plain_tuple():
+    ref, plain = _ref(), ("Mill.Motor", _KIND)
+    equal = _ref("".join(["Mill.", "Motor"]))  # equal, but another object
+    assert {ref: 1}[equal] == 1 and equal in {ref} and not equal != ref
+    assert hash(ref) == hash(plain)
+    assert not ref == plain and ref != plain
+    assert not plain == ref and plain != ref
+    assert ref not in {plain: 1} and plain not in {ref: 1}
+    assert ref not in {plain} and plain not in {ref}
+    assert len({ref, plain}) == 2 and len({ref: 1, plain: 2}) == 2
+    assert ref not in [plain] and plain not in [ref]
+    assert ref != "Mill.Motor.process" and "Mill.Motor.process" != ref
+
+
+def test_stage_ref_is_not_ordered():
+    ref = _ref()
+    for other in (_ref("A"), ("A", _KIND), ("Z",)):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(ref, other)
+            with pytest.raises(TypeError):
+                compare(other, ref)
+    with pytest.raises(TypeError):
+        sorted([_ref("B"), _ref("A")])
