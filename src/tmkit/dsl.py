@@ -406,8 +406,11 @@ _B = r"[ \t\r\n]*"  # blanks inside a statement
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _DOTTED = rf"{_NAME}(?:\.{_NAME})*"
 _KIND = "|".join(k.value for k in KIND_ORDER)
-_REF = rf"{_DOTTED}\.(?:{_KIND})\b"  # a joined stage reference
-_MEMBER = rf"(?:{_REF}|{_NAME})"  # of a region: a stage reference or an arc id
+# A joined stage reference is read as a dotted name of two or more names, and
+# a region member (a reference or an arc id) as any dotted name, so a match
+# never gives back a kind's characters to try the kinds.  `_Refs` checks the
+# last name, once per distinct reference.
+_REF = rf"{_NAME}(?:\.{_NAME})+"
 _TEXT = r'[^"\\\n]*'  # a string's body, with no escape
 
 # Inside a statement only blanks may separate its tokens, a name is ASCII,
@@ -424,7 +427,7 @@ _STATEMENT = re.compile(
             ("event", rf"(?P<event_name>{_NAME}){_B}"
                       rf'(?:"(?P<description>{_TEXT})"{_B})?'
                       rf'(?:@{_B}"(?P<time>{_TEXT})"{_B})?'
-                      rf"\{{{_B}(?:(?P<members>{_MEMBER}(?:{_B},{_B}{_MEMBER})*){_B})?\}}"),
+                      rf"\{{{_B}(?:(?P<members>{_DOTTED}(?:{_B},{_B}{_DOTTED})*){_B})?\}}"),
             ("flow", rf"(?P<label>{_NAME}){_B}:{_B}(?P<chain>{_REF}(?:{_B}->{_B}{_REF})+)"),
             ("trigger", rf"(?P<source>{_REF}){_B}~>{_B}(?P<target>{_REF})"),
             ("thimac", rf"(?P<path>{_DOTTED})"
@@ -441,7 +444,8 @@ _END = re.compile(_SKIP + rf"(?:(\}}){_SKIP})?\Z")
 
 class _Refs(dict):
     """Stage refs by dotted name, made on first use, so equal references
-    share one `StageRef` within a read."""
+    share one `StageRef` within a read.  A name whose last part is not a
+    stage kind raises KeyError."""
 
     def __missing__(self, dotted: str) -> StageRef:
         path, _, kind = dotted.rpartition(".")
@@ -455,9 +459,9 @@ def _read_statements(text: str) -> list[Declaration] | None:
 
     The grammar is a subset of the valid files: an optional leading
     `model NAME {` closed by a `}` that ends the file, and statements whose
-    names are ASCII, whose stage references are joined (`A.b.create`), and
-    whose strings hold no backslash, with blanks and comments between
-    statements and only blanks inside one."""
+    names are ASCII, whose stage references are joined (`A.b.create`) and
+    end in a stage kind, and whose strings hold no backslash, with blanks
+    and comments between statements and only blanks inside one."""
     decls: list[Declaration] = []
     append = decls.append
     refs = _Refs()
@@ -468,36 +472,39 @@ def _read_statements(text: str) -> list[Declaration] | None:
     line, line_start, counted = 1, 0, 0
     count, rfind = text.count, text.rfind
     match = _STATEMENT.match
-    while (m := match(text, pos)) is not None:
-        pos = m.end()
-        keyword = m.lastgroup
-        start = m.start(keyword)
-        breaks = count("\n", counted, start)
-        if breaks:
-            line += breaks
-            line_start = rfind("\n", counted, start) + 1
-        counted = start
-        span = SourceSpan(line, start - line_start + 1)
-        if keyword == "event":
-            # A name without a dot is an arc id reference.
-            members = (m["members"] or "").replace(",", " ").split()
-            region = tuple([refs[x] if "." in x else x for x in members])
-            append(EventDecl(m["event_name"], region, m["description"], m["time"], span))
-        elif keyword == "flow":
-            chain = m["chain"].replace("->", " ").split()
-            append(FlowDecl(m["label"], tuple([refs[x] for x in chain]), span))
-        elif keyword == "trigger":
-            append(TriggerDecl(refs[m["source"]], refs[m["target"]], span))
-        elif keyword == "thimac":
-            stages = tuple(map(kind_from_name, (m["kinds"] or "").split()))
-            append(ThimacDecl(m["path"], stages, span))
-        elif keyword == "behavior":
-            append(BehaviorDecl(tuple(m["order"].replace("->", " ").split()), span))
-        elif decls:  # a `model` after the first statement
-            return None
-        else:
-            append(ModelDecl(m["model_name"], span))
-            in_model_block = True
+    try:
+        while (m := match(text, pos)) is not None:
+            pos = m.end()
+            keyword = m.lastgroup
+            start = m.start(keyword)
+            breaks = count("\n", counted, start)
+            if breaks:
+                line += breaks
+                line_start = rfind("\n", counted, start) + 1
+            counted = start
+            span = SourceSpan(line, start - line_start + 1)
+            if keyword == "event":
+                # A name without a dot is an arc id reference.
+                members = (m["members"] or "").replace(",", " ").split()
+                region = tuple([refs[x] if "." in x else x for x in members])
+                append(EventDecl(m["event_name"], region, m["description"], m["time"], span))
+            elif keyword == "flow":
+                chain = m["chain"].replace("->", " ").split()
+                append(FlowDecl(m["label"], tuple([refs[x] for x in chain]), span))
+            elif keyword == "trigger":
+                append(TriggerDecl(refs[m["source"]], refs[m["target"]], span))
+            elif keyword == "thimac":
+                stages = tuple(map(kind_from_name, (m["kinds"] or "").split()))
+                append(ThimacDecl(m["path"], stages, span))
+            elif keyword == "behavior":
+                append(BehaviorDecl(tuple(m["order"].replace("->", " ").split()), span))
+            elif decls:  # a `model` after the first statement
+                return None
+            else:
+                append(ModelDecl(m["model_name"], span))
+                in_model_block = True
+    except KeyError:  # a reference whose last name is not a stage kind
+        return None
     end = _END.match(text, pos)
     if end is None or (end[1] is not None) != in_model_block:
         return None

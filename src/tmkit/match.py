@@ -633,12 +633,16 @@ def find_shared_functionality(
     used: tuple[set[str], set[str]] = (set(), set())
     budget = SEARCH_NODE_BUDGET
     matches: list[tuple[NodeMapping, int]] = []
+    # An exact step searched a superset of the nodes the next one may use,
+    # so no later fragment is larger: the next search stops at this size.
+    ceiling = min(len(g1.nodes), len(g2.nodes))
     while budget >= 0:
         search = _Search(sides, ties, used)
-        pairs, budget = search.largest(min_size - 1, budget)
+        pairs, budget = search.largest(min_size - 1, ceiling, budget)
         if not pairs:
             break
-        matches.append((NodeMapping(tuple(sorted(pairs))), len(pairs)))
+        ceiling = len(pairs)
+        matches.append((NodeMapping(tuple(sorted(pairs))), ceiling))
         used[0].update(u for u, _ in pairs)
         used[1].update(w for _, w in pairs)
     return SharedFunctionality(tuple(matches), approximate=budget < 0)
@@ -717,13 +721,17 @@ class _Search:
                 self.pooled += 1
             count[side] += 1
 
-    def largest(self, floor: int, budget: int) -> tuple[list[tuple[str, str]], int]:
+    def largest(
+        self, floor: int, ceiling: int, budget: int
+    ) -> tuple[list[tuple[str, str]], int]:
         """A largest common connected induced fragment of more than `floor`
-        pairs, or [] if there is none, and the budget left.  A negative
-        budget means the search stopped early with the best fragment so far."""
+        pairs, or [] if there is none, and the budget left.  The caller
+        knows that no fragment has more than `ceiling` pairs, so the first
+        of `ceiling` pairs ends the search.  A negative budget means the
+        search stopped early with the best fragment so far."""
         ties1, ties2 = self.ties
         best: list[tuple[str, str]] = []
-        incumbent, target = floor, self.pooled
+        incumbent, target = floor, min(self.pooled, ceiling)
         mapping: list[tuple[str, str]] = []
         # Depth-first search with an explicit stack.  A frame is a search
         # node: its classes, the class i it branches on (None: a pool, at the

@@ -9,7 +9,7 @@ conventions (orphan stages, unusual trigger sources) are Warnings.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, Severity, sort_diagnostics
-from .model import StageKind, TMModel
+from .model import KIND_ORDER, StageKind, StageRef, TMModel
 
 _C = StageKind.CREATE
 _P = StageKind.PROCESS
@@ -34,6 +34,13 @@ LEGAL_SAME_THIMAC: frozenset[tuple[StageKind, StageKind]] = frozenset(
 LEGAL_CROSS_THIMAC: frozenset[tuple[StageKind, StageKind]] = frozenset({(_T, _T)})
 
 
+# Every legal (source kind, target kind, same thimac) step, for one lookup.
+_LEGAL_STEPS = frozenset(
+    [(src, dst, True) for src, dst in LEGAL_SAME_THIMAC]
+    + [(src, dst, False) for src, dst in LEGAL_CROSS_THIMAC]
+)
+
+
 def flow_adjacency_legal(src: StageKind, dst: StageKind, same_thimac: bool) -> bool:
     """Whether a flow arc may step from `src` to `dst`.
 
@@ -42,8 +49,7 @@ def flow_adjacency_legal(src: StageKind, dst: StageKind, same_thimac: bool) -> b
     and transfer->receive; the only step between thimacs is
     transfer->transfer (the boundary crossing).
     """
-    table = LEGAL_SAME_THIMAC if same_thimac else LEGAL_CROSS_THIMAC
-    return (src, dst) in table
+    return (src, dst, bool(same_thimac)) in _LEGAL_STEPS
 
 
 def check_static(model: TMModel) -> list[Diagnostic]:
@@ -62,6 +68,8 @@ def check_static(model: TMModel) -> list[Diagnostic]:
 
     for arc in model.flows:
         same = arc.source.thimac == arc.target.thimac
+        if (arc.source.kind, arc.target.kind, same) in _LEGAL_STEPS:
+            continue
         if arc.target.kind is StageKind.CREATE:
             diags.append(
                 Diagnostic(
@@ -82,7 +90,7 @@ def check_static(model: TMModel) -> list[Diagnostic]:
                     span=arc.span,
                 )
             )
-        elif not flow_adjacency_legal(arc.source.kind, arc.target.kind, same):
+        else:
             where = "within one thimac" if same else "across thimacs"
             diags.append(
                 Diagnostic(
@@ -126,15 +134,29 @@ def check_static(model: TMModel) -> list[Diagnostic]:
                 )
             )
 
-    for ref in model.stage_refs():
-        if not model.arcs_from(ref) and not model.arcs_into(ref):
-            diags.append(
-                Diagnostic(
-                    "W_ORPHAN_STAGE",
-                    f"stage {ref} has no incident flow or trigger arc",
-                    subject=str(ref),
+    # Per thimac, the kinds that some arc's end names; any other stage of it
+    # is an orphan.  The grand thimac "" is skipped, as `stage_refs()` skips it.
+    arcs = model.flows + model.triggers
+    ends = {arc.source for arc in arcs}
+    ends.update([arc.target for arc in arcs])
+    touched: dict[str, set[StageKind]] = {}
+    for path, kind in ends:
+        touched.setdefault(path, set()).add(kind)
+    for path in sorted(model.thimacs):
+        stages = model.thimacs[path].stages
+        kinds = touched.get(path, frozenset())
+        if not path or stages <= kinds:
+            continue
+        for kind in KIND_ORDER:
+            if kind in stages and kind not in kinds:
+                ref = StageRef(path, kind)
+                diags.append(
+                    Diagnostic(
+                        "W_ORPHAN_STAGE",
+                        f"stage {ref} has no incident flow or trigger arc",
+                        subject=str(ref),
+                    )
                 )
-            )
 
     return sort_diagnostics(diags)
 

@@ -367,7 +367,8 @@ _PARSE_PIECES = list(_LEX_ALPHABET) + [
 
 
 # One text per way the statement reader declines a file; all but the last
-# two are valid, so the token parser reads them.
+# seven are valid, so the token parser reads them.  The last five name a
+# reference whose last name is not a stage kind.
 _DECLINED = [
     "flow X: A.b.create -> # the target is next\n  B.c.create",  # a comment inside a chain
     "flow X: A.b.create # c\n-> B.c.create",  # `->` after a comment
@@ -379,6 +380,11 @@ _DECLINED = [
     "thimac A # stages:\n{ create }",  # `{` after a comment
     "flow.x: A.b.create -> B.c.create",  # a keyword with no blank after it
     "trigger A.b.create ~> B.c.createflow X: A.b.create -> B.c.create",  # no blank after a kind
+    "flow X: A.b.create -> A.b.stor",  # at the end of a flow
+    "trigger A.b.create ~> A.b.createx",  # at the end of a trigger
+    "event E { A.b.create, A.b.create_1 }",  # region members
+    "event E { A.b.createé }",
+    "trigger A.create.b ~> A.b.create",  # a kind before the last name
 ]
 
 
@@ -417,6 +423,11 @@ def _parse_outcome(parse_fn, text):
 @example(_DECLINED[7])
 @example(_DECLINED[8])
 @example(_DECLINED[9])
+@example(_DECLINED[10])
+@example(_DECLINED[11])
+@example(_DECLINED[12])
+@example(_DECLINED[13])
+@example(_DECLINED[14])
 @example(_NON_ASCII_AFTER_DOT)
 @example("thimac A\n# flow X: A.b.create -> A.c.create")  # a statement inside a comment
 def test_parse_matches_reference(text):
@@ -508,6 +519,8 @@ def test_statement_reader_declines_outside_its_grammar(text):
 # After each statement: 10,000 blanks, 500 comments made of '#' runs, and a
 # token that continues the statement or that no statement can start with.
 _FAR_TAILS = " " * 10_000 + ("# " + "#" * 30 + "\n") * 500
+# A stage reference of 10,000 dotted names.
+_LONG_REF = ".".join(["n"] * 10_000)
 
 
 @pytest.mark.parametrize(
@@ -519,6 +532,8 @@ _FAR_TAILS = " " * 10_000 + ("# " + "#" * 30 + "\n") * 500
         ("trigger A.b.create ~> A.b.release", "?"),
         ("thimac A", "{ create }"),
         ("thimac A", "?"),
+        (f"flow X: A.b.create -> {_LONG_REF}.release", "?"),
+        (f"flow X: A.b.create -> {_LONG_REF}.stor", "?"),
     ],
 )
 def test_parse_time_is_linear_in_blanks_and_comments(statement, tail):

@@ -785,6 +785,35 @@ def test_thirty_node_paths_give_one_exact_fragment():
     assert mapping.as_dict() == {f"a{i}": f"b{i}" for i in range(30)}
 
 
+def _request_chain(prefix, thing, n=10):
+    """A chain of `n` create -> process flows, each with its own thing
+    label, where each process triggers the next create."""
+    nodes, edges = [], []
+    for i in range(n):
+        c, p = f"{prefix}{i}c", f"{prefix}{i}p"
+        nodes += [(c, f"{prefix}{i}", C), (p, f"{prefix}{i}", P)]
+        edges.append((c, p, "flow", f"{thing}{i}"))
+        if i:
+            edges.append((f"{prefix}{i - 1}p", c, "trigger", ""))
+    return make_graph(nodes, edges)
+
+
+def test_each_cover_step_stops_at_the_previous_fragment_size(monkeypatch):
+    # No flow label is shared, so the cover is the 9 trigger edges, each a
+    # fragment of 2.  Once the first is found, every later step stops at its
+    # first fragment of 2: 400 search nodes suffice (the whole search of
+    # every step takes over 1,000).
+    g1, g2 = _request_chain("a", "x"), _request_chain("b", "y")
+    full = find_shared_functionality(g1, g2)
+    monkeypatch.setattr(match, "SEARCH_NODE_BUDGET", 400)
+    shared = find_shared_functionality(g1, g2)
+    assert not shared.approximate and shared == full
+    assert shared.matches == tuple(
+        (NodeMapping(((f"a{i}p", f"b{i}p"), (f"a{i + 1}c", f"b{i + 1}c"))), 2)
+        for i in range(9)
+    )
+
+
 def test_spent_budget_flags_approximate_and_dedup_exits_three(monkeypatch, capsys):
     from tmkit import cli, match
 

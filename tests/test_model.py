@@ -25,9 +25,12 @@ from tmkit.corpus import ALL_NAMES
 from tmkit.model import (
     BehaviorDecl,
     EventDecl,
+    FlowArc,
     FlowDecl,
     InvalidArcError,
+    Thimac,
     ThimacDecl,
+    TMModel,
     TriggerDecl,
 )
 
@@ -288,25 +291,31 @@ def _connected_by_scan(model, region) -> bool:
     return len({root(ref) for ref in region}) == 1
 
 
+def _orphans(model):
+    return {d.subject for d in check_static(model) if d.code == "W_ORPHAN_STAGE"}
+
+
 def _assert_index_matches_scans(model):
+    # `check_static` builds no index, so its orphans come from its own pass.
+    assert "_arcs_by_end" not in model.__dict__
+    assert "_stage_refs" not in model.__dict__
+    orphans = _orphans(model)
     refs = model.stage_refs()
     assert refs == scan_stage_refs(model)
-    # Where an arc names a stage, the list holds an arc's own object.
+    # Where an arc names a stage, the list holds an arc's own object.  The
+    # grand thimac's stages are not listed.
     listed = {ref: ref for ref in refs}
     ends: dict[StageRef, set[int]] = {}
     for arc in model.flows + model.triggers:
         for end in (arc.source, arc.target):
             ends.setdefault(end, set()).add(id(end))
-    assert all(id(listed[ref]) in ids for ref, ids in ends.items())
+    assert all(id(listed[ref]) in ids for ref, ids in ends.items() if ref.thimac)
 
     ghost = StageRef("Ghost", StageKind.CREATE)
     for ref in refs + [ghost]:
         assert model.arcs_from(ref) == scan_arcs_from(model, ref)
         assert model.arcs_into(ref) == scan_arcs_into(model, ref)
 
-    orphans = {
-        d.subject for d in check_static(model) if d.code == "W_ORPHAN_STAGE"
-    }
     assert orphans == {
         str(ref)
         for ref in refs
@@ -366,3 +375,39 @@ def test_index_matches_scans_on_fixtures(name):
 @settings(max_examples=150, deadline=None)
 def test_index_matches_scans_on_random_models(model):
     _assert_index_matches_scans(model)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (  # orphans in nested thimacs, beside stages that arcs touch
+            "thimac A { create process }\nthimac A.b { receive }\n"
+            "thimac A.b.c { create release transfer }\n"
+            "flow X: A.b.c.create -> A.b.c.release",
+            {"A.create", "A.process", "A.b.receive", "A.b.c.transfer"},
+        ),
+        (  # an explicit thimac whose stages no arc touches
+            "thimac X { create process }\ntrigger Y.process ~> Y.create",
+            {"X.create", "X.process"},
+        ),
+    ],
+)
+def test_orphans_match_scans(text, expected):
+    model = assemble_model(parse(text))
+    _assert_index_matches_scans(model)
+    assert _orphans(model) == expected
+
+
+def test_an_arc_into_the_grand_thimac_reports_no_orphan_there():
+    # Built by hand: the grand thimac "" holds every kind, and one arc runs
+    # into it.  Its stages are never listed, so none is an orphan.
+    model = assemble_model(parse("thimac A { create release }"))
+    arc = FlowArc(
+        "F1", "x", StageRef("A", StageKind.RELEASE), StageRef("", StageKind.RECEIVE)
+    )
+    grand = model.thimacs[""]
+    every_kind = Thimac("", grand.name, grand.children, frozenset(StageKind))
+    thimacs = {**model.thimacs, "": every_kind}
+    model = TMModel(model.name, thimacs, (arc,), (), model.events, model.behavior)
+    _assert_index_matches_scans(model)
+    assert _orphans(model) == {"A.create"}

@@ -229,6 +229,7 @@ def test_a_mapping_is_true_when_it_maps_something():
 
 def test_cached_indexes_are_built_on_first_use():
     model = tmkit.assemble_model(tmkit.parse("flow X: A.create -> A.process\n"))
+    assert not tmkit.check_static(model)  # reads the arcs, not the indices
     assert "_arcs_by_end" not in model.__dict__
     assert len(model.arcs_from(tmkit.StageRef("A", tmkit.StageKind.CREATE))) == 1
     assert "_arcs_by_end" in model.__dict__
