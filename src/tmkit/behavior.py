@@ -29,6 +29,39 @@ class UnknownGoalError(TMError):
 
 def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     """Check one event's region: non-empty, resolved, weakly connected."""
+    return _region_diagnostics(model, event, _region_links(model, [event.region])[0])
+
+
+def _region_links(
+    model: TMModel, regions: list[tuple[StageRef, ...]]
+) -> list[dict[StageRef, list[StageRef]]]:
+    """Per region, by position: each member's neighbours along the flows
+    and triggers with both ends in that region, from one pass over the
+    arcs."""
+    # Per stage: the positions of the regions that hold it.
+    holders: dict[StageRef, list[int]] = {}
+    for i, region in enumerate(regions):
+        for ref in region:
+            if (held := holders.get(ref)) is None:
+                holders[ref] = [i]
+            else:
+                held.append(i)
+    links: list[dict[StageRef, list[StageRef]]] = [
+        {ref: [] for ref in region} for region in regions
+    ]
+    for arc in chain(model.flows, model.triggers):
+        if (sources := holders.get(arc.source)) and (targets := holders.get(arc.target)):
+            for i in sources:
+                if i in targets:
+                    links[i][arc.source].append(arc.target)
+                    links[i][arc.target].append(arc.source)
+    return links
+
+
+def _region_diagnostics(
+    model: TMModel, event: Event, links: dict[StageRef, list[StageRef]]
+) -> list[Diagnostic]:
+    """`check_event_region`, given the region's `_region_links`."""
     diags: list[Diagnostic] = []
     if not event.region:
         diags.append(
@@ -55,24 +88,15 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     if unresolved:
         return sort_diagnostics(diags)
 
-    stages = set(event.region)
-    neighbors: dict[StageRef, set[StageRef]] = {ref: set() for ref in stages}
-    for ref in stages:
-        for arc in model.arcs_from(ref):
-            if arc.target in stages:
-                neighbors[ref].add(arc.target)
-                neighbors[arc.target].add(ref)
-    seen: set[StageRef] = set()
-    queue = deque([event.region[0]])
-    seen.add(event.region[0])
+    seen = {event.region[0]}
+    queue = deque(seen)
     while queue:
-        cur = queue.popleft()
-        for nxt in neighbors[cur]:
+        for nxt in links[queue.popleft()]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    if seen != stages:
-        missing = sorted(str(r) for r in stages - seen)
+    if len(seen) < len(links):
+        missing = sorted(str(r) for r in links if r not in seen)
         diags.append(
             Diagnostic(
                 "E_DISCONNECTED_REGION",
@@ -233,8 +257,10 @@ def nonfunctional_events(behavior: BehaviorGraph, goals: set[str]) -> set[str]:
 
 
 def check_all_events(model: TMModel) -> list[Diagnostic]:
-    """Region checks for every declared event, in declaration order."""
+    """Region checks for every declared event, in declaration order, from
+    one pass over the arcs."""
+    events = list(model.events.values())
     diags: list[Diagnostic] = []
-    for event in model.events.values():
-        diags.extend(check_event_region(model, event))
+    for event, links in zip(events, _region_links(model, [e.region for e in events])):
+        diags.extend(_region_diagnostics(model, event, links))
     return diags

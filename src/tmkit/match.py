@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from functools import cached_property
 
 from .diagnostics import ModelError, TMError
-from .model import FlowArc, StageKind, StageRef, TMModel
+from .model import _KIND_NAME, KIND_ORDER, FlowArc, StageKind, StageRef, TMModel
 from .records import Record
 
 FLOW = "flow"
@@ -107,31 +107,50 @@ class GraphIndex(Record):
         for n in g.nodes:
             if n.id in labels:
                 raise ValueError(f"node id {n.id!r} is repeated")
-            labels[n.id] = n.label(roles)
-        # Per node and neighbour (itself for a self-loop): the label counts
-        # of the edges toward that neighbour and from it.
-        counts: dict[str, dict[str, tuple[dict, dict]]] = {u: {} for u in labels}
+            # `Node.label`, inline.
+            labels[n.id] = (n.is_env, n.role if roles else "", _KIND_NAME[n.kind])
+        # Per node and neighbour (itself for a self-loop): the labels of the
+        # edges toward that neighbour and from it.
+        sides: dict[str, dict[str, tuple[list, list]]] = {u: {} for u in labels}
         for e in g.edges:
-            if e.src not in labels or e.dst not in labels:
-                raise ValueError(f"edge {e.src} -> {e.dst} names an absent node")
-            label = e.label(things)
-            for u, x, side in ((e.src, e.dst, 0), (e.dst, e.src, 1)):
-                tally = counts[u].setdefault(x, ({}, {}))[side]
-                tally[label] = tally.get(label, 0) + 1
-        for u, nbrs in counts.items():
-            loops = nbrs.pop(u, ({}, {}))[0]
-            labels[u] = (labels[u], tuple(sorted(loops.items())) or None)
-        order = sorted(counts, key=lambda u: (-len(counts[u]), u))
+            src, dst = e.src, e.dst
+            if src not in labels or dst not in labels:
+                raise ValueError(f"edge {src} -> {dst} names an absent node")
+            label = (e.kind, e.thing if things else "")  # `Edge.label`, inline
+            if (pair := sides[src].get(dst)) is None:
+                sides[src][dst] = ([label], [])
+            else:
+                pair[0].append(label)
+            if src != dst:
+                if (pair := sides[dst].get(src)) is None:
+                    sides[dst][src] = ([], [label])
+                else:
+                    pair[1].append(label)
+        for u, nbrs in sides.items():
+            loops = nbrs.pop(u, None)
+            labels[u] = (labels[u], _counted(loops[0]) if loops else None)
+        order = sorted(sides, key=lambda u: (-len(sides[u]), u))
         rank = {u: i for i, u in enumerate(order)}
         near = {
             u: {
-                x: (tuple(sorted(nbrs[x][0].items())) or None,
-                    tuple(sorted(nbrs[x][1].items())) or None)
-                for x in sorted(nbrs, key=rank.__getitem__)
+                x: (_counted(nbrs[x][0]), _counted(nbrs[x][1]))
+                for x in (sorted(nbrs, key=rank.__getitem__) if len(nbrs) > 1 else nbrs)
             }
-            for u, nbrs in counts.items()
+            for u, nbrs in sides.items()
         }
         return cls(labels, near, order)
+
+
+def _counted(labels: list[tuple]) -> tuple | None:
+    """The sorted (label, count) pairs of `labels`, or None for none."""
+    if len(labels) == 1:
+        return ((labels[0], 1),)
+    if not labels:
+        return None
+    counts: dict[tuple, int] = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 class SimplifiedGraph(Record):
@@ -192,18 +211,31 @@ def simplify(model: TMModel) -> SimplifiedGraph:
 
     Requires a statically valid model (zero Error diagnostics); an
     interior elided stage with two distinct create/process successors
-    raises AmbiguousSpliceError rather than picking one.
+    raises AmbiguousSpliceError rather than picking one.  One pass over
+    `model.flows` gives each stage its flows out and in; the model's own
+    arc indices are not built.
     """
-    def flows(ref: StageRef, forward: bool) -> list[FlowArc]:
-        arcs = model.arcs_from(ref) if forward else model.arcs_into(ref)
-        return [arc for arc in arcs if isinstance(arc, FlowArc)]
-
-    all_refs = model.stage_refs()
-    kept = [ref for ref in all_refs if ref.kind in _KEEP]
+    # Per stage: the flows leaving it and the flows entering it, in model
+    # order.
+    after: dict[StageRef, list[FlowArc]] = {}
+    before: dict[StageRef, list[FlowArc]] = {}
+    for arc in model.flows:
+        if (out := after.get(arc.source)) is None:
+            after[arc.source] = [arc]
+        else:
+            out.append(arc)
+        if (into := before.get(arc.target)) is None:
+            before[arc.target] = [arc]
+        else:
+            into.append(arc)
 
     nodes: dict[str, Node] = {}
-    for ref in kept:
-        nodes[str(ref)] = Node(str(ref), ref.thimac, ref.kind)
+    for path, thimac in model.thimacs.items():
+        if path:
+            for kind in _KEEP:
+                if kind in thimac.stages:
+                    node_id = f"{path}.{_KIND_NAME[kind]}"
+                    nodes[node_id] = Node(node_id, path, kind)
 
     def env_node(ref: StageRef) -> str:
         node_id = f"env:{ref}"
@@ -217,7 +249,7 @@ def simplify(model: TMModel) -> SimplifiedGraph:
     def endpoints(ref: StageRef, forward: bool) -> frozenset[StageRef]:
         """Create/process stages (or boundary dead ends) reachable from an
         elided stage walking along the flow direction."""
-        memo = forward_memo if forward else backward_memo
+        memo, arcs_of = (forward_memo, after) if forward else (backward_memo, before)
         if ref in memo:
             return memo[ref]
         result: set[StageRef] = set()
@@ -225,7 +257,7 @@ def simplify(model: TMModel) -> SimplifiedGraph:
         stack = [ref]
         while stack:
             cur = stack.pop()
-            arcs = flows(cur, forward)
+            arcs = arcs_of.get(cur)
             if not arcs:
                 result.add(cur)
                 continue
@@ -260,17 +292,17 @@ def simplify(model: TMModel) -> SimplifiedGraph:
             edges[key] = Edge(src, dst, kind, thing)
 
     # Flow edges: walk forward from every path start (a kept stage, or an
-    # elided stage nothing flows into).
-    starts = [
-        ref
-        for ref in all_refs
-        if ref.kind in _KEEP or not flows(ref, forward=False)
-    ]
+    # elided stage nothing flows into) outside the grand thimac, in
+    # path-then-kind order: of several ambiguous splices, the one met first
+    # in that order raises.
+    starts = sorted(
+        (ref for ref in after if ref.thimac and (ref.kind in _KEEP or ref not in before)),
+        key=lambda ref: (ref.thimac, KIND_ORDER.index(ref.kind)),
+    )
     for start in starts:
-        for arc in flows(start, forward=True):
-            src = str(start) if start.kind in _KEEP else env_node(start)
-            dst = splice(arc.target, forward=True)
-            add_edge(src, dst, FLOW, arc.label)
+        src = str(start) if start.kind in _KEEP else env_node(start)
+        for arc in after[start]:
+            add_edge(src, splice(arc.target, forward=True), FLOW, arc.label)
 
     # Trigger edges: elided endpoints are remapped to the nearest kept
     # stage along the flow direction (upstream for origins, downstream

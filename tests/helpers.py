@@ -21,10 +21,14 @@ from hypothesis import strategies as st
 from tmkit import assemble_model, parse
 from tmkit.behavior import infer_dependencies
 from tmkit.corpus import ALL_NAMES, fixture_source
-from tmkit.diagnostics import Diagnostic, SourceSpan
+from tmkit.diagnostics import Diagnostic, SourceSpan, sort_diagnostics
 from tmkit.dsl import ParseError
 from tmkit.match import (
+    ENV_ROLE,
+    FLOW,
     STRICT,
+    TRIGGER,
+    AmbiguousSpliceError,
     Edge,
     GraphIndex,
     MatchPolicy,
@@ -39,6 +43,7 @@ from tmkit.model import (
     Declaration,
     Event,
     EventDecl,
+    FlowArc,
     FlowDecl,
     ModelDecl,
     StageKind,
@@ -1071,6 +1076,270 @@ def bitmap_dependencies(model: TMModel) -> set[tuple[str, str]]:
                 if a != b and dst_bits & bit[b]:
                     pairs.add((a, b))
     return pairs
+
+
+
+# The per-event region check and the simplification that one pass over the
+# arcs replaced, kept verbatim as oracles for `tmkit.check_all_events`,
+# `tmkit.check_event_region` and `tmkit.simplify`.  Both read the model's
+# arc indices.
+
+def reference_check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
+    """Check one event's region: non-empty, resolved, weakly connected."""
+    diags: list[Diagnostic] = []
+    if not event.region:
+        diags.append(
+            Diagnostic(
+                "E_EMPTY_REGION",
+                f"event {event.name!r} has an empty region",
+                subject=event.name,
+                span=event.span,
+            )
+        )
+        return diags
+
+    unresolved = [ref for ref in event.region if not model.resolves(ref)]
+    for ref in unresolved:
+        diags.append(
+            Diagnostic(
+                "E_UNRESOLVED_REF",
+                f"event {event.name!r} names {ref}, which is not a stage "
+                "of the model",
+                subject=str(ref),
+                span=event.span,
+            )
+        )
+    if unresolved:
+        return sort_diagnostics(diags)
+
+    stages = set(event.region)
+    neighbors: dict[StageRef, set[StageRef]] = {ref: set() for ref in stages}
+    for ref in stages:
+        for arc in model.arcs_from(ref):
+            if arc.target in stages:
+                neighbors[ref].add(arc.target)
+                neighbors[arc.target].add(ref)
+    seen: set[StageRef] = set()
+    queue = deque([event.region[0]])
+    seen.add(event.region[0])
+    while queue:
+        cur = queue.popleft()
+        for nxt in neighbors[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    if seen != stages:
+        missing = sorted(str(r) for r in stages - seen)
+        diags.append(
+            Diagnostic(
+                "E_DISCONNECTED_REGION",
+                f"event {event.name!r}'s region is not connected; "
+                f"unreached: {', '.join(missing)}",
+                subject=event.name,
+                span=event.span,
+            )
+        )
+    return sort_diagnostics(diags)
+
+
+_KEEP = (StageKind.CREATE, StageKind.PROCESS)
+
+
+def reference_simplify(model: TMModel) -> SimplifiedGraph:
+    """Collapse the model to its create/process skeleton.
+
+    Requires a statically valid model (zero Error diagnostics); an
+    interior elided stage with two distinct create/process successors
+    raises AmbiguousSpliceError rather than picking one.
+    """
+    def flows(ref: StageRef, forward: bool) -> list[FlowArc]:
+        arcs = model.arcs_from(ref) if forward else model.arcs_into(ref)
+        return [arc for arc in arcs if isinstance(arc, FlowArc)]
+
+    all_refs = model.stage_refs()
+    kept = [ref for ref in all_refs if ref.kind in _KEEP]
+
+    nodes: dict[str, Node] = {}
+    for ref in kept:
+        nodes[str(ref)] = Node(str(ref), ref.thimac, ref.kind)
+
+    def env_node(ref: StageRef) -> str:
+        node_id = f"env:{ref}"
+        if node_id not in nodes:
+            nodes[node_id] = Node(node_id, ENV_ROLE, StageKind.CREATE, is_env=True)
+        return node_id
+
+    forward_memo: dict[StageRef, frozenset[StageRef]] = {}
+    backward_memo: dict[StageRef, frozenset[StageRef]] = {}
+
+    def endpoints(ref: StageRef, forward: bool) -> frozenset[StageRef]:
+        """Create/process stages (or boundary dead ends) reachable from an
+        elided stage walking along the flow direction."""
+        memo = forward_memo if forward else backward_memo
+        if ref in memo:
+            return memo[ref]
+        result: set[StageRef] = set()
+        seen = {ref}
+        stack = [ref]
+        while stack:
+            cur = stack.pop()
+            arcs = flows(cur, forward)
+            if not arcs:
+                result.add(cur)
+                continue
+            for arc in arcs:
+                nxt = arc.target if forward else arc.source
+                if nxt.kind in _KEEP:
+                    result.add(nxt)
+                elif nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        memo[ref] = frozenset(result)
+        return memo[ref]
+
+    def splice(ref: StageRef, forward: bool) -> str:
+        """Map an arbitrary stage to its node: itself if kept, otherwise
+        the unique create/process stage (or boundary) it leads to."""
+        if ref.kind in _KEEP:
+            return str(ref)
+        ends = endpoints(ref, forward)
+        if len(ends) > 1:
+            raise AmbiguousSpliceError(ref)
+        if not ends:
+            return env_node(ref)
+        end = next(iter(ends))
+        return str(end) if end.kind in _KEEP else env_node(end)
+
+    edges: dict[tuple[str, str, str, str], Edge] = {}
+
+    def add_edge(src: str, dst: str, kind: str, thing: str) -> None:
+        key = (src, dst, kind, thing)
+        if key not in edges:
+            edges[key] = Edge(src, dst, kind, thing)
+
+    # Flow edges: walk forward from every path start (a kept stage, or an
+    # elided stage nothing flows into).
+    starts = [
+        ref
+        for ref in all_refs
+        if ref.kind in _KEEP or not flows(ref, forward=False)
+    ]
+    for start in starts:
+        for arc in flows(start, forward=True):
+            src = str(start) if start.kind in _KEEP else env_node(start)
+            dst = splice(arc.target, forward=True)
+            add_edge(src, dst, FLOW, arc.label)
+
+    # Trigger edges: elided endpoints are remapped to the nearest kept
+    # stage along the flow direction (upstream for origins, downstream
+    # for destinations).
+    for trig in model.triggers:
+        src = splice(trig.source, forward=False)
+        dst = splice(trig.target, forward=True)
+        add_edge(src, dst, TRIGGER, "")
+
+    ordered_nodes = tuple(nodes[nid] for nid in sorted(nodes))
+    ordered_edges = tuple(edges[k] for k in sorted(edges))
+    return SimplifiedGraph(ordered_nodes, ordered_edges)
+
+
+_ELIDED = (StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE)
+# Arcs run among these thimacs' stages; "A.x" sorts between "A" and "B".
+_ARC_PATHS = ("A", "A.x", "B", "C")
+
+
+@st.composite
+def splice_models(draw) -> TMModel:
+    """Models for `simplify`, assembled from a few pieces over one small
+    pool of stages, so pieces share stages: chains that may start or end
+    at an elided stage (the boundary), elided diamonds, cycles of elided
+    stages, triggers that touch an elided stage, and declared thimacs
+    whose stages no arc touches.  Flows come in a drawn order, so of
+    several ambiguous splices any may be declared first."""
+    paths = st.sampled_from(_ARC_PATHS)
+
+    def stage(kinds=KIND_ORDER) -> StageRef:
+        return StageRef(draw(paths), draw(st.sampled_from(kinds)))
+
+    def elided() -> StageRef:
+        return stage(_ELIDED)
+
+    flows: dict[tuple[str, StageRef, StageRef], None] = {}
+    triggers: dict[tuple[StageRef, StageRef], None] = {}
+    decls: list[Declaration] = []
+
+    def flow(*chain: StageRef) -> None:
+        label = draw(st.sampled_from("xy"))
+        for src, dst in zip(chain, chain[1:]):
+            flows[label, src, dst] = None
+
+    pieces = ("chain", "diamond", "cycle", "trigger", "thimac")
+    for i in range(draw(st.integers(1, 6))):
+        piece = draw(st.sampled_from(pieces))
+        if piece == "chain":
+            flow(*[stage() for _ in range(draw(st.integers(2, 4)))])
+        elif piece == "diamond":
+            top, bottom = elided(), elided()
+            flow(stage(), top, elided(), bottom, stage())
+            flow(top, elided(), bottom)
+        elif piece == "cycle":
+            ring = [elided() for _ in range(draw(st.integers(1, 3)))]
+            flow(*ring, ring[0])
+            if draw(st.booleans()):
+                flow(stage(), ring[0])
+            if draw(st.booleans()):
+                flow(ring[-1], stage())
+        elif piece == "trigger":
+            ends = [elided(), stage()]
+            if draw(st.booleans()):
+                ends.reverse()
+            if ends[0] != ends[1]:
+                triggers[tuple(ends)] = None
+        else:
+            kinds = draw(st.sets(st.sampled_from(KIND_ORDER), min_size=1))
+            decls.append(ThimacDecl(f"D{i}", tuple(kinds)))
+    arcs = [FlowDecl(label, (src, dst)) for label, src, dst in flows]
+    arcs += [TriggerDecl(src, dst) for src, dst in triggers]
+    decls += draw(st.permutations(arcs))
+    return assemble_model(decls)
+
+
+@st.composite
+def region_models(draw) -> TMModel:
+    """Models whose events overlap, name unresolved stages (of an unknown
+    thimac, or a kind their thimac lacks), are empty, or name arcs by id;
+    flows and triggers run among a few thimacs' stages."""
+    pool = [StageRef(path, kind) for path in ("A", "B", "C") for kind in KIND_ORDER]
+    ends = st.sampled_from(pool)
+    decls: list[Declaration] = []
+    flows: dict[tuple[StageRef, StageRef], None] = {}
+    for src, dst in draw(st.lists(st.tuples(ends, ends), max_size=10)):
+        flows[src, dst] = None
+    decls += [FlowDecl("x", pair) for pair in flows]
+    triggers = {
+        (src, dst): None
+        for src, dst in draw(st.lists(st.tuples(ends, ends), max_size=4))
+        if src != dst
+    }
+    decls += [TriggerDecl(src, dst) for src, dst in triggers]
+    named = sorted({ref for pair in [*flows, *triggers] for ref in pair}, key=pool.index)
+    ids = [f"F{i + 1}" for i in range(len(flows))]
+    ids += [f"T{i + 1}" for i in range(len(triggers))]
+
+    def member() -> StageRef | str:
+        pick = draw(st.integers(0, 9))
+        if named and pick < 6:
+            return draw(st.sampled_from(named))
+        if named and pick < 8:
+            return draw(st.sampled_from(ids))
+        if pick < 9:
+            return draw(ends)  # unresolved when no arc names this stage
+        return StageRef("Ghost", draw(st.sampled_from(KIND_ORDER)))
+
+    for i in range(draw(st.integers(1, 5))):
+        region = tuple(member() for _ in range(draw(st.integers(0, 4))))
+        decls.append(EventDecl(f"E{i}", region))
+    return assemble_model(decls)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from tmkit import (
     nonfunctional_events,
     parse,
 )
+from tmkit.behavior import check_all_events
 from tmkit.model import (
     BehaviorDecl,
     BehaviorGraph,
@@ -33,6 +34,8 @@ from helpers import (
     load_model,
     reachable_from,
     reference_check_behavior,
+    reference_check_event_region,
+    region_models,
     variant,
 )
 
@@ -83,6 +86,15 @@ def test_fixture_events_all_valid():
         model = load_model(name)
         for event in model.events.values():
             assert check_event_region(model, event) == [], (name, event.name)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(model=region_models())
+def test_region_checks_match_the_search_per_event(model):
+    events = list(model.events.values())
+    expected = [reference_check_event_region(model, event) for event in events]
+    assert [check_event_region(model, event) for event in events] == expected
+    assert check_all_events(model) == [d for diags in expected for d in diags]
 
 
 def test_automobile_dependencies():
