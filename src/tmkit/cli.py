@@ -7,10 +7,10 @@ diagnostics, 2 usage or I/O error (stdout closed too), 3 analysis limit exceeded
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # What every subcommand needs; each `cmd_*` imports the rest, so a process
 # loads only the analyses it runs.
@@ -70,7 +70,7 @@ def _report(diags: list[Diagnostic]) -> int:
     return DIAG_ERRORS if errors else OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     from .behavior import OverlapAmbiguityError, check_all_events, check_behavior
 
     model = _load(args.file, valid=False)
@@ -84,19 +84,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     return _report(sort_diagnostics(diags))
 
 
-def cmd_fmt(args: argparse.Namespace) -> int:
+def cmd_fmt(args: SimpleNamespace) -> int:
     sys.stdout.write(format_model(_load(args.file, valid=False)))
     return OK
 
 
-def cmd_simplify(args: argparse.Namespace) -> int:
+def cmd_simplify(args: SimpleNamespace) -> int:
     from .match import simplify
 
     sys.stdout.write(simplify(_load(args.file)).edge_list_text())
     return OK
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: SimpleNamespace) -> int:
     from .render import RenderOptions, to_dot
 
     model = _load(args.file)
@@ -116,7 +116,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     from .sim import SimConfig, encode_batches, simulate_firings
 
     config = SimConfig(
@@ -130,7 +130,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
+def cmd_explore(args: SimpleNamespace) -> int:
     from .sim import ExploreConfig, explore_state_space
 
     config = ExploreConfig(
@@ -144,7 +144,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_dedup(args: argparse.Namespace) -> int:
+def cmd_dedup(args: SimpleNamespace) -> int:
     from .match import (
         SEARCH_NODE_BUDGET,
         MatchPolicy,
@@ -153,6 +153,8 @@ def cmd_dedup(args: argparse.Namespace) -> int:
         isomorphic,
         simplify,
     )
+
+    import json
 
     graphs, names = [], []
     for spec in (args.file1, args.file2):
@@ -191,113 +193,130 @@ def cmd_dedup(args: argparse.Namespace) -> int:
     return LIMIT if undecided or shared.approximate else OK
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
+#: Each subcommand's handler, positionals, options and summary.  An option
+#: maps to its kind and default, and sets the attribute named by it without
+#: its dashes, "-" read as "_".  Its kind is `bool` for a flag, `str` for a
+#: text, a tuple of choices, `int` for an integer, or the least int allowed.
+_NET = {"--capacity": (1, 1), "--channels": (("declared", "inferred"), "declared")}
+_RENDER = {"--view": (("static", "behavior", "simplified"), "static"), "--output": (str, None)}
+COMMANDS = {
+    "check": (cmd_check, ["file"], {}, "parse and validate a model"),
+    "fmt": (cmd_fmt, ["file"], {}, "canonically reformat a model"),
+    "simplify": (cmd_simplify, ["file"], {}, "print the create/process edge list"),
+    "render": (cmd_render, ["file"], {**_RENDER, "--no-thing-labels": (bool, False)}, "emit DOT"),
+    "simulate": (cmd_simulate, ["file"], {**_NET, "--seed": (int, 0), "--max-steps": (0, 100)},
+                 "run a seeded token simulation"),
+    "explore": (cmd_explore, ["file"], {**_NET, "--max-states": (1, 10_000)},
+                "enumerate reachable markings"),
+    "dedup": (cmd_dedup, ["file1", "file2"], {"--min-size": (2, 2), "--match-roles": (bool, False)},
+              "compare two models for duplicated functionality"),
+}
+_HELP = {"--help": (bool, False)}  # known at every level
+_TOP = (None, ["command"], {**_HELP, "--fixtures": (bool, False)}, "Thinging-machine model "
+        "toolkit: check, render, simulate, and compare .tm models; --fixtures lists the corpus.")
+_SHORT = {"-h": "--help", "-o": "--output"}
 
-    def convert(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
 
-    return convert
+class UsageError(Exception):
+    """A command line `tm` cannot run; args: the subcommand read (or None), the error."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tm",
-        description="Thinging-machine model toolkit: check, render, "
-        "simulate, and compare .tm models.",
-    )
-    parser.add_argument(
-        "--fixtures",
-        action="store_true",
-        help="list the embedded fixture corpus and exit",
-    )
-    sub = parser.add_subparsers(dest="command")
+def _split(arg: str, options: dict) -> tuple[str | None, str | None]:
+    """`arg` as an option's name and attached value (None if it has none),
+    or (None, None) for a positional.  An unknown option keeps its text."""
+    name, eq, value = arg.partition("=")
+    name = _SHORT.get(name, name)
+    if name in options:
+        return name, value if eq else None
+    if _SHORT.get(arg[:2]) in options:  # a value attached to a short option: -oOUT
+        return _SHORT[arg[:2]], arg[2:]
+    # As argparse did: "-", a negative number or a text with a blank is a value.
+    positional = arg[:1] != "-" or arg in ("-", "--") or " " in arg
+    return (None if positional or re.match(r"-\d+$|-\d*\.\d+$", arg) else arg), None
 
-    p_check = sub.add_parser("check", help="parse and validate a model")
-    p_check.add_argument("file", help=".tm file or fixture:NAME")
-    p_check.set_defaults(func=cmd_check)
 
-    p_fmt = sub.add_parser("fmt", help="canonically reformat a model")
-    p_fmt.add_argument("file")
-    p_fmt.set_defaults(func=cmd_fmt)
+def _value(kind, text: str | None) -> object:
+    """An option's value, from the text given with it (None if none was)."""
+    if (kind is bool) != (text is None):
+        raise ValueError("takes no value" if kind is bool else "expected a value")
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(kind)})")
+    if kind is bool or kind is str or isinstance(kind, tuple):
+        return True if kind is bool else text
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if kind is not int and value < kind:
+        raise ValueError(f"must be at least {kind}, got {value}")
+    return value
 
-    p_simplify = sub.add_parser(
-        "simplify", help="print the create/process edge list"
-    )
-    p_simplify.add_argument("file")
-    p_simplify.set_defaults(func=cmd_simplify)
 
-    p_render = sub.add_parser("render", help="emit DOT")
-    p_render.add_argument("file")
-    p_render.add_argument(
-        "--view", choices=("static", "behavior", "simplified"), default="static"
-    )
-    p_render.add_argument("-o", "--output", default=None)
-    p_render.add_argument("--no-thing-labels", action="store_true")
-    p_render.set_defaults(func=cmd_render)
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read `argv` into the attributes `run` and the `cmd_*` functions read, up
+    to the first --help.  A bad option value raises UsageError at once, and
+    an unknown option or a positional too many does only at the end."""
+    args = SimpleNamespace(help=False, fixtures=False, command=None)
+    _, positionals, options, _ = _TOP
+    unknown, dashes, i = None, False, 0  # after "--", every argument is a positional
+    while i < len(argv):
+        arg, i = argv[i], i + 1
+        name, value = (None, None) if dashes else _split(arg, options)
+        if arg == "--" and args.command and not dashes:
+            dashes = True
+        elif name in options:
+            kind = options[name][0]
+            if kind is not bool and value is None and argv[i:i + 1] not in ([], ["--"]) \
+                    and not _split(argv[i], options)[0]:
+                value, i = argv[i], i + 1  # the next argument, if it is no option
+            try:
+                setattr(args, name[2:].replace("-", "_"), _value(kind, value))
+            except ValueError as exc:
+                raise UsageError(args.command, f"argument {name}: {exc}") from None
+            if args.help:
+                return args
+        elif name or not positionals:
+            unknown = unknown or arg
+        elif args.command:
+            setattr(args, positionals.pop(0), arg)
+        elif arg in COMMANDS:
+            args.command, (args.func, positionals, options, _) = arg, COMMANDS[arg]
+            positionals, options = list(positionals), {**_HELP, **options}
+            vars(args).update((n[2:].replace("-", "_"), d) for n, (_, d) in options.items())
+        else:
+            raise UsageError(None, f"invalid command: {arg!r} (choose from {', '.join(COMMANDS)})")
+    if unknown is not None:
+        raise UsageError(args.command, f"unrecognized argument: {unknown}")
+    if positionals and (args.command or not args.fixtures):
+        raise UsageError(args.command, f"the following argument is required: {positionals[0]}"
+                         if args.command else "a subcommand is required; see --help")
+    return args
 
-    # The token net's inputs (`sim.NetConfig`), shared by simulate and explore.
-    net = argparse.ArgumentParser(add_help=False)
-    net.add_argument("file")
-    net.add_argument("--capacity", type=_int_at_least(1), default=1)
-    net.add_argument("--channels", choices=("declared", "inferred"), default="declared")
 
-    p_sim = sub.add_parser("simulate", parents=[net], help="run a seeded token simulation")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--max-steps", type=_int_at_least(0), default=100)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_explore = sub.add_parser("explore", parents=[net], help="enumerate reachable markings")
-    p_explore.add_argument("--max-states", type=_int_at_least(1), default=10_000)
-    p_explore.set_defaults(func=cmd_explore)
-
-    p_dedup = sub.add_parser(
-        "dedup", help="compare two models for duplicated functionality"
-    )
-    p_dedup.add_argument("file1")
-    p_dedup.add_argument("file2")
-    p_dedup.add_argument(
-        "--min-size",
-        type=_int_at_least(2),
-        default=2,
-        metavar="K",
-        help="smallest shared fragment to report (at least 2)",
-    )
-    p_dedup.add_argument(
-        "--match-roles",
-        action="store_true",
-        help="require thimac role names to match, not just structure",
-    )
-    p_dedup.set_defaults(func=cmd_dedup)
-
-    return parser
+def _usage(command: str | None, full: bool = False) -> str:
+    """The usage line; in full, with what the command does (and the commands)."""
+    _, positionals, options, about = COMMANDS.get(command, _TOP)
+    words = ["usage: tm", command] if command else ["usage: tm"]
+    for name, (kind, _) in {**_HELP, **options}.items():
+        metavar = "|".join(kind) if isinstance(kind, tuple) else "PATH" if kind is str else "N"
+        words.append(f"[{name}]" if kind is bool else f"[{name} {metavar}]")
+    usage = " ".join(words + [p.upper() for p in positionals])
+    rows = "" if command else "\n" + "".join(f"\n  {n:<10}{e[3]}" for n, e in COMMANDS.items())
+    return f"{usage}\n\n{about}{rows}" if full else usage
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors
-        return int(exc.code or 0)
-    if args.fixtures:
-        for name in corpus.ALL_NAMES:
-            print(name)
-        return OK
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        _say("a subcommand is required; see --help")
-        return USAGE
     # The one place where failures become exit codes.  Model errors are
     # diagnostics (JSON lines, exit 1); unreadable input or output is exit 2.
     try:
+        args = parse_args(argv)
+        if args.help or args.fixtures:
+            print(_usage(args.command, full=True) if args.help else "\n".join(corpus.ALL_NAMES))
+            return OK
         return args.func(args)
+    except UsageError as exc:
+        _say(f"{_usage(exc.args[0])}\ntm: error: {exc.args[1]}")
+        return USAGE
     except (OSError, corpus.UnknownFixtureError) as exc:
         _say(str(exc))
         return USAGE

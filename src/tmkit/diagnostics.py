@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import json
 
 from .records import Record
 
@@ -52,6 +51,8 @@ class Diagnostic(Record):
         return (line, col, self.code, self.subject)
 
     def to_json(self) -> str:
+        import json  # a clean `tm check` writes no JSON, so skips the import
+
         return json.dumps(
             {
                 "severity": str(self.severity),

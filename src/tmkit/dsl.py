@@ -64,8 +64,10 @@ _Token = tuple[str, str, int]
 # which is one IDENT; the parser cuts it back into `IDENT '.' IDENT ...`
 # wherever it wants a single name, so a dot left unjoined reads the same.
 # A string ends at its closing quote or at the end of its line; `\"` and
-# `\\` are its only escapes.
-_LEXEME = re.compile(
+# `\\` are its only escapes.  Only the token parser uses these three patterns,
+# and it compiles them on first use through `re`'s cache, so reading a
+# well-formed file compiles none of them.
+_LEXEME = (
     r"(?:[ \t\r\n]+|#[^\n]*)*(?:"
     + "|".join(
         f"(?P<{name}>{pattern})"
@@ -78,15 +80,15 @@ _LEXEME = re.compile(
     )
     + ")?"
 )
-_ESCAPE = re.compile(r'\\(["\\])')
-_NEWLINE = re.compile(r"\n")
+_ESCAPE = r'\\(["\\])'
+_NEWLINE = r"\n"
 
 
 class _Lines:
     """The line-start offsets of a text, to turn an offset into a span."""
 
     def __init__(self, text: str):
-        self.starts = [0] + [m.end() for m in _NEWLINE.finditer(text)]
+        self.starts = [0] + [m.end() for m in re.finditer(_NEWLINE, text)]
 
     def span(self, offset: int) -> SourceSpan:
         line = bisect_right(self.starts, offset)
@@ -98,7 +100,7 @@ def _tokenize(text: str, lines: _Lines, diags: list[Diagnostic]) -> list[_Token]
     append = tokens.append
     pos = 0
     while True:
-        for m in _LEXEME.finditer(text, pos):
+        for m in re.compile(_LEXEME).finditer(text, pos):
             kind = m.lastgroup
             if kind == "word":
                 value = m[kind]
@@ -117,7 +119,7 @@ def _tokenize(text: str, lines: _Lines, diags: list[Diagnostic]) -> list[_Token]
                 if not m["closed"]:
                     diags.append(_syntax_error("unterminated string literal", start, lines))
                 body = m["body"]
-                append(("STRING", _ESCAPE.sub(r"\1", body) if "\\" in body else body, start))
+                append(("STRING", re.sub(_ESCAPE, r"\1", body) if "\\" in body else body, start))
             elif kind == "other":
                 diags.append(_unexpected(text, m.start(kind), lines))
             else:

@@ -3,6 +3,7 @@ oracles, a DOT grammar checker, and random graph and text generators."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -20,6 +21,15 @@ from hypothesis import strategies as st
 
 from tmkit import assemble_model, parse
 from tmkit.behavior import infer_dependencies
+from tmkit.cli import (
+    cmd_check,
+    cmd_dedup,
+    cmd_explore,
+    cmd_fmt,
+    cmd_render,
+    cmd_simplify,
+    cmd_simulate,
+)
 from tmkit.corpus import ALL_NAMES, fixture_source
 from tmkit.diagnostics import Diagnostic, SourceSpan, sort_diagnostics
 from tmkit.dsl import ParseError
@@ -1675,3 +1685,93 @@ def reference_explore_state_space(
         deadlocks=tuple(sorted(deadlocks)),
         bounded=bounded,
     )
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that `tm` used before `cli.parse_args`: an oracle
+    for which command lines are usage errors and what the others set."""
+    parser = argparse.ArgumentParser(
+        prog="tm",
+        description="Thinging-machine model toolkit: check, render, "
+        "simulate, and compare .tm models.",
+    )
+    parser.add_argument(
+        "--fixtures",
+        action="store_true",
+        help="list the embedded fixture corpus and exit",
+    )
+    sub = parser.add_subparsers(dest="command")
+
+    p_check = sub.add_parser("check", help="parse and validate a model")
+    p_check.add_argument("file", help=".tm file or fixture:NAME")
+    p_check.set_defaults(func=cmd_check)
+
+    p_fmt = sub.add_parser("fmt", help="canonically reformat a model")
+    p_fmt.add_argument("file")
+    p_fmt.set_defaults(func=cmd_fmt)
+
+    p_simplify = sub.add_parser(
+        "simplify", help="print the create/process edge list"
+    )
+    p_simplify.add_argument("file")
+    p_simplify.set_defaults(func=cmd_simplify)
+
+    p_render = sub.add_parser("render", help="emit DOT")
+    p_render.add_argument("file")
+    p_render.add_argument(
+        "--view", choices=("static", "behavior", "simplified"), default="static"
+    )
+    p_render.add_argument("-o", "--output", default=None)
+    p_render.add_argument("--no-thing-labels", action="store_true")
+    p_render.set_defaults(func=cmd_render)
+
+    # The token net's inputs (`sim.NetConfig`), shared by simulate and explore.
+    net = argparse.ArgumentParser(add_help=False)
+    net.add_argument("file")
+    net.add_argument("--capacity", type=_int_at_least(1), default=1)
+    net.add_argument("--channels", choices=("declared", "inferred"), default="declared")
+
+    p_sim = sub.add_parser("simulate", parents=[net], help="run a seeded token simulation")
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--max-steps", type=_int_at_least(0), default=100)
+    p_sim.set_defaults(func=cmd_simulate)
+
+    p_explore = sub.add_parser("explore", parents=[net], help="enumerate reachable markings")
+    p_explore.add_argument("--max-states", type=_int_at_least(1), default=10_000)
+    p_explore.set_defaults(func=cmd_explore)
+
+    p_dedup = sub.add_parser(
+        "dedup", help="compare two models for duplicated functionality"
+    )
+    p_dedup.add_argument("file1")
+    p_dedup.add_argument("file2")
+    p_dedup.add_argument(
+        "--min-size",
+        type=_int_at_least(2),
+        default=2,
+        metavar="K",
+        help="smallest shared fragment to report (at least 2)",
+    )
+    p_dedup.add_argument(
+        "--match-roles",
+        action="store_true",
+        help="require thimac role names to match, not just structure",
+    )
+    p_dedup.set_defaults(func=cmd_dedup)
+
+    return parser

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tmkit import assemble_model, cli, match, parse
@@ -18,7 +18,7 @@ from tmkit.diagnostics import ModelError
 from tmkit.match import simplify
 from tmkit.sim import ExploreConfig, SimConfig, explore_state_space, simulate, simulate_firings
 
-from helpers import mutated_corpus_text, run_tm, tm_env
+from helpers import mutated_corpus_text, reference_parser, run_tm, tm_env
 
 #: Two events whose regions both hold the whole of arc F1.
 _OVERLAP = (
@@ -242,6 +242,64 @@ def test_dedup_of_ring_pairs_under_any_budget_decides_or_exits_three(
         assert code == 3 and "undecided" in err
     else:
         assert verdict["isomorphic"] == (sorted(sizes[0]) == sorted(sizes[1]))
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ([], "a subcommand is required"),
+        (["bogus", "fixture:pump"], "'bogus'"),
+        (["check", "fixture:pump", "--bogus"], "--bogus"),
+        (["--fixtures", "--bogus"], "--bogus"),
+        (["check"], "file"),
+        (["dedup", "fixture:pump"], "file2"),
+        (["check", "fixture:pump", "fixture:window"], "fixture:window"),
+        (["explore", "fixture:pump", "--max-states"], "--max-states"),
+        (["render", "fixture:pump", "-o", "--view", "static"], "-o"),
+        (["render", "fixture:pump", "--view", "bogus"], "--view"),
+        (["simulate", "fixture:pump", "--seed", "x"], "--seed"),
+        (["simulate", "fixture:pump", "--seed=1.5"], "--seed"),
+        (["dedup", "fixture:pump", "fixture:pump", "--match-roles=yes"], "--match-roles"),
+        # argparse took a unique prefix for the whole name; `tm` does not.
+        (["explore", "fixture:pump", "--max-s", "5"], "--max-s"),
+        (["render", "fixture:pump", "--out", "x.dot"], "--out"),
+        (["--fix"], "--fix"),
+    ],
+)
+def test_every_usage_error_prints_a_usage_line_and_one_error_line(capsys, argv, named):
+    assert cli.run(argv) == cli.USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert usage.startswith(f"usage: tm {command} " if command else "usage: tm [--help]")
+    assert error.startswith("tm: error: ") and named in error
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["--help"], None),
+        (["-h", "check"], None),
+        (["--fixtures", "-h"], None),
+        (["check", "--help"], "check"),
+        (["render", "-o", "x.dot", "-h", "fixture:pump"], "render"),
+        (["simulate", "--bogus", "--help"], "simulate"),  # an unknown option is an error only at the end
+        (["dedup", "-h", "--min-size", "1"], "dedup"),  # reading stops at -h
+    ],
+)
+def test_help_prints_the_usage_and_every_name_to_stdout(capsys, argv, command):
+    assert cli.run(argv) == cli.OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command is None:
+        assert out.startswith("usage: tm [--help] [--fixtures] COMMAND")
+        names = [*cli.COMMANDS, "--fixtures"]
+    else:
+        _, positionals, options, _ = cli.COMMANDS[command]
+        assert out.startswith(f"usage: tm {command} [--help] ")
+        names = [*(p.upper() for p in positionals), *options]
+    assert all(name in out for name in names), out
 
 
 def test_dedup_min_size_below_two_is_usage_error():
@@ -698,3 +756,100 @@ def test_every_command_line_ends_with_a_documented_exit_code(argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(_resolve(argv, Path(directory)))
     assert code in (0, 1, 2, 3), argv
+
+
+#: Every option name that some parser level knows.
+_NAMES = {"-h", "--help", "--fixtures", "-o", "--output", *(n for o in _OPTIONS.values() for n in o)}
+#: Arguments dropped into a drawn line: help, --fixtures, an extra
+#: positional, negative numbers, options with their value missing (at the
+#: end of the line, or before another option), attached values, options of
+#: other subcommands, unknown options, and abbreviations.
+_EXTRAS = [
+    "-h", "--help", "--fixtures", "@extra.tm", "-1", "-2.5", "-", "-x", "--bogus=1",
+    "--max-states", "--seed", "--view", "-o", "--min-size", "--view=", "-o=out.dot",
+    "-oout.dot", "--output=out.dot", "--match-roles=yes", "--no-thing-labels",
+    "-hx", "--max-s", "--out", "--no", "--fix", "--he", "--ma", "--=1",
+]
+
+
+def _abbreviates(arg: str) -> bool:
+    """Whether argparse read `arg` as an abbreviation: a prefix of an
+    option's name, unique (that option) or not (a usage error)."""
+    name = arg.partition("=")[0]
+    return (
+        arg != "--"
+        and name.startswith("--")
+        and name not in _NAMES
+        and any(known.startswith(name) for known in _NAMES)
+    )
+
+
+@st.composite
+def _parser_lines(draw):
+    """`_command_lines()` regrouped and extended: a value attached as
+    `--opt=value`, the options in any order among the positionals, a `--`
+    between the options and the positionals, and `_EXTRAS` anywhere."""
+    argv = [arg if isinstance(arg, str) else "@drawn.tm" for arg in draw(_command_lines())]
+    command, options, rest = argv[0], _OPTIONS[argv[0]], argv[1:]
+    units = []
+    while rest:
+        size = 2 if options.get(rest[0]) else 1
+        unit, rest = rest[:size], rest[size:]
+        if size == 2 and draw(st.booleans()):
+            unit = [f"{unit[0]}={unit[1]}"]
+        units.append(unit)
+    units = draw(st.permutations(units))
+    if draw(st.booleans()):
+        # argparse's reading of a `--` elsewhere changed between Python
+        # versions, so the oracle is asked only about this place.
+        units = sorted(units, key=lambda unit: not unit[0].startswith("-"))
+        first = next((i for i, unit in enumerate(units) if not unit[0].startswith("-")), len(units))
+        units.insert(first, ["--"])
+    line = [command, *(arg for unit in units for arg in unit)]
+    for extra in draw(st.lists(st.sampled_from(_EXTRAS), max_size=3)):
+        line.insert(draw(st.integers(0, len(line))), extra)
+    return line
+
+
+def _reading(parse, argv):
+    """What `parse` made of `argv`: help, a usage error, or the attributes it set."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except (SystemExit, cli.UsageError) as exc:
+            return "help" if getattr(exc, "code", 2) == 0 else "usage error"
+    attributes = vars(args)
+    if attributes.pop("help", False):
+        return "help"
+    if args.command is None and not args.fixtures:
+        return "usage error"  # what `run` made of argparse's reading
+    return attributes
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=_parser_lines())
+@example(argv=["render", "-oout.dot", "fixture:pump"])
+@example(argv=["render", "fixture:pump", "-o=out.dot", "--view=behavior"])
+@example(argv=["check", "-hx", "--help"])
+@example(argv=["simulate", "--seed", "-3", "--", "-1"])
+def test_the_option_table_reads_every_line_as_argparse_did(argv):
+    ours = _reading(cli.parse_args, argv)
+    theirs = _reading(lambda line: reference_parser().parse_args(line), argv)
+    if any(map(_abbreviates, argv)):
+        # Intended change: argparse read a unique prefix as the option it
+        # names (`--max-s 5`); `tm` reads it as an unknown option.
+        assert ours in (theirs, "help", "usage error"), argv
+    else:
+        assert ours == theirs, argv
+    if isinstance(ours, str):
+        # Intended change: the help text is written from the table, so only
+        # where it goes is compared, not its words.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        if ours == "help":
+            assert (code, err.getvalue()) == (cli.OK, "") and out.getvalue().startswith("usage: tm")
+        else:
+            assert (code, out.getvalue()) == (cli.USAGE, "")
+            assert [line[:10] for line in err.getvalue().splitlines()] == ["usage: tm ", "tm: error:"]
+

@@ -11,6 +11,9 @@ from helpers import SRC
 
 #: Modules that `import tmkit.cli` must not add to a bare interpreter's.
 NOT_ON_START = {
+    "argparse",
+    "gettext",
+    "json",
     "dataclasses",
     "inspect",
     "hashlib",
@@ -43,6 +46,17 @@ def test_the_cli_imports_no_analysis_it_does_not_run():
     added = _modules("import tmkit.cli") - _modules("pass")
     assert {"tmkit", "tmkit.cli", "tmkit.dsl", "tmkit.model"} <= added
     assert added.isdisjoint(NOT_ON_START), sorted(added & NOT_ON_START)
+
+
+def test_a_clean_check_loads_no_option_parser_and_no_json():
+    # `tm` reads its command line from its own table, and a clean model's
+    # `check` writes no JSON, so none of these is needed.
+    added = _modules(
+        "import tmkit.cli\n"
+        "assert tmkit.cli.run(['check', 'fixture:pump']) == 0"
+    ) - _modules("pass")
+    assert "tmkit.behavior" in added
+    assert added.isdisjoint({"argparse", "gettext", "locale", "json"}), sorted(added)
 
 
 def test_rendering_a_static_view_imports_no_matching():
