@@ -60,6 +60,7 @@ _EXPORTS = {
         "ExploreConfig",
         "ExploreResult",
         "NoInitialEventsError",
+        "RunLimitError",
         "SimConfig",
         "Trace",
         "explore_state_space",

@@ -106,13 +106,12 @@ def cmd_render(args: SimpleNamespace) -> int:
 
         model = simplify(model)
     dot = to_dot(model, opts)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(dot, encoding="utf-8")
-        _say(f"wrote {args.output}")
-    else:
+    if args.output is None:
         sys.stdout.write(dot)
+    else:
+        with open(args.output, "w", encoding="utf-8") as out:  # an error names the path
+            out.write(dot)
+        _say(f"wrote {args.output}")
     return OK
 
 
@@ -131,15 +130,20 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 
 
 def cmd_explore(args: SimpleNamespace) -> int:
-    from .sim import ExploreConfig, explore_state_space
+    from .sim import ExploreConfig, RunLimitError, explore_state_space
 
     config = ExploreConfig(
         capacities=args.capacity, channels=args.channels, max_states=args.max_states
     )
-    result = explore_state_space(_load(args.file), config)
+    try:
+        result = explore_state_space(_load(args.file), config)
+    except RunLimitError as exc:
+        _say(str(exc))
+        return LIMIT
     print(result.to_json())
     if not result.bounded:
-        _say(f"state limit {args.max_states} exceeded; results are partial")
+        _say(f"state limit {args.max_states} exceeded; reachableCount is partial, "
+             "the deadlocks are exact")
         return LIMIT
     return OK
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from types import MappingProxyType
 
 from .diagnostics import ModelError, SourceSpan
@@ -135,8 +134,6 @@ class BehaviorGraph(Record):
 class TMModel(Record):
     """An assembled, immutable model (the grand thimac and everything in it)."""
 
-    __slots__ = ("__dict__",)  # for the cached index
-
     name: str
     thimacs: Mapping[str, Thimac]
     flows: tuple[FlowArc, ...]
@@ -147,50 +144,6 @@ class TMModel(Record):
     def resolves(self, ref: StageRef) -> bool:
         thimac = self.thimacs.get(ref.thimac)
         return thimac is not None and ref.kind in thimac.stages
-
-    def stage_refs(self) -> list[StageRef]:
-        """All stages present in the model, in path-then-kind order."""
-        return list(self._stage_refs)
-
-    def arcs_from(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
-        """Arcs whose source is `ref`: flows, then triggers, in model order."""
-        return self._arcs_by_end[0].get(ref, ())
-
-    def arcs_into(self, ref: StageRef) -> tuple[FlowArc | TriggerArc, ...]:
-        """Arcs whose target is `ref`: flows, then triggers, in model order."""
-        return self._arcs_by_end[1].get(ref, ())
-
-    @cached_property
-    def _arcs_by_end(self) -> tuple[dict[StageRef, tuple], dict[StageRef, tuple]]:
-        by_source: dict[StageRef, list] = {}
-        by_target: dict[StageRef, list] = {}
-        for arc in self.flows + self.triggers:
-            by_source.setdefault(arc.source, []).append(arc)
-            by_target.setdefault(arc.target, []).append(arc)
-        return (
-            {ref: tuple(arcs) for ref, arcs in by_source.items()},
-            {ref: tuple(arcs) for ref, arcs in by_target.items()},
-        )
-
-    @cached_property
-    def _stage_refs(self) -> tuple[StageRef, ...]:
-        # A stage an arc names is that arc's own ref object, so lookups in
-        # the arc indices hit by identity; only a stage no arc names gets a
-        # new ref.
-        named: dict[str, dict[StageKind, StageRef]] = {}
-        for index in self._arcs_by_end:
-            for ref in index:
-                named.setdefault(ref.thimac, {})[ref.kind] = ref
-        refs = []
-        for path in sorted(self.thimacs):
-            if not path:
-                continue
-            stages = self.thimacs[path].stages
-            known = named.get(path, {})
-            for kind in KIND_ORDER:
-                if kind in stages:
-                    refs.append(known.get(kind) or StageRef(path, kind))
-        return tuple(refs)
 
 
 # ---------------------------------------------------------------------------

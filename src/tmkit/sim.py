@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice
 
@@ -28,6 +27,9 @@ from .diagnostics import TMError
 from .model import TMModel
 from .records import Record
 
+#: The most firings `explore_state_space` makes on its one run (see `_halt`).
+HALT_STEPS = 1_000_000
+
 
 class ConfigError(TMError):
     pass
@@ -35,6 +37,10 @@ class ConfigError(TMError):
 
 class NoInitialEventsError(TMError):
     """The net has no tokens and no start channels: nothing can ever fire."""
+
+
+class RunLimitError(TMError):
+    """`explore_state_space`'s run neither halted nor repeated in HALT_STEPS firings."""
 
 
 class Firing(Record):
@@ -369,61 +375,70 @@ def simulate_firings(model: TMModel, config: SimConfig) -> Iterator[Firing]:
         yield record
 
 
-def _search(
-    net: _Net, start: int, enabled: Iterable[int], max_states: int
-) -> tuple[int, list[int], bool]:
-    """Breadth-first search from `start`, whose enabled positions are
-    `enabled`, keeping at most `max_states` markings.  Returns the count of
-    markings kept, the halted ones among them and whether the search ended
-    within the limit.
-
-    Each queued marking carries its enabled positions, so a successor
-    re-tests only the events that share a channel with the fired one.
-    """
+def _search(net: _Net, start: int, enabled: Iterable[int], max_states: int) -> int | None:
+    """The count of markings reachable from `start`, whose enabled
+    positions are `enabled`, or None when it is above `max_states`.  Each
+    marking to expand carries its enabled positions, so a successor
+    re-tests only the events that share a channel with the fired one."""
     delta, near = net.delta, net.near
     seen = {start}
-    queue = deque([(start, enabled)])
-    halted = []
-    bounded = True
-    while queue:
-        marking, enabled = queue.popleft()
-        if not enabled:
-            halted.append(marking)
-            continue
+    todo = [(start, enabled)]
+    while todo:
+        marking, enabled = todo.pop()
         for p in enabled:
             nxt = marking + delta[p]
             if nxt not in seen:
                 if len(seen) >= max_states:
-                    bounded = False
-                    continue
+                    return None
                 seen.add(nxt)
-                queue.append((nxt, _retest(enabled, nxt, near[p])))
-    return len(seen), halted, bounded
+                todo.append((nxt, _retest(enabled, nxt, near[p])))
+    return len(seen)
 
 
-def _search_parts(net: _Net, max_states: int) -> tuple[int, list[int]] | None:
-    """Search each part of `net` alone.  The reachable markings are every
-    sum of one reachable marking per part, and the halted ones every sum of
-    one halted marking per part.  Returns their count and the halted
-    markings, or None when the count is above `max_states`.
-
-    A part may keep `max_states` over the product of the earlier parts'
-    counts, so the first part over its share proves the product too large.
-    """
+def _search_parts(net: _Net, max_states: int) -> int | None:
+    """The count of markings reachable in `net`, or None when it is above
+    `max_states`.  A reachable marking is a sum of one per part (none for
+    a net of no part), so the parts' counts multiply.  A part may keep
+    `max_states` over the earlier parts' product: one over its share
+    proves the product too large."""
     enabled: list[list[int]] = [[] for _ in net.part_masks]
     for p in net.enabled:
         enabled[net.part_of[p]].append(p)
     count = 1
-    halted = [0]  # a channel of no part holds no token
     for mask, first in zip(net.part_masks, enabled):
-        reached, stops, bounded = _search(
-            net, net.initial & mask, first, max_states // count
-        )
-        if not bounded:
+        reached = _search(net, net.initial & mask, first, max_states // count)
+        if reached is None:
             return None
         count *= reached
-        halted = [m + stop for m in halted for stop in stops]
-    return count, halted
+    return count
+
+
+def _halt(net: _Net) -> int | None:
+    """The marking at which `net` halts, or None when it never halts.
+
+    Each channel has one consumer, its target, and only its source uses its
+    room, so no firing disables another event: the net is persistent
+    (Landweber & Robertson, JACM 25(3), 1978).  It halts at one marking or
+    none, and every maximal run ends there (Keller, LNCS 24, 1975).  This
+    run fires the lowest enabled position; one that repeats a marking never
+    halts.  Brent's test (BIT 20, 1980) keeps only the marking after the
+    last power-of-two step, and sees a repeat within four times the run's
+    distinct markings."""
+    delta, near = net.delta, net.near
+    marking, enabled = net.initial, net.enabled
+    saved, step = marking, 0
+    while enabled:
+        if step == HALT_STEPS:
+            raise RunLimitError(f"deadlock undecided after HALT_STEPS = {HALT_STEPS} firings")
+        p = enabled[0]
+        marking += delta[p]
+        if marking == saved:
+            return None
+        enabled = _retest(enabled, marking, near[p])
+        step += 1
+        if not step & (step - 1):
+            saved = marking
+    return marking
 
 
 def explore_state_space(
@@ -434,45 +449,29 @@ def explore_state_space(
     A halted marking (no event enabled) counts as a normal completion
     only when all channels have drained, at least one firing led to it,
     and the terminal set (by default: events with no outgoing channels)
-    is non-empty; every other halt is a deadlock.  When `max_states` is
-    exhausted the partial result is returned with `bounded` False.
-    Raises ConfigError for `max_states` below 1 (no room for the initial
-    marking) or a terminal event outside the net.
+    is non-empty; every other halt is a deadlock.  The net halts at one
+    marking or none, found by one run (see `_halt`), so the deadlocks are
+    exact at any `max_states`; above it, only the count is partial: it is
+    `max_states`, with `bounded` False.  Raises ConfigError for
+    `max_states` below 1 (no room for the initial marking) or a terminal
+    event outside the net, and RunLimitError from `_halt`.
 
-    Parts of the net that share no channel fire independently, so each
-    part is searched breadth-first alone: the count is the product of the
-    parts' counts, and the halted markings are every combination of one
-    halted marking per part.  That costs the sum of the parts' markings
-    plus the halted combinations, not their product.  When the product
-    exceeds `max_states`, or the net is one part, one breadth-first search
-    of the whole net runs instead, and a truncated result keeps the
-    markings it reaches first.  A connected net whose branches interleave,
-    such as a fork-join, still costs every interleaving.
+    Counting costs the sum of the parts' markings, not their product (see
+    `_search_parts`), but a part whose branches interleave, such as a
+    fork-join, costs every interleaving up to `max_states`.
     """
     config = config or ExploreConfig()
     if config.max_states < 1:
         raise ConfigError("max_states must be >= 1")
     net = build_net(model, config)
 
-    if config.terminal_events is not None:
-        _check_events("terminal", config.terminal_events, net.nodes)
-        terminal = bool(config.terminal_events)
-    else:
-        terminal = bool(net.sinks)
-
-    found = _search_parts(net, config.max_states) if len(net.part_masks) > 1 else None
-    if found is None:
-        count, halted, bounded = _search(net, net.initial, net.enabled, config.max_states)
-    else:
-        (count, halted), bounded = found, True
-    initial = net.initial
-    deadlocks = [
-        net.decode(marking)
-        for marking in halted
-        if not (marking == 0 and marking != initial and terminal)  # completed
-    ]
+    terminal = net.sinks if config.terminal_events is None else config.terminal_events
+    _check_events("terminal", terminal, net.nodes)
+    count = _search_parts(net, config.max_states)
+    halted = _halt(net)
+    completed = halted == 0 and net.initial != 0 and bool(terminal)
     return ExploreResult(
-        reachable_count=count,
-        deadlocks=tuple(sorted(deadlocks)),
-        bounded=bounded,
+        reachable_count=config.max_states if count is None else count,
+        deadlocks=() if halted is None or completed else (net.decode(halted),),
+        bounded=count is not None,
     )

@@ -135,7 +135,7 @@ def check_static(model: TMModel) -> list[Diagnostic]:
             )
 
     # Per thimac, the kinds that some arc's end names; any other stage of it
-    # is an orphan.  The grand thimac "" is skipped, as `stage_refs()` skips it.
+    # is an orphan.  The grand thimac "" is skipped.
     arcs = model.flows + model.triggers
     ends = {arc.source for arc in arcs}
     ends.update([arc.target for arc in arcs])

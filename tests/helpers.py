@@ -1125,7 +1125,7 @@ def reference_check_event_region(model: TMModel, event: Event) -> list[Diagnosti
     stages = set(event.region)
     neighbors: dict[StageRef, set[StageRef]] = {ref: set() for ref in stages}
     for ref in stages:
-        for arc in model.arcs_from(ref):
+        for arc in scan_arcs_from(model, ref):
             if arc.target in stages:
                 neighbors[ref].add(arc.target)
                 neighbors[arc.target].add(ref)
@@ -1163,10 +1163,10 @@ def reference_simplify(model: TMModel) -> SimplifiedGraph:
     raises AmbiguousSpliceError rather than picking one.
     """
     def flows(ref: StageRef, forward: bool) -> list[FlowArc]:
-        arcs = model.arcs_from(ref) if forward else model.arcs_into(ref)
+        arcs = scan_arcs_from(model, ref) if forward else scan_arcs_into(model, ref)
         return [arc for arc in arcs if isinstance(arc, FlowArc)]
 
-    all_refs = model.stage_refs()
+    all_refs = scan_stage_refs(model)
     kept = [ref for ref in all_refs if ref.kind in _KEEP]
 
     nodes: dict[str, Node] = {}

@@ -36,6 +36,7 @@ from helpers import (
     reference_check_behavior,
     reference_check_event_region,
     region_models,
+    scan_stage_refs,
     variant,
 )
 
@@ -113,7 +114,7 @@ def test_coffee_mill_dependencies():
 
 def test_single_event_covering_whole_model_has_no_dependencies():
     pump = load_model("pump")
-    whole = Event("All", tuple(pump.stage_refs()))
+    whole = Event("All", tuple(scan_stage_refs(pump)))
     assert infer_dependencies(variant(pump, events=[whole])) == set()
 
 

@@ -520,12 +520,15 @@ def test_stdout_is_machine_parseable_stderr_is_prose():
 
 
 def test_render_to_unwritable_path_is_io_error(tmp_path):
-    out = tmp_path / "no-such-dir" / "x.dot"
-    result = run_tm(["render", "fixture:pump", "-o", str(out)])
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    assert len(result.stderr.splitlines()) == 1
-    assert str(out) in result.stderr
+    # An empty path is no more writable than a missing directory.
+    missing = str(tmp_path / "no-such-dir" / "x.dot")
+    for out, argv in [(missing, ["-o", missing]), ("", ["--output="])]:
+        result = run_tm(["render", "fixture:pump", *argv])
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert repr(out) in result.stderr
 
 
 def test_undecodable_file_is_io_error(tmp_path):

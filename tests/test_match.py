@@ -46,6 +46,7 @@ from helpers import (
     reference_signature,
     reference_simplify,
     scan_index,
+    scan_stage_refs,
     scan_ties,
     scan_verify_mapping,
     splice_models,
@@ -166,7 +167,7 @@ def test_pay_service_nodes_are_exactly_create_and_process_stages():
     g = simplify(model)
     expected = {
         str(ref)
-        for ref in model.stage_refs()
+        for ref in scan_stage_refs(model)
         if ref.kind in (StageKind.CREATE, StageKind.PROCESS)
     }
     assert {n.id for n in g.nodes} == expected

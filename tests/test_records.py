@@ -11,7 +11,6 @@ import pickle
 import pytest
 
 import tmkit
-from tmkit.behavior import check_all_events
 from tmkit.match import Edge, Node, NodeMapping
 from tmkit.records import Record
 from tmkit.sim import ExploreConfig, Firing, NetConfig, SimConfig
@@ -226,27 +225,6 @@ def test_wrong_arguments_are_type_errors():
 def test_a_mapping_is_true_when_it_maps_something():
     assert not NodeMapping(())
     assert NodeMapping((("a", "b"),))
-
-
-def test_cached_indexes_are_built_on_first_use():
-    model = tmkit.assemble_model(tmkit.parse(
-        "flow X: A.create -> A.process\n"
-        "event E { A.create, A.process }\n"
-    ))
-    # These read the arcs, not the indices.
-    assert not tmkit.check_static(model)
-    assert not check_all_events(model)
-    assert [n.id for n in tmkit.simplify(model).nodes] == ["A.create", "A.process"]
-    assert "_arcs_by_end" not in model.__dict__
-    assert "_stage_refs" not in model.__dict__
-    assert len(model.arcs_from(tmkit.StageRef("A", tmkit.StageKind.CREATE))) == 1
-    assert "_arcs_by_end" in model.__dict__
-    assert "_stage_refs" not in model.__dict__
-    refs = model.stage_refs()
-    assert "_stage_refs" in model.__dict__
-    assert refs == model.stage_refs() and refs is not model.stage_refs()
-    refs.clear()  # each call returns a list of its own
-    assert len(model.stage_refs()) == 2
 
 
 # The tuple `StageRef`: what the generic record cases above cannot show.

@@ -8,7 +8,7 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tmkit import (
@@ -24,6 +24,7 @@ from tmkit import (
     parse,
     simulate,
 )
+from tmkit import cli, sim
 from tmkit.model import BehaviorGraph
 from tmkit.sim import Firing, Trace, _Net, _retest, build_net, encode_batches, simulate_firings
 
@@ -524,11 +525,12 @@ def test_truncated_exploration_matches_reference(max_states, terminal):
     model = _parallel_chains(5)
     config = ExploreConfig(max_states=max_states, terminal_events=terminal)
     result = explore_state_space(model, config)
-    assert result == reference_explore_state_space(model, config)
+    assert result == _reference_outcome(model, config)
     assert result.reachable_count == min(4**5, max_states)
     assert result.bounded == (max_states >= 4**5)
-    # With an empty terminal set the drained marking, found last, is a deadlock.
-    assert len(result.deadlocks) == (terminal is not None and result.bounded)
+    # With an empty terminal set the drained marking is a deadlock, found
+    # also when the breadth-first order would meet it past the limit.
+    assert len(result.deadlocks) == (terminal is not None)
 
 
 def _assert_net_matches_reference(model, config):
@@ -645,6 +647,22 @@ def _outcome(run, *args):
         return type(exc)
 
 
+def _reference_outcome(model, config):
+    """What `explore_state_space` gives (or the type it raises): the count
+    and `bounded` of the breadth-first reference, and its deadlocks, which
+    are those of its run without the limit when `max_states` cuts it."""
+    cut = _outcome(reference_explore_state_space, model, config)
+    if isinstance(cut, type) or cut.bounded:
+        return cut
+    whole = reference_explore_state_space(model, ExploreConfig(
+        capacities=config.capacities, initial_events=config.initial_events,
+        terminal_events=config.terminal_events, channels=config.channels,
+        max_states=10**6,
+    ))
+    assert whole.bounded
+    return ExploreResult(cut.reachable_count, whole.deadlocks, bounded=False)
+
+
 def _capacity_of(channel_id, capacities):
     src, dst = channel_id.split("->")
     if not src:
@@ -663,7 +681,7 @@ def test_engine_matches_reference_and_respects_capacities(run):
     trace = _outcome(simulate, model, sim)
     assert trace == _outcome(reference_simulate, model, sim)
     result = _outcome(explore_state_space, model, explore)
-    assert result == _outcome(reference_explore_state_space, model, explore)
+    assert result == _reference_outcome(model, explore)
     if isinstance(trace, type) or isinstance(result, type):
         return
     # Each line is the firing's own `json.dumps`, with its index as its step.
@@ -714,8 +732,8 @@ def token_unions(draw):
 def test_explore_of_disjoint_nets_matches_reference(union, offset):
     # A union has a part per graph at least, and its markings are the
     # product of the parts' (counted here up to 600).  `max_states` just
-    # below the product makes a part spend its share and the whole net run;
-    # at or above it, the parts are multiplied.
+    # below the product makes a part spend its share; at or above it, the
+    # parts are multiplied.
     model, (capacities, initial, terminal) = union
 
     def config(max_states):
@@ -729,7 +747,7 @@ def test_explore_of_disjoint_nets_matches_reference(union, offset):
     assert len(build_net(model, config(1)).part_masks) >= 2
     max_states = max(1, whole.reachable_count + offset)
     result = explore_state_space(model, config(max_states))
-    assert result == reference_explore_state_space(model, config(max_states))
+    assert result == _reference_outcome(model, config(max_states))
     if whole.bounded:
         assert result.bounded == (max_states >= whole.reachable_count)
 
@@ -742,11 +760,10 @@ def test_twelve_parallel_chains_multiply():
     elapsed = time.perf_counter() - start
     assert result == ExploreResult(reachable_count=4**12, deadlocks=(), bounded=True)
     assert elapsed < 1.0
-    # Over the default limit the seventh part spends its share, and the
-    # whole net is explored breadth-first up to the limit.
+    # Over the default limit the seventh part spends its share, so the
+    # count stops at the limit; the one run still sees every chain drain.
     truncated = explore_state_space(model, ExploreConfig())
-    assert truncated == reference_explore_state_space(model, ExploreConfig())
-    assert not truncated.bounded
+    assert truncated == ExploreResult(reachable_count=10_000, deadlocks=(), bounded=False)
 
 
 def test_channels_with_an_end_outside_the_net():
@@ -764,3 +781,120 @@ def test_channels_with_an_end_outside_the_net():
     assert net.part_masks[1] == 0
     result = explore_state_space(model, config)
     assert result == reference_explore_state_space(model, config)
+
+
+def _fork_join(k, starved=False, idle=False):
+    """`.tm` text: a fork F into `k` 3-event chains that join at J, with
+    4**k + 2 markings.  Starved, J also waits on W, which waits on J, so
+    each chain halts with its token before J (4**k + 1 markings).  Idle,
+    the first event, I, has no behavior edge."""
+    chains = [["F", *(f"C{i}E{j}" for j in range(3)), "J"] for i in range(k)]
+    names = ["I"] * idle + ["F", *(e for c in chains for e in c[1:-1]), "J"] + ["W"] * starved
+    lines = ["thimac T { process }"]
+    lines += [f"event {name} {{ T.process }}" for name in names]
+    lines += [f"behavior {' -> '.join(chain)}" for chain in chains]
+    lines += ["behavior J -> W -> J"] * starved
+    return "\n".join(lines) + "\n"
+
+
+def test_one_run_decides_the_deadlock_of_a_starved_fork_join(tmp_path, capsys):
+    # 4**12 + 1 markings, but one run of 37 firings finds the deadlock:
+    # each chain's token waits before J.  So `max_states=1` is enough.
+    text = _fork_join(12, starved=True)
+    model = assemble_model(parse(text))
+    start = time.perf_counter()
+    result = explore_state_space(model, ExploreConfig(max_states=1))
+    elapsed = time.perf_counter() - start
+    assert (result.reachable_count, result.bounded) == (1, False)
+    (deadlock,) = result.deadlocks
+    assert {cid: n for cid, n in deadlock if n} == {f"C{i}E2->J": 1 for i in range(12)}
+    assert elapsed < 0.1
+    f = tmp_path / "starved.tm"
+    f.write_text(text, encoding="utf-8")
+    assert cli.run(["explore", str(f), "--max-states", "1"]) == cli.LIMIT
+    out, err = capsys.readouterr()
+    assert out == result.to_json() + "\n"
+    assert "reachableCount is partial" in err
+
+
+def test_a_truncated_net_is_searched_once_per_part(monkeypatch):
+    # The idle event, with no channel, is a part of its own.  Over the
+    # limit, each part is searched once, up to its share, and the whole
+    # net is not searched again.
+    model = assemble_model(parse(_fork_join(7, idle=True)))
+    config = ExploreConfig(initial_events=frozenset({"F"}))
+    calls = []
+    search = sim._search
+
+    def counted(net, start, enabled, max_states):
+        calls.append((start, max_states))
+        return search(net, start, enabled, max_states)
+
+    monkeypatch.setattr(sim, "_search", counted)
+    result = explore_state_space(model, config)
+    assert result == ExploreResult(reachable_count=10_000, deadlocks=(), bounded=False)
+    net = build_net(model, config)
+    assert net.part_masks[0] == 0 and len(net.part_masks) == 2
+    assert calls == [(net.initial & mask, 10_000) for mask in net.part_masks]
+
+
+def test_a_run_over_its_step_budget_is_a_limit(monkeypatch, tmp_path, capsys):
+    # A 20-event ring repeats its start after 20 firings; Brent's test
+    # keeps the marking after 32 and sees it again after 52.
+    names = [f"R{i}" for i in range(20)]
+    text = "thimac T { process }\n" + "".join(f"event {n} {{ T.process }}\n" for n in names)
+    text += f"behavior {' -> '.join(names + names[:1])}\n"
+    model = assemble_model(parse(text))
+    monkeypatch.setattr(sim, "HALT_STEPS", 52)
+    assert explore_state_space(model).deadlocks == ()
+    monkeypatch.setattr(sim, "HALT_STEPS", 51)
+    with pytest.raises(sim.RunLimitError, match="HALT_STEPS = 51"):
+        explore_state_space(model)
+    f = tmp_path / "ring.tm"
+    f.write_text(text, encoding="utf-8")
+    assert cli.run(["explore", str(f)]) == cli.LIMIT
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "HALT_STEPS = 51" in err
+
+
+@st.composite
+def halting_nets(draw):
+    """A model of 1 to 8 events and one explore config.  The chronology is
+    a random graph with cycles and self-loops, often of several parts.  The
+    model's triggers join the same pairs of distinct events, so in either
+    channel mode the net is that graph (less its self-loops under
+    "inferred").  Capacities 1 to 4, random initial events, and no
+    terminal event, so every halt is a deadlock."""
+    names = [f"E{i}" for i in range(draw(st.integers(1, 8)))]
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    ring = list(zip(names, names[1:] + names[:1])) if draw(st.booleans()) else []
+    edges = list(dict.fromkeys(ring + draw(st.lists(pairs, max_size=10))))
+    text = "".join(f"thimac T{i} {{ process }}\nevent E{i} {{ T{i}.process }}\n"
+                   for i in range(len(names)))
+    text += "".join(f"trigger T{a[1:]}.process ~> T{b[1:]}.process\n" for a, b in edges if a != b)
+    model = variant(assemble_model(parse(text)), behavior=BehaviorGraph(tuple(names), tuple(edges)))
+    channels = draw(st.sampled_from(["declared", "inferred"]))
+    if channels == "inferred":
+        edges = [(a, b) for a, b in edges if a != b]
+    if draw(st.booleans()):
+        capacities = draw(st.integers(1, 4))
+    else:
+        capacities = {e: draw(st.integers(1, 4)) for e in edges if draw(st.booleans())}
+    initial = draw(st.none() | st.frozensets(st.sampled_from(names)))
+    config = ExploreConfig(capacities=capacities, initial_events=initial, channels=channels,
+                           terminal_events=frozenset(), max_states=10**5)
+    return model, config
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(halting_nets())
+def test_one_run_ends_at_the_only_halted_marking(run):
+    # The net is persistent, so it halts at one marking or none, and the
+    # run that always fires the lowest enabled position ends there.
+    model, config = run
+    reference = reference_explore_state_space(model, config)
+    assume(reference.bounded)
+    assert len(reference.deadlocks) <= 1
+    net = build_net(model, config)
+    halted = sim._halt(net)
+    assert reference.deadlocks == (() if halted is None else (net.decode(halted),))
