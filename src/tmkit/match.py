@@ -634,12 +634,6 @@ def verify_mapping(
 # Shared functionality (a disjoint cover of maximum common fragments)
 # ---------------------------------------------------------------------------
 
-#: A label class next to the mapped nodes: unmapped nodes of g1 and of g2
-#: that meet every mapped node the same way, so any of its g1 nodes may map
-#: to any of its g2 nodes.
-_Class = tuple[list[str], list[str]]
-
-
 def find_shared_functionality(
     g1: SimplifiedGraph,
     g2: SimplifiedGraph,
@@ -660,234 +654,240 @@ def find_shared_functionality(
     """
     if min_size < 2:
         raise ValueError("min_size must be >= 2")
-    sides = (g1.index(policy), g2.index(policy))
-    ties = (_ties(sides[0]), _ties(sides[1]))
-    used: tuple[set[str], set[str]] = (set(), set())
+    index1, index2 = g1.index(policy), g2.index(policy)
+    sides = (_masks(index1), _masks(index2))
+    used = [0, 0]
     budget = SEARCH_NODE_BUDGET
     matches: list[tuple[NodeMapping, int]] = []
     # An exact step searched a superset of the nodes the next one may use,
     # so no later fragment is larger: the next search stops at this size.
     ceiling = min(len(g1.nodes), len(g2.nodes))
-    while budget >= 0:
-        search = _Search(sides, ties, used)
-        pairs, budget = search.largest(min_size - 1, ceiling, budget)
+    free = ceiling  # the smaller side's unused nodes: fewer than min_size find nothing
+    while budget >= 0 and free >= min_size:
+        pairs, budget = _Search(sides, used).largest(min_size - 1, ceiling, budget)
         if not pairs:
             break
         ceiling = len(pairs)
-        matches.append((NodeMapping(tuple(sorted(pairs))), ceiling))
-        used[0].update(u for u, _ in pairs)
-        used[1].update(w for _, w in pairs)
+        free -= ceiling
+        ids = sorted((index1.order[v], index2.order[w]) for v, w in pairs)
+        matches.append((NodeMapping(tuple(ids)), ceiling))
+        for v, w in pairs:
+            used[0] |= 1 << v
+            used[1] |= 1 << w
     return SharedFunctionality(tuple(matches), approximate=budget < 0)
 
 
-def _ties(index: GraphIndex) -> dict[str, frozenset[tuple]]:
-    """Per node: the (edge labels, neighbour label) pairs of its neighbours.
-    Two nodes with none in common start no fragment of two or more."""
-    labels = index.labels
-    return {
-        u: frozenset((key, labels[x]) for x, key in nbrs.items())
-        for u, nbrs in index.near.items()
-    }
+def _masks(index: GraphIndex) -> tuple:
+    """The fragment search's view of `index`, each node numbered by its rank
+    in `order`, so a set of nodes is an int whose bit r is the node of rank
+    r: per label, the mask of its nodes (labels in the order of their first
+    node); and per node, its label, the mask of its neighbours, and its
+    neighbours' masks by (node label, edge labels toward and from)."""
+    bits = {u: 1 << r for r, u in enumerate(index.order)}
+    labels, near = index.labels, index.near
+    by_label: dict[tuple, int] = {}
+    groups: list[dict[tuple, int]] = []
+    for u in index.order:
+        by_label[labels[u]] = by_label.get(labels[u], 0) | bits[u]
+        group: dict[tuple, int] = {}
+        for x, edges in near[u].items():
+            key = (labels[x], edges)
+            group[key] = group.get(key, 0) | bits[x]
+        groups.append(group)
+    ranked = [labels[u] for u in index.order]
+    return by_label, ranked, [sum(group.values()) for group in groups], groups
 
 
 class _Search:
     """Connected McSplit (McCreesh, Prosser & Trimble, IJCAI 2017) on the
-    nodes not yet `used` by the cover.
+    nodes not yet `used` by the cover, on bitsets (San Segundo,
+    Rodriguez-Losada & Jimenez, Comput. Oper. Res. 38(2), 2011).
 
-    Unmapped nodes next to the mapped ones sit in explicit label classes,
-    which each search node copies as it splits them.  Every other free node
-    waits in its label's pool: these nodes meet no mapped node, so a pool is
-    one class that never needs splitting.  Pool membership is shared by the
-    whole search: a node leaves its pool when it is mapped, gains a mapped
-    neighbour or is left out at the root, and an undo trail puts it back on
-    backtracking.  So a search node costs time in the degrees of the pair it
-    maps and the size of the classes next to the mapping, not in graph size.
+    A node is its rank in its graph's `order` and a set of nodes is an int,
+    so a set's lowest bit is its first node in `order`.  Unmapped nodes next
+    to the mapped ones sit in label classes, each a pair of masks (g1, g2),
+    which a search node splits with ANDs by the neighbour groups of the pair
+    it maps.  Every other free node waits in its label's pool: these nodes
+    meet no mapped node, so a pool is one class that never needs splitting.
+    A node leaves its pool when it is mapped, gains a mapped neighbour or is
+    left out at the root, so the pooled nodes are one mask per side, which
+    each search frame carries: backtracking restores two ints.  A search
+    node costs a few big-int operations per class next to the mapping and
+    per pool label, or per node leaving a pool when those are fewer.
     """
 
-    def __init__(
-        self,
-        sides: tuple[GraphIndex, GraphIndex],
-        ties: tuple[dict, dict],
-        used: tuple[set[str], set[str]],
-    ):
-        self.sides = sides
-        self.ties = ties
-        #: Per label: its pooled nodes of g1 and of g2, in `order`.
-        self.pools: dict[tuple, _Class] = {}
-        for u in sides[0].order:
-            if u not in used[0]:
-                self.pools.setdefault(sides[0].labels[u], ([], []))[0].append(u)
-        for w in sides[1].order:
-            if w not in used[1] and (pool := self.pools.get(sides[1].labels[w])):
-                pool[1].append(w)
-        self.pools = {label: pool for label, pool in self.pools.items() if pool[1]}
-        # Nodes out of every pool: those of a label the other side lacks
-        # and those an earlier fragment used stay out for good.
-        members = [
-            {u for pool in self.pools.values() for u in pool[side]} for side in (0, 1)
-        ]
-        self.out = tuple(set(s.labels) - members[side] for side, s in enumerate(sides))
-        self.counts = {label: list(map(len, pool)) for label, pool in self.pools.items()}
-        #: Sum over pools of the smaller side: what the pools add to a bound.
-        self.pooled = sum(min(c) for c in self.counts.values())
-        self.trail: list[tuple[int, str]] = []
-
-    def take(self, side: int, x: str) -> None:
-        """Take x out of its pool, unless it is out already."""
-        if x in self.out[side]:
-            return
-        self.out[side].add(x)
-        self.trail.append((side, x))
-        count = self.counts[self.sides[side].labels[x]]
-        if count[side] <= count[1 - side]:
-            self.pooled -= 1
-        count[side] -= 1
-
-    def undo(self, length: int) -> None:
-        """Return every node taken since the trail had `length` entries."""
-        while len(self.trail) > length:
-            side, x = self.trail.pop()
-            self.out[side].discard(x)
-            count = self.counts[self.sides[side].labels[x]]
-            if count[side] < count[1 - side]:
-                self.pooled += 1
-            count[side] += 1
+    def __init__(self, sides: tuple[tuple, tuple], used: list[int]):
+        by_label1, self.labels1, self.near1, self.groups1 = sides[0]
+        by_label2, self.labels2, self.near2, self.groups2 = sides[1]
+        pools = {}
+        for label, nodes in by_label1.items():
+            if (left := nodes & ~used[0]) and (right := by_label2.get(label, 0) & ~used[1]):
+                pools[label] = (left, right)
+        #: Per label with unused nodes on both sides, in the order of its
+        #: first unused g1 node: those nodes of g1 and of g2.  Nodes of a
+        #: label the other side lacks, and those an earlier fragment used,
+        #: stay out of every pool for good.
+        self.pools = dict(sorted(pools.items(), key=lambda item: item[1][0] & -item[1][0]))
+        self.pooled = (sum(p[0] for p in pools.values()), sum(p[1] for p in pools.values()))
 
     def largest(
         self, floor: int, ceiling: int, budget: int
-    ) -> tuple[list[tuple[str, str]], int]:
+    ) -> tuple[list[tuple[int, int]], int]:
         """A largest common connected induced fragment of more than `floor`
-        pairs, or [] if there is none, and the budget left.  The caller
-        knows that no fragment has more than `ceiling` pairs, so the first
-        of `ceiling` pairs ends the search.  A negative budget means the
-        search stopped early with the best fragment so far."""
-        ties1, ties2 = self.ties
-        best: list[tuple[str, str]] = []
-        incumbent, target = floor, min(self.pooled, ceiling)
-        mapping: list[tuple[str, str]] = []
+        pairs of ranks, or [] if there is none, and the budget left.  The
+        caller knows that no fragment has more than `ceiling` pairs, so the
+        first of `ceiling` pairs ends the search.  A negative budget means
+        the search stopped early with the best fragment so far."""
+        groups1, groups2 = self.groups1, self.groups2
+        best: list[tuple[int, int]] = []
+        incumbent = floor
+        mapping: list[tuple[int, int]] = []
         # Depth-first search with an explicit stack.  A frame is a search
         # node: its classes, the class i it branches on (None: a pool, at the
-        # root), that class's first g1 node v and its g2 candidates, the
-        # choices left for v (j < len(right) maps v to right[j]; the last
-        # leaves v out), the node's bound, its mapping size and trail length.
-        frame = self._branch([], 0, incumbent)
+        # root), that class's first g1 node v, v's untried g2 candidates (a
+        # mask; once it is empty, v is left out), the node's bound, its
+        # mapping size, its pooled nodes of g1 and of g2, and what the pools
+        # add to its bound.
+        held = self._held(0, 0, 0, *self.pooled)
+        frame = self._branch([], 0, incumbent, *self.pooled, held)
+        target = min(held, ceiling)
         stack = [frame] if frame else []
         while stack:
-            classes, i, v, right, choices, bound, size, marks = stack[-1]
+            frame = stack[-1]
+            classes, i, v, right, bound, size, pooled1, pooled2, held = frame
             del mapping[size:]
-            self.undo(marks)
-            j = next(choices)
             if bound <= incumbent:
                 stack.pop()
                 continue
-            # A first pair whose nodes have no neighbour in common (same node
-            # label, same edge labels) cannot grow: skip it unopened.
-            if j < len(right) and not size and ties1[v].isdisjoint(ties2[right[j]]):
-                continue
+            if right:
+                low = right & -right
+                frame[3] = right ^ low
+                w = low.bit_length() - 1
+                # A first pair whose nodes have no neighbour in common (same
+                # node label, same edge labels) cannot grow: skip it unopened.
+                if not size and groups1[v].keys().isdisjoint(groups2[w]):
+                    continue
             budget -= 1
             if budget < 0:
                 break
-            if j < len(right):
-                w = right[j]
+            if right:
                 mapping.append((v, w))
                 if len(mapping) > incumbent:
                     best, incumbent = list(mapping), len(mapping)
                     if incumbent == target:
                         break
-                child = self._split(classes, i, j, v, w)
+                child, after1, after2 = self._split(classes, i, v, w, pooled1, pooled2)
             else:
                 # The last choice: below this node v stays unmapped.
                 stack.pop()
-                if i is None:
-                    self.take(0, v)
-                    child = classes
-                else:
-                    left = classes[i][0][1:]
-                    rest = [(left, right)] if left else []
-                    child = classes[:i] + rest + classes[i + 1:]
-            frame = self._branch(child, len(mapping), incumbent)
+                after1, after2 = pooled1 & ~(1 << v), pooled2
+                child = classes
+                if i is not None:
+                    left, right = classes[i]
+                    left &= ~(1 << v)
+                    child = classes[:i] + ([(left, right)] if left else []) + classes[i + 1:]
+            if after1 != pooled1 or after2 != pooled2:
+                held = self._held(held, pooled1, pooled2, after1, after2)
+            frame = self._branch(child, len(mapping), incumbent, after1, after2, held)
             if frame:
                 stack.append(frame)
         return best, budget
 
-    def _branch(self, classes: list[_Class], size: int, incumbent: int) -> tuple | None:
+    def _held(self, held: int, pooled1: int, pooled2: int, after1: int, after2: int) -> int:
+        """What the pools add to a bound (each its smaller side) once their
+        nodes shrink from pooled1 and pooled2, which add `held`, to after1
+        and after2.  Whichever is fewer is counted again: every pool, or the
+        pools of the nodes that left."""
+        gone1, gone2 = pooled1 ^ after1, pooled2 ^ after2
+        pools = self.pools.values()
+        if len(pools) > gone1.bit_count() + gone2.bit_count():
+            touched = set()
+            for gone, labels in ((gone1, self.labels1), (gone2, self.labels2)):
+                while gone:
+                    low = gone & -gone
+                    touched.add(labels[low.bit_length() - 1])
+                    gone ^= low
+            pools = [self.pools[label] for label in touched]
+        else:  # every pool, counted afresh
+            held = pooled1 = pooled2 = 0
+        for left, right in pools:
+            a, b = (left & pooled1).bit_count(), (right & pooled2).bit_count()
+            c, d = (left & after1).bit_count(), (right & after2).bit_count()
+            held += (c if c < d else d) - (a if a < b else b)
+        return held
+
+    def _branch(
+        self, classes: list[tuple[int, int]], size: int, incumbent: int,
+        pooled1: int, pooled2: int, held: int,
+    ) -> list | None:
         """The frame of a search node, or None when McSplit's bound (each
         class and pool adds its smaller side) cannot beat the incumbent or
         nothing may extend the mapping.  The root branches on the pool with
         the smallest larger side, any other node on such a class: only nodes
         next to the mapped ones may join, so fragments stay connected."""
-        bound = size + self.pooled + sum(min(map(len, c)) for c in classes)
+        bound, larger = size + held, []
+        for left, right in classes:
+            a, b = left.bit_count(), right.bit_count()
+            bound += a if a < b else b
+            larger.append(b if a < b else a)
         if bound <= incumbent:
             return None
         if size:
             if not classes:
                 return None
-            i = min(range(len(classes)), key=lambda k: max(map(len, classes[k])))
+            i = larger.index(min(larger))
             left, right = classes[i]
-            v = left[0]
         else:
-            label = min(
-                (label for label, count in self.counts.items() if min(count)),
-                key=lambda label: max(self.counts[label]),
-            )
             i = None
-            left, right = self.pools[label]
-            v = next(x for x in left if x not in self.out[0])
-        choices = iter(range(len(right) + 1))
-        return classes, i, v, right, choices, bound, size, len(self.trail)
+            left, right = min(
+                ((left & pooled1, right & pooled2) for left, right in self.pools.values()
+                 if left & pooled1 and right & pooled2),
+                key=lambda pool: max(pool[0].bit_count(), pool[1].bit_count()),
+            )
+        v = (left & -left).bit_length() - 1
+        return [classes, i, v, right, bound, size, pooled1, pooled2, held]
 
     def _split(
-        self, classes: list[_Class], i: int | None, j: int, v: str, w: str
-    ) -> list[_Class]:
-        """The classes after mapping v (the first g1 node of class i, or of a
-        pool) to its j-th candidate w: each class splits by the edge labels
-        its nodes share with v (on the g1 side) or w (on the g2 side), pooled
-        neighbours of v and w form new classes, and parts with an empty side
-        go."""
-        near_v, near_w = self.sides[0].near[v], self.sides[1].near[w]
-        out: list[_Class] = []
+        self, classes: list[tuple[int, int]], i: int | None, v: int, w: int,
+        pooled1: int, pooled2: int,
+    ) -> tuple[list[tuple[int, int]], int, int]:
+        """The classes and pooled nodes after mapping v (the first g1 node
+        of class i, or of a pool) to w.  Each class splits by the edge labels
+        its nodes share with v or w: the rest first, then the groups.  The
+        pooled neighbours of v and w leave their pools for new classes, and
+        parts with an empty side go."""
+        near_v, near_w = self.near1[v], self.near2[w]
+        groups_v, groups_w = self.groups1[v], self.groups2[w]
+        out: list[tuple[int, int]] = []
         for k, (left, right) in enumerate(classes):
             if k == i:
-                left, right = left[1:], right[:j] + right[j + 1:]
-            hits_v = [x for x in left if x in near_v]
-            hits_w = [y for y in right if y in near_w]
-            if not hits_v and not hits_w:
+                left, right = left & ~(1 << v), right & ~(1 << w)
+            hits_v, hits_w = left & near_v, right & near_w
+            if not (hits_v or hits_w):
                 if left and right:
                     out.append((left, right))
                 continue
             # Only the neighbours of v and w move; the rest keep the class.
-            if len(hits_v) < len(left) and len(hits_w) < len(right):
-                out.append((
-                    [x for x in left if x not in near_v],
-                    [y for y in right if y not in near_w],
-                ))
-            out.extend(self._group(hits_v, hits_w, near_v, near_w))
-        self.take(0, v)
-        self.take(1, w)
-        out1, out2 = self.out
-        fresh_v = [x for x in near_v if x not in out1]
-        fresh_w = [y for y in near_w if y not in out2]
-        for x in fresh_v:
-            self.take(0, x)
-        for y in fresh_w:
-            self.take(1, y)
-        out.extend(self._group(fresh_v, fresh_w, near_v, near_w))
-        return out
+            if left != hits_v and right != hits_w:
+                out.append((left ^ hits_v, right ^ hits_w))
+            if hits_v and hits_w:
+                out += _group(hits_v, hits_w, groups_v, groups_w)
+        fresh_v, fresh_w = near_v & pooled1, near_w & pooled2
+        if fresh_v and fresh_w:
+            out += _group(fresh_v, fresh_w, groups_v, groups_w)
+        return out, pooled1 & ~(near_v | 1 << v), pooled2 & ~(near_w | 1 << w)
 
-    def _group(
-        self,
-        xs: list[str],
-        ys: list[str],
-        near_v: dict[str, tuple],
-        near_w: dict[str, tuple],
-    ) -> list[_Class]:
-        """Neighbours of v (xs) and of w (ys) grouped by node label and the
-        edge labels they share with v or w; groups with an empty side go."""
-        labels1, labels2 = self.sides[0].labels, self.sides[1].labels
-        parts: dict[tuple, _Class] = {}
-        for x in xs:
-            parts.setdefault((labels1[x], near_v[x]), ([], []))[0].append(x)
-        for y in ys:
-            if (part := parts.get((labels2[y], near_w[y]))) is not None:
-                part[1].append(y)
-        return [part for part in parts.values() if part[1]]
+
+def _group(
+    xs: int, ys: int, groups_v: dict[tuple, int], groups_w: dict[tuple, int]
+) -> list[tuple[int, int]]:
+    """Neighbours of v (xs) and of w (ys) grouped by node label and the edge
+    labels they share with v or w, in the order of their first g1 node;
+    groups with an empty side go."""
+    parts = []
+    for key, nodes in groups_v.items():
+        if (left := xs & nodes) and (right := ys & groups_w.get(key, 0)):
+            parts.append((left, right))
+    if len(parts) > 1:
+        parts.sort(key=lambda part: part[0] & -part[0])
+    return parts

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from hypothesis import strategies as st
 
-from tmkit import assemble_model, parse
+from tmkit import assemble_model, match, parse
 from tmkit.behavior import infer_dependencies
 from tmkit.cli import (
     cmd_check,
@@ -44,6 +44,7 @@ from tmkit.match import (
     MatchPolicy,
     Node,
     NodeMapping,
+    SharedFunctionality,
     SimplifiedGraph,
 )
 from tmkit.model import (
@@ -643,8 +644,8 @@ def scan_index(g: SimplifiedGraph, policy: MatchPolicy) -> GraphIndex:
 
 
 def scan_ties(g: SimplifiedGraph, policy: MatchPolicy) -> dict[str, frozenset[tuple]]:
-    """The fragment search's `ties` by a plain scan: per node, the (edge
-    labels toward and from, label) of each neighbour."""
+    """Per node, the (edge labels toward and from, label) of each neighbour,
+    by a plain scan: the keys of the fragment search's neighbour groups."""
     index = scan_index(g, policy)
     return {
         u: frozenset((key, index.labels[x]) for x, key in index.near[u].items())
@@ -955,6 +956,258 @@ def embedding_mcs_size(
         if embeds(sorted(subset), {}):
             return len(subset)
     return 0
+
+
+# The list-based fragment search that the bitset `_Search` replaced, kept
+# as an oracle for `tmkit.match.find_shared_functionality`: it must return
+# an equal result, approximate covers included, at any budget.
+
+#: A label class next to the mapped nodes: unmapped nodes of g1 and of g2
+#: that meet every mapped node the same way, so any of its g1 nodes may map
+#: to any of its g2 nodes.
+_Class = tuple[list[str], list[str]]
+
+
+def reference_find_shared_functionality(
+    g1: SimplifiedGraph,
+    g2: SimplifiedGraph,
+    min_size: int = 2,
+    policy: MatchPolicy = MatchPolicy(match_role_names=False),
+) -> SharedFunctionality:
+    """`find_shared_functionality` with node-id lists for classes and pools
+    and an undo trail for the pooled nodes; it reads
+    `match.SEARCH_NODE_BUDGET` when called."""
+    if min_size < 2:
+        raise ValueError("min_size must be >= 2")
+    sides = (g1.index(policy), g2.index(policy))
+    ties = (_ties(sides[0]), _ties(sides[1]))
+    used: tuple[set[str], set[str]] = (set(), set())
+    budget = match.SEARCH_NODE_BUDGET
+    matches: list[tuple[NodeMapping, int]] = []
+    ceiling = min(len(g1.nodes), len(g2.nodes))
+    while budget >= 0:
+        search = _ReferenceSearch(sides, ties, used)
+        pairs, budget = search.largest(min_size - 1, ceiling, budget)
+        if not pairs:
+            break
+        ceiling = len(pairs)
+        matches.append((NodeMapping(tuple(sorted(pairs))), ceiling))
+        used[0].update(u for u, _ in pairs)
+        used[1].update(w for _, w in pairs)
+    return SharedFunctionality(tuple(matches), approximate=budget < 0)
+
+
+def _ties(index: GraphIndex) -> dict[str, frozenset[tuple]]:
+    """Per node: the (edge labels, neighbour label) pairs of its neighbours.
+    Two nodes with none in common start no fragment of two or more."""
+    labels = index.labels
+    return {
+        u: frozenset((key, labels[x]) for x, key in nbrs.items())
+        for u, nbrs in index.near.items()
+    }
+
+
+class _ReferenceSearch:
+    """Connected McSplit (McCreesh, Prosser & Trimble, IJCAI 2017) on the
+    nodes not yet `used` by the cover.
+
+    Unmapped nodes next to the mapped ones sit in explicit label classes,
+    which each search node copies as it splits them.  Every other free node
+    waits in its label's pool: these nodes meet no mapped node, so a pool is
+    one class that never needs splitting.  Pool membership is shared by the
+    whole search: a node leaves its pool when it is mapped, gains a mapped
+    neighbour or is left out at the root, and an undo trail puts it back on
+    backtracking.  So a search node costs time in the degrees of the pair it
+    maps and the size of the classes next to the mapping, not in graph size.
+    """
+
+    def __init__(
+        self,
+        sides: tuple[GraphIndex, GraphIndex],
+        ties: tuple[dict, dict],
+        used: tuple[set[str], set[str]],
+    ):
+        self.sides = sides
+        self.ties = ties
+        #: Per label: its pooled nodes of g1 and of g2, in `order`.
+        self.pools: dict[tuple, _Class] = {}
+        for u in sides[0].order:
+            if u not in used[0]:
+                self.pools.setdefault(sides[0].labels[u], ([], []))[0].append(u)
+        for w in sides[1].order:
+            if w not in used[1] and (pool := self.pools.get(sides[1].labels[w])):
+                pool[1].append(w)
+        self.pools = {label: pool for label, pool in self.pools.items() if pool[1]}
+        # Nodes out of every pool: those of a label the other side lacks
+        # and those an earlier fragment used stay out for good.
+        members = [
+            {u for pool in self.pools.values() for u in pool[side]} for side in (0, 1)
+        ]
+        self.out = tuple(set(s.labels) - members[side] for side, s in enumerate(sides))
+        self.counts = {label: list(map(len, pool)) for label, pool in self.pools.items()}
+        #: Sum over pools of the smaller side: what the pools add to a bound.
+        self.pooled = sum(min(c) for c in self.counts.values())
+        self.trail: list[tuple[int, str]] = []
+
+    def take(self, side: int, x: str) -> None:
+        """Take x out of its pool, unless it is out already."""
+        if x in self.out[side]:
+            return
+        self.out[side].add(x)
+        self.trail.append((side, x))
+        count = self.counts[self.sides[side].labels[x]]
+        if count[side] <= count[1 - side]:
+            self.pooled -= 1
+        count[side] -= 1
+
+    def undo(self, length: int) -> None:
+        """Return every node taken since the trail had `length` entries."""
+        while len(self.trail) > length:
+            side, x = self.trail.pop()
+            self.out[side].discard(x)
+            count = self.counts[self.sides[side].labels[x]]
+            if count[side] < count[1 - side]:
+                self.pooled += 1
+            count[side] += 1
+
+    def largest(
+        self, floor: int, ceiling: int, budget: int
+    ) -> tuple[list[tuple[str, str]], int]:
+        """A largest common connected induced fragment of more than `floor`
+        pairs, or [] if there is none, and the budget left.  The caller
+        knows that no fragment has more than `ceiling` pairs, so the first
+        of `ceiling` pairs ends the search.  A negative budget means the
+        search stopped early with the best fragment so far."""
+        ties1, ties2 = self.ties
+        best: list[tuple[str, str]] = []
+        incumbent, target = floor, min(self.pooled, ceiling)
+        mapping: list[tuple[str, str]] = []
+        # Depth-first search with an explicit stack.  A frame is a search
+        # node: its classes, the class i it branches on (None: a pool, at the
+        # root), that class's first g1 node v and its g2 candidates, the
+        # choices left for v (j < len(right) maps v to right[j]; the last
+        # leaves v out), the node's bound, its mapping size and trail length.
+        frame = self._branch([], 0, incumbent)
+        stack = [frame] if frame else []
+        while stack:
+            classes, i, v, right, choices, bound, size, marks = stack[-1]
+            del mapping[size:]
+            self.undo(marks)
+            j = next(choices)
+            if bound <= incumbent:
+                stack.pop()
+                continue
+            # A first pair whose nodes have no neighbour in common (same node
+            # label, same edge labels) cannot grow: skip it unopened.
+            if j < len(right) and not size and ties1[v].isdisjoint(ties2[right[j]]):
+                continue
+            budget -= 1
+            if budget < 0:
+                break
+            if j < len(right):
+                w = right[j]
+                mapping.append((v, w))
+                if len(mapping) > incumbent:
+                    best, incumbent = list(mapping), len(mapping)
+                    if incumbent == target:
+                        break
+                child = self._split(classes, i, j, v, w)
+            else:
+                # The last choice: below this node v stays unmapped.
+                stack.pop()
+                if i is None:
+                    self.take(0, v)
+                    child = classes
+                else:
+                    left = classes[i][0][1:]
+                    rest = [(left, right)] if left else []
+                    child = classes[:i] + rest + classes[i + 1:]
+            frame = self._branch(child, len(mapping), incumbent)
+            if frame:
+                stack.append(frame)
+        return best, budget
+
+    def _branch(self, classes: list[_Class], size: int, incumbent: int) -> tuple | None:
+        """The frame of a search node, or None when McSplit's bound (each
+        class and pool adds its smaller side) cannot beat the incumbent or
+        nothing may extend the mapping.  The root branches on the pool with
+        the smallest larger side, any other node on such a class: only nodes
+        next to the mapped ones may join, so fragments stay connected."""
+        bound = size + self.pooled + sum(min(map(len, c)) for c in classes)
+        if bound <= incumbent:
+            return None
+        if size:
+            if not classes:
+                return None
+            i = min(range(len(classes)), key=lambda k: max(map(len, classes[k])))
+            left, right = classes[i]
+            v = left[0]
+        else:
+            label = min(
+                (label for label, count in self.counts.items() if min(count)),
+                key=lambda label: max(self.counts[label]),
+            )
+            i = None
+            left, right = self.pools[label]
+            v = next(x for x in left if x not in self.out[0])
+        choices = iter(range(len(right) + 1))
+        return classes, i, v, right, choices, bound, size, len(self.trail)
+
+    def _split(
+        self, classes: list[_Class], i: int | None, j: int, v: str, w: str
+    ) -> list[_Class]:
+        """The classes after mapping v (the first g1 node of class i, or of a
+        pool) to its j-th candidate w: each class splits by the edge labels
+        its nodes share with v (on the g1 side) or w (on the g2 side), pooled
+        neighbours of v and w form new classes, and parts with an empty side
+        go."""
+        near_v, near_w = self.sides[0].near[v], self.sides[1].near[w]
+        out: list[_Class] = []
+        for k, (left, right) in enumerate(classes):
+            if k == i:
+                left, right = left[1:], right[:j] + right[j + 1:]
+            hits_v = [x for x in left if x in near_v]
+            hits_w = [y for y in right if y in near_w]
+            if not hits_v and not hits_w:
+                if left and right:
+                    out.append((left, right))
+                continue
+            # Only the neighbours of v and w move; the rest keep the class.
+            if len(hits_v) < len(left) and len(hits_w) < len(right):
+                out.append((
+                    [x for x in left if x not in near_v],
+                    [y for y in right if y not in near_w],
+                ))
+            out.extend(self._group(hits_v, hits_w, near_v, near_w))
+        self.take(0, v)
+        self.take(1, w)
+        out1, out2 = self.out
+        fresh_v = [x for x in near_v if x not in out1]
+        fresh_w = [y for y in near_w if y not in out2]
+        for x in fresh_v:
+            self.take(0, x)
+        for y in fresh_w:
+            self.take(1, y)
+        out.extend(self._group(fresh_v, fresh_w, near_v, near_w))
+        return out
+
+    def _group(
+        self,
+        xs: list[str],
+        ys: list[str],
+        near_v: dict[str, tuple],
+        near_w: dict[str, tuple],
+    ) -> list[_Class]:
+        """Neighbours of v (xs) and of w (ys) grouped by node label and the
+        edge labels they share with v or w; groups with an empty side go."""
+        labels1, labels2 = self.sides[0].labels, self.sides[1].labels
+        parts: dict[tuple, _Class] = {}
+        for x in xs:
+            parts.setdefault((labels1[x], near_v[x]), ([], []))[0].append(x)
+        for y in ys:
+            if (part := parts.get((labels2[y], near_w[y]))) is not None:
+                part[1].append(y)
+        return [part for part in parts.values() if part[1]]
 
 
 def induced_subgraph(g: SimplifiedGraph, keep) -> SimplifiedGraph:

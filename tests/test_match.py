@@ -26,7 +26,7 @@ from tmkit import (
 )
 from tmkit import match
 from tmkit.corpus import ALL_NAMES
-from tmkit.match import STRICT, NodeMapping, _ties
+from tmkit.match import STRICT, NodeMapping, _masks
 from tmkit.model import FlowDecl, StageRef
 
 from helpers import (
@@ -42,6 +42,7 @@ from helpers import (
     make_graph,
     permute_graph,
     random_digraph,
+    reference_find_shared_functionality,
     reference_isomorphic,
     reference_signature,
     reference_simplify,
@@ -537,7 +538,13 @@ def test_index_and_search_agree_with_the_scans(pair, perm, cut):
         for g in pair:
             index, scanned = g.index(policy), scan_index(g, policy)
             assert index == scanned
-            assert _ties(index) == scan_ties(g, policy)
+            # The fragment search's neighbour groups, keyed (label, edge
+            # labels), are the scanned (edge labels, label) pairs per node.
+            *_, groups = _masks(index)
+            assert {
+                u: frozenset((edges, label) for label, edges in groups[r])
+                for r, u in enumerate(index.order)
+            } == scan_ties(g, policy)
             assert [list(index.near[u]) for u in index.order] == [
                 list(scanned.near[u]) for u in scanned.order
             ]
@@ -844,6 +851,19 @@ def test_thirty_node_paths_give_one_exact_fragment():
     assert mapping.as_dict() == {f"a{i}": f"b{i}" for i in range(30)}
 
 
+def test_a_long_path_of_distinct_roles_covers_itself_quickly():
+    # Under STRICT every node has its own label, so there are as many pools
+    # as nodes: a search node must not count every pool again.
+    n = 2400
+    g = make_graph([(f"v{i:04}", f"R{i}", P) for i in range(n)],
+                   [(f"v{i:04}", f"v{i + 1:04}", "flow", "x") for i in range(n - 1)])
+    seconds, shared = _best_seconds(lambda: find_shared_functionality(g, g, policy=STRICT))
+    assert not shared.approximate
+    ((mapping, size),) = shared.matches
+    assert size == n and all(u == w for u, w in mapping.pairs)
+    assert seconds < 0.5
+
+
 def _request_chain(prefix, thing, n=10):
     """A chain of `n` create -> process flows, each with its own thing
     label, where each process triggers the next create."""
@@ -871,6 +891,85 @@ def test_each_cover_step_stops_at_the_previous_fragment_size(monkeypatch):
         (NodeMapping(((f"a{i}p", f"b{i}p"), (f"a{i + 1}c", f"b{i + 1}c"))), 2)
         for i in range(9)
     )
+
+
+def test_the_cover_builds_no_search_on_fewer_than_min_size_unused_nodes(monkeypatch):
+    # A 5-node path inside a 6-node one: the first fragment uses every node
+    # of g1, so the cover ends without a second search.
+    searches = []
+    search = match._Search
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(match, "_Search", counted)
+    g1 = make_graph([(f"a{i}", "r", C) for i in range(5)],
+                    [(f"a{i}", f"a{i + 1}", "flow", "x") for i in range(4)])
+    g2 = make_graph([(f"b{i}", "r", C) for i in range(6)],
+                    [(f"b{i}", f"b{i + 1}", "flow", "x") for i in range(5)])
+    shared = find_shared_functionality(g1, g2)
+    assert [size for _, size in shared.matches] == [5]
+    assert len(searches) == 1
+
+
+def _looped_pairs_with_env(low, high):
+    """Two independent random digraphs of `low`-`high` nodes from a seed,
+    with env nodes, self-loops, parallel edges and two thing labels."""
+    def pair(seed):
+        rng = random.Random(seed)
+        draw = dict(labels=("r", "s", "env"), things=("", "t"), loops=True, parallel=True)
+        return tuple(random_digraph(rng, rng.randint(low, high), **draw) for _ in range(2))
+
+    return st.builds(pair, st.integers(0, 2**32))
+
+
+def _one_label_pair(nodes1, edges1, nodes2, edges2):
+    """A pair of one-label graphs whose nodes are numbered a<i> and b<i>."""
+    return tuple(
+        make_graph([(f"{x}{i}", "r", P) for i in nodes],
+                   [(f"{x}{i}", f"{x}{j}", "flow", "") for i, j in edges])
+        for x, nodes, edges in (("a", nodes1, edges1), ("b", nodes2, edges2))
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    pair=st.one_of(digraph_pairs(), _looped_pairs_with_env(1, 10)),
+    min_size=st.integers(2, 4),
+    policy=_POLICIES,
+    budget=st.sampled_from([1, 3, 8, 25, 80, match.SEARCH_NODE_BUDGET]),
+)
+# A class splits into groups of v's neighbours: the group whose first g1
+# node comes first is branched on first.
+@example(pair=_one_label_pair(
+    [0, 1, 3, 5, 9, 10], [(1, 0), (1, 5), (5, 3), (9, 5), (10, 1)],
+    [3, 5, 6, 9, 10], [(3, 6), (10, 3), (10, 5)],
+), min_size=2, policy=ROLES_OFF, budget=20)
+# The nodes of a class that meet neither v nor w come before its groups.
+@example(pair=_one_label_pair(
+    [0, 2, 3, 7], [(0, 3), (0, 7), (2, 0), (3, 7), (7, 2)],
+    [3, 4, 5, 6], [(3, 5), (5, 6), (6, 3), (6, 4)],
+), min_size=3, policy=ROLES_OFF, budget=20)
+def test_search_matches_the_list_based_reference(pair, min_size, policy, budget):
+    # Equal covers at small budgets, approximate ones with their best
+    # fragments so far, show that both searches open the same nodes in the
+    # same order.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(match, "SEARCH_NODE_BUDGET", budget)
+        assert find_shared_functionality(*pair, min_size, policy) == (
+            reference_find_shared_functionality(*pair, min_size, policy)
+        )
+
+
+def test_fixture_pairs_match_the_list_based_reference():
+    graphs = [simplify(load_model(name)) for name in ALL_NAMES]
+    for policy in (STRICT, ROLES_OFF):
+        for g1 in graphs:
+            for g2 in graphs:
+                assert find_shared_functionality(g1, g2, 2, policy) == (
+                    reference_find_shared_functionality(g1, g2, 2, policy)
+                )
 
 
 def test_spent_budget_flags_approximate_and_dedup_exits_three(monkeypatch, capsys):
