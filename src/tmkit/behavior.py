@@ -4,14 +4,15 @@ non-functional event detection."""
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from itertools import chain
 
 from .diagnostics import Diagnostic, ModelError, TMError, sort_diagnostics
-from .model import BehaviorGraph, Event, StageRef, TMModel
+from .model import BehaviorGraph, Event, FlowArc, StageRef, TMModel, TriggerArc
 
 
 class OverlapAmbiguityError(ModelError):
-    """An arc lies fully inside two or more regions, so its precedence
+    """Each end of an arc lies in two or more regions, so its precedence
     contribution cannot be attributed; reported rather than guessed.
     The diagnostic's subject lists the arc ids."""
 
@@ -20,7 +21,7 @@ class OverlapAmbiguityError(ModelError):
     def __init__(self, arcs: list[str]):
         self.arc_ids = tuple(arcs)
         ids = ", ".join(arcs)
-        super().__init__(f"arc(s) fully inside two or more event regions: {ids}", subject=ids)
+        super().__init__(f"arc(s) with each end in two or more event regions: {ids}", subject=ids)
 
 
 class UnknownGoalError(TMError):
@@ -32,29 +33,37 @@ def check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     return _region_diagnostics(model, event, _region_links(model, [event.region])[0])
 
 
-def _region_links(
+def _held_arcs(
     model: TMModel, regions: list[tuple[StageRef, ...]]
-) -> list[dict[StageRef, list[StageRef]]]:
-    """Per region, by position: each member's neighbours along the flows
-    and triggers with both ends in that region, from one pass over the
-    arcs."""
-    # Per stage: the positions of the regions that hold it.
+) -> Iterator[tuple[FlowArc | TriggerArc, list[int], list[int]]]:
+    """Each flow, then each trigger, whose source and target some regions
+    hold, with the positions of the regions that hold each end, in order
+    and each once: one stage -> positions index and one pass over the arcs."""
     holders: dict[StageRef, list[int]] = {}
     for i, region in enumerate(regions):
         for ref in region:
             if (held := holders.get(ref)) is None:
                 holders[ref] = [i]
-            else:
+            elif held[-1] != i:  # a region may list a stage twice
                 held.append(i)
+    for arc in chain(model.flows, model.triggers):
+        if (sources := holders.get(arc.source)) and (targets := holders.get(arc.target)):
+            yield arc, sources, targets
+
+
+def _region_links(
+    model: TMModel, regions: list[tuple[StageRef, ...]]
+) -> list[dict[StageRef, list[StageRef]]]:
+    """Per region, by position: each member's neighbours along the flows
+    and triggers with both ends in that region."""
     links: list[dict[StageRef, list[StageRef]]] = [
         {ref: [] for ref in region} for region in regions
     ]
-    for arc in chain(model.flows, model.triggers):
-        if (sources := holders.get(arc.source)) and (targets := holders.get(arc.target)):
-            for i in sources:
-                if i in targets:
-                    links[i][arc.source].append(arc.target)
-                    links[i][arc.target].append(arc.source)
+    for arc, sources, targets in _held_arcs(model, regions):
+        for i in sources:
+            if i in targets:
+                links[i][arc.source].append(arc.target)
+                links[i][arc.target].append(arc.source)
     return links
 
 
@@ -117,23 +126,17 @@ def infer_dependencies(model: TMModel) -> set[tuple[str, str]]:
     An arc whose endpoints each lie in two or more regions is ambiguous
     and raises OverlapAmbiguityError.
     """
-    membership: dict[StageRef, set[str]] = {}
-    for event in model.events.values():
-        for ref in event.region:
-            membership.setdefault(ref, set()).add(event.name)
-
+    events = list(model.events.values())
     pairs: set[tuple[str, str]] = set()
     ambiguous: list[str] = []
-    for arc in list(model.flows) + list(model.triggers):
-        src_events = membership.get(arc.source, set())
-        dst_events = membership.get(arc.target, set())
-        if len(src_events) >= 2 and len(dst_events) >= 2:
+    for arc, sources, targets in _held_arcs(model, [e.region for e in events]):
+        if len(sources) >= 2 and len(targets) >= 2:
             ambiguous.append(arc.id)
             continue
-        for a in src_events:
-            for b in dst_events:
-                if a != b:
-                    pairs.add((a, b))
+        for i in sources:
+            for j in targets:
+                if i != j:
+                    pairs.add((events[i].name, events[j].name))
     if ambiguous:
         raise OverlapAmbiguityError(ambiguous)
     return pairs

@@ -212,8 +212,7 @@ def simplify(model: TMModel) -> SimplifiedGraph:
     Requires a statically valid model (zero Error diagnostics); an
     interior elided stage with two distinct create/process successors
     raises AmbiguousSpliceError rather than picking one.  One pass over
-    `model.flows` gives each stage its flows out and in; the model's own
-    arc indices are not built.
+    `model.flows` gives each stage its flows out and in.
     """
     # Per stage: the flows leaving it and the flows entering it, in model
     # order.

@@ -27,17 +27,13 @@ still equals only a record of its own class.
 Names in a class's own ``__slots__`` become extra slots that are not
 fields: ``"__dict__"`` lets `functools.cached_property` keep a lazily
 built index, and a record may cache a derived value in a slot of its own.
-A class body that defines ``__init__`` keeps it; only a record with state
-beyond its arguments needs one, and it fills its slots with `init_field`,
-which bypasses the refusal.
+A class body may not define ``__init__``: that is a ``TypeError``, so a
+hand-written one is never silently replaced by the generated one.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-
-#: ``init_field(record, name, value)``: fill a slot of a record being built.
-init_field = object.__setattr__
 
 
 def _make_init(cls, fields: tuple[str, ...], defaults: dict) -> None:
@@ -56,6 +52,8 @@ def _make_init(cls, fields: tuple[str, ...], defaults: dict) -> None:
 
 class _RecordType(type):
     def __new__(mcls, name, bases, namespace):
+        if "__init__" in namespace:
+            raise TypeError(f"{name}: a record's __init__ is generated from its fields")
         own = tuple(namespace.get("__annotations__", ()))
         base = bases[0] if bases else object  # its fields and defaults come first
         inherited = getattr(base, "_fields", ())
@@ -71,8 +69,7 @@ class _RecordType(type):
         namespace["__slots__"] = own + tuple(namespace.get("__slots__", ()))
         cls = super().__new__(mcls, name, bases, namespace)
         cls._fields, cls._defaults = fields, defaults
-        if "__init__" not in namespace:
-            _make_init(cls, fields, defaults)
+        _make_init(cls, fields, defaults)
         # The field tuple, for equality, hashing and pickling.
         if len(fields) > 1:
             cls._values = attrgetter(*fields)

@@ -1,7 +1,7 @@
 """Static legality checking of assembled models against the flow calculus.
 
-The adjacency table below is the heart of the module: it enumerates the
-only stage-to-stage flow steps that ever occur in well-formed diagrams.
+The step table `LEGAL_STEPS` is the heart of the module: it enumerates
+the only stage-to-stage flow steps that ever occur in well-formed diagrams.
 Anything outside the table is rejected with Error severity; softer
 conventions (orphan stages, unusual trigger sources) are Warnings.
 """
@@ -17,39 +17,25 @@ _R = StageKind.RELEASE
 _T = StageKind.TRANSFER
 _V = StageKind.RECEIVE
 
-#: Legal (source, target) stage pairs within a single thimac.
-LEGAL_SAME_THIMAC: frozenset[tuple[StageKind, StageKind]] = frozenset(
+#: Every legal flow step, as (source kind, target kind, within one thimac).
+LEGAL_STEPS: frozenset[tuple[StageKind, StageKind, bool]] = frozenset(
     {
-        (_C, _P),
-        (_C, _R),
-        (_V, _P),
-        (_V, _R),
-        (_P, _R),
-        (_R, _T),
-        (_T, _V),
+        (_C, _P, True),
+        (_C, _R, True),
+        (_V, _P, True),
+        (_V, _R, True),
+        (_P, _R, True),
+        (_R, _T, True),
+        (_T, _V, True),
+        (_T, _T, False),  # the boundary crossing
     }
-)
-
-#: Legal (source, target) stage pairs across a thimac boundary.
-LEGAL_CROSS_THIMAC: frozenset[tuple[StageKind, StageKind]] = frozenset({(_T, _T)})
-
-
-# Every legal (source kind, target kind, same thimac) step, for one lookup.
-_LEGAL_STEPS = frozenset(
-    [(src, dst, True) for src, dst in LEGAL_SAME_THIMAC]
-    + [(src, dst, False) for src, dst in LEGAL_CROSS_THIMAC]
 )
 
 
 def flow_adjacency_legal(src: StageKind, dst: StageKind, same_thimac: bool) -> bool:
-    """Whether a flow arc may step from `src` to `dst`.
-
-    Within one thimac the legal steps are create->process, create->release,
-    receive->process, receive->release, process->release, release->transfer
-    and transfer->receive; the only step between thimacs is
-    transfer->transfer (the boundary crossing).
-    """
-    return (src, dst, bool(same_thimac)) in _LEGAL_STEPS
+    """Whether a flow arc may step from `src` to `dst`: whether the step
+    is in `LEGAL_STEPS`."""
+    return (src, dst, bool(same_thimac)) in LEGAL_STEPS
 
 
 def check_static(model: TMModel) -> list[Diagnostic]:
@@ -57,9 +43,9 @@ def check_static(model: TMModel) -> list[Diagnostic]:
 
     An empty list means the model is statically valid.  Errors:
     E_FLOW_INTO_CREATE (nothing flows into creation), E_SELF_BOUNDARY
-    (transfer->transfer needs two thimacs), E_ILLEGAL_FLOW (any other pair
-    outside the adjacency table), E_TRIGGER_TARGET (triggers land only on
-    create or process).  Warnings: W_TRIGGER_SHADOWS_FLOW,
+    (a step legal only across thimacs, taken within one), E_ILLEGAL_FLOW
+    (any other step outside `LEGAL_STEPS`), E_TRIGGER_TARGET (triggers
+    land only on create or process).  Warnings: W_TRIGGER_SHADOWS_FLOW,
     W_ORPHAN_STAGE, W_UNUSUAL_TRIGGER_SOURCE.
     """
     diags: list[Diagnostic] = []
@@ -68,7 +54,7 @@ def check_static(model: TMModel) -> list[Diagnostic]:
 
     for arc in model.flows:
         same = arc.source.thimac == arc.target.thimac
-        if (arc.source.kind, arc.target.kind, same) in _LEGAL_STEPS:
+        if (arc.source.kind, arc.target.kind, same) in LEGAL_STEPS:
             continue
         if arc.target.kind is StageKind.CREATE:
             diags.append(
@@ -80,7 +66,7 @@ def check_static(model: TMModel) -> list[Diagnostic]:
                     span=arc.span,
                 )
             )
-        elif same and arc.source.kind is StageKind.TRANSFER and arc.target.kind is StageKind.TRANSFER:
+        elif same and (arc.source.kind, arc.target.kind, False) in LEGAL_STEPS:
             diags.append(
                 Diagnostic(
                     "E_SELF_BOUNDARY",

@@ -1343,9 +1343,9 @@ def bitmap_dependencies(model: TMModel) -> set[tuple[str, str]]:
 
 
 # The per-event region check and the simplification that one pass over the
-# arcs replaced, kept verbatim as oracles for `tmkit.check_all_events`,
-# `tmkit.check_event_region` and `tmkit.simplify`.  Both read the model's
-# arc indices.
+# arcs replaced, kept as oracles for `tmkit.check_all_events`,
+# `tmkit.check_event_region` and `tmkit.simplify`.  Both scan every arc
+# for each stage they visit.
 
 def reference_check_event_region(model: TMModel, event: Event) -> list[Diagnostic]:
     """Check one event's region: non-empty, resolved, weakly connected."""

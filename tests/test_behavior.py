@@ -127,6 +127,28 @@ def test_overlap_ambiguity_reported():
     assert exc_info.value.arc_ids
 
 
+def test_a_stage_listed_twice_counts_once():
+    model = assemble_model(
+        parse("flow x: A.create -> A.release -> A.transfer -> B.transfer -> B.receive -> B.process")
+    )
+    t, u = ref("A.transfer"), ref("B.transfer")
+    twice = variant(model, events=[Event("E1", (t, t)), Event("E2", (u, u))])
+    once = variant(model, events=[Event("E1", (t,)), Event("E2", (u,))])
+    assert infer_dependencies(twice) == infer_dependencies(once) == {("E1", "E2")}
+    assert check_all_events(twice) == check_all_events(once) == []
+    for name in ("automobile", "coffee-mill", "pump", "producer-consumer"):
+        model = load_model(name)
+        twice = variant(
+            model,
+            events=[
+                Event(e.name, e.region * 2, e.description, e.time, e.span)
+                for e in model.events.values()
+            ],
+        )
+        assert infer_dependencies(twice) == infer_dependencies(model), name
+        assert check_all_events(twice) == check_all_events(model), name
+
+
 def test_dependencies_match_bitmap_oracle_on_fixtures():
     for name in ("automobile", "coffee-mill", "pump", "boiling", "submit-order"):
         model = load_model(name)

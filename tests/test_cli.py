@@ -494,6 +494,28 @@ def test_check_reports_region_overlap(tmp_path):
     assert overlap[0]["subject"] == "F1"
 
 
+def test_region_overlap_message_states_the_rule(tmp_path):
+    # No region holds both ends of F3 (A.transfer -> B.transfer), but each
+    # end lies in two regions.
+    f = tmp_path / "ends.tm"
+    f.write_text(
+        "flow x: A.create -> A.release -> A.transfer -> B.transfer -> B.receive -> B.process\n"
+        "event E1 { A.release, A.transfer }\nevent E2 { A.transfer }\n"
+        "event E3 { B.transfer, B.receive }\nevent E4 { B.transfer }\n",
+        encoding="utf-8",
+    )
+    result = run_tm(["check", str(f)])
+    assert result.returncode == 1
+    found = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(d["code"], d["subject"], d["message"]) for d in found] == [
+        (
+            "E_REGION_OVERLAP",
+            "F3",
+            "arc(s) with each end in two or more event regions: F3",
+        )
+    ]
+
+
 def test_render_simplified_view():
     result = run_tm(["render", "fixture:pay-service", "--view", "simplified"])
     assert result.returncode == 0

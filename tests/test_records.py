@@ -173,6 +173,15 @@ def test_a_record_extends_a_record_with_its_fields_first():
     )
 
 
+def test_a_record_may_not_define_its_own_init():
+    with pytest.raises(TypeError, match="Bad: a record's __init__ is generated"):
+        class Bad(Record):
+            a: int
+
+            def __init__(self, a):
+                pass
+
+
 def test_an_inherited_field_may_not_be_redeclared():
     with pytest.raises(TypeError, match="field 'seed' is inherited from SimConfig"):
         class Bad(SimConfig):
