@@ -179,7 +179,8 @@ class SimplifiedGraph(Record):
 
 
 class NodeMapping(Record):
-    """A bijection between (subsets of) two graphs' node sets."""
+    """A bijection between (subsets of) two graphs' node sets.  Its `len`
+    is its number of pairs, not of fields, and it is true when it has one."""
 
     pairs: tuple[tuple[str, str], ...]
 

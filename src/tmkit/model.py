@@ -9,7 +9,6 @@ assembled models are immutable and safe to share between analyses.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 
@@ -49,37 +48,13 @@ def kind_from_name(name: str) -> StageKind | None:
     return _KIND_BY_NAME.get(name)
 
 
-class StageRef(namedtuple("StageRef", ("thimac", "kind"))):
-    """Addressable stage of a thimac, e.g. ``Mill.Motor`` + ``process``.
+class StageRef(Record):
+    """Addressable stage of a thimac, e.g. ``Mill.Motor`` + ``process``,
+    printed ``Mill.Motor.process``.  References key most of the model's
+    indices; like every record, one hashes as its field tuple, in C."""
 
-    Stage references key most of the model's indices, so this record is a
-    tuple, not a `Record`: its hash runs in C, building one is one tuple
-    allocation, and a lookup with the model's own ref object never leaves
-    C.  It keeps the record contract: built by position or keyword,
-    immutable, shown as ``StageRef(thimac=..., kind=...)``, copied and
-    pickled by value, equal only to a `StageRef` (never to a plain tuple),
-    and unordered.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return tuple.__eq__(self, other)
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        # Defined too, or `!=` would be tuple's and find a plain tuple equal.
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__  # hash((thimac, kind)), computed in C
-
-    def _unordered(self, other: object):
-        raise TypeError("stage references are not ordered")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
-    del _unordered
+    thimac: str
+    kind: StageKind
 
     def __str__(self) -> str:
         return f"{self.thimac}.{_KIND_NAME[self.kind]}"

@@ -64,7 +64,8 @@ class Trace(Record):
 
 def encode_batches(firings: Iterable[Firing], size: int | None = None) -> Iterator[str]:
     """Yield the firings' lines joined into batches of `size` lines (all of
-    them in one batch when `size` is None).  A firing's line is
+    them in one batch when `size` is None; a `size` below 1 is a
+    ValueError).  A firing's line is
     `json.dumps(..., sort_keys=True)` of its event, marking and step, where
     its step is its index in `firings`.
 
@@ -74,6 +75,8 @@ def encode_batches(firings: Iterable[Firing], size: int | None = None) -> Iterat
     that repeats a firing.  A batch is one join of its heads and tails, so
     no string is built per line.  The records stay referenced here, so no
     id is reused while the batches are made."""
+    if size is not None and size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     heads: dict[int, str] = {}
     kept: list[Firing] = []
     steps = enumerate(firings)

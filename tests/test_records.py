@@ -7,6 +7,7 @@ import inspect
 import itertools
 import operator
 import pickle
+from functools import cached_property
 
 import pytest
 
@@ -52,15 +53,13 @@ DEFAULTS = {
     "TriggerArc": {"span": None},
 }
 
-# `StageRef` is a tuple, not a `Record`, and keeps the same contract; its
-# tuple-specific cases are the `test_stage_ref_*` tests below.
 RECORDS = sorted(
     {
         value
         for value in (getattr(tmkit, name) for name in tmkit.__all__)
         if isinstance(value, type) and issubclass(value, Record)
     }
-    | {Node, Edge, Firing, NetConfig, tmkit.StageRef},
+    | {Node, Edge, Firing, NetConfig},
     key=lambda cls: cls.__name__,
 )
 
@@ -156,9 +155,12 @@ def test_a_record_extends_a_record_with_its_fields_first():
         extra: int = 0
 
     assert Sub._fields == (*SimConfig._fields, "extra")
-    assert Sub.__slots__ == ("extra",)
-    assert SimConfig.__slots__ == ("max_steps", "seed")
-    assert ExploreConfig.__slots__ == ("max_states", "terminal_events")
+    # A record is the tuple of its fields, the base's first.
+    assert tuple(Sub(2, None, "inferred", 5, 6, 7)) == (2, None, "inferred", 5, 6, 7)
+    assert tuple(SimConfig(seed=1)) == (1, None, "declared", 100, 1)
+    assert tuple(ExploreConfig(max_states=3)) == (1, None, "declared", 3, None)
+    *_, extra = Sub(extra=7)
+    assert extra == Sub(extra=7)[-1] == 7
     params = inspect.signature(Sub).parameters.values()
     assert [(p.name, p.default) for p in params] == [
         (f, DEFAULTS["SimConfig"][f]) for f in SimConfig._fields
@@ -180,6 +182,34 @@ def test_a_record_may_not_define_its_own_init():
 
             def __init__(self, a):
                 pass
+
+    with pytest.raises(TypeError, match="Bad: a record's __new__ is generated"):
+        class Bad(Record):
+            a: int
+
+            def __new__(cls, a):
+                return tuple.__new__(cls, (a,))
+
+
+def test_a_record_has_no_slot_but_its_dict():
+    for slots in (("cache",), ("__dict__", "cache"), ("__weakref__",)):
+        with pytest.raises(TypeError, match=r"Bad: a record has no slot but '__dict__'"):
+            class Bad(Record):
+                __slots__ = slots
+                a: int
+
+    class Cached(Record):
+        __slots__ = ("__dict__",)
+        a: int
+
+        @cached_property
+        def double(self):
+            return self.a * 2
+
+    record = Cached(2)
+    assert record.double == 4 and record.__dict__ == {"double": 4}
+    assert tuple(record) == (2,) and record == Cached(2)
+    assert not hasattr(NetConfig(), "__dict__")
 
 
 def test_an_inherited_field_may_not_be_redeclared():
@@ -225,46 +255,43 @@ def test_wrong_arguments_are_type_errors():
         (tmkit.Diagnostic, ("E_X", "m"), {"severity": tmkit.Severity.ERROR}),
         (tmkit.Diagnostic, (tmkit.Severity.ERROR, "E_X", "m", "", None), {}),
     ):
-        # The message names the record whose constructor was called: a
-        # `Record`'s generated `__init__`, or the tuple `StageRef`'s `__new__`.
-        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__(init|new)__\(\)"):
+        # The message names the record whose generated `__new__` was called.
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__new__\(\)"):
             cls(*args, **kwargs)
 
 
 def test_a_mapping_is_true_when_it_maps_something():
     assert not NodeMapping(())
     assert NodeMapping((("a", "b"),))
+    # Its length is its number of pairs, not of fields.
+    assert len(NodeMapping((("a", "b"), ("c", "d")))) == 2
 
 
-# The tuple `StageRef`: what the generic record cases above cannot show.
-_KIND = tmkit.StageKind.PROCESS
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_never_equals_a_plain_tuple(cls):
+    record, plain = cls(*values(cls)), values(cls)
+    equal = cls(*values(cls))  # equal, but another object
+    assert {record: 1}[equal] == 1 and equal in {record} and not equal != record
+    # The hash of the field tuple, so sets and dicts of records iterate in
+    # the order the field values give.
+    assert hash(record) == hash(plain) and tuple(record) == plain
+    assert not record == plain and record != plain
+    assert not plain == record and plain != record
+    assert record not in {plain: 1} and plain not in {record: 1}
+    assert record not in {plain} and plain not in {record}
+    assert len({record, plain}) == 2 and len({record: 1, plain: 2}) == 2
+    assert record not in [plain] and plain not in [record]
+    assert record != "v0" and "v0" != record
 
 
-def _ref(thimac="Mill.Motor", kind=_KIND):
-    return tmkit.StageRef(thimac, kind)
-
-
-def test_stage_ref_never_equals_a_plain_tuple():
-    ref, plain = _ref(), ("Mill.Motor", _KIND)
-    equal = _ref("".join(["Mill.", "Motor"]))  # equal, but another object
-    assert {ref: 1}[equal] == 1 and equal in {ref} and not equal != ref
-    assert hash(ref) == hash(plain)
-    assert not ref == plain and ref != plain
-    assert not plain == ref and plain != ref
-    assert ref not in {plain: 1} and plain not in {ref: 1}
-    assert ref not in {plain} and plain not in {ref}
-    assert len({ref, plain}) == 2 and len({ref: 1, plain: 2}) == 2
-    assert ref not in [plain] and plain not in [ref]
-    assert ref != "Mill.Motor.process" and "Mill.Motor.process" != ref
-
-
-def test_stage_ref_is_not_ordered():
-    ref = _ref()
-    for other in (_ref("A"), ("A", _KIND), ("Z",)):
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_is_not_ordered(cls):
+    record = cls(*values(cls))
+    for other in (cls(*values(cls, "w")), values(cls, "w"), ("Z",)):
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
             with pytest.raises(TypeError):
-                compare(ref, other)
+                compare(record, other)
             with pytest.raises(TypeError):
-                compare(other, ref)
+                compare(other, record)
     with pytest.raises(TypeError):
-        sorted([_ref("B"), _ref("A")])
+        sorted([cls(*values(cls, "b")), cls(*values(cls, "a"))])

@@ -220,6 +220,16 @@ def test_encoding_a_stream_of_fresh_records_reuses_no_line():
         assert 0 < batches[-1].count("\n") <= (size or 50)
 
 
+def test_a_batch_size_below_one_is_a_value_error():
+    firings = [Firing("E1", (("E1", 1),)), Firing("E2", (("E2", 1),))]
+    for size in (0, -1):
+        with pytest.raises(ValueError, match=rf"^size must be at least 1, got {size}$"):
+            list(encode_batches(firings, size))
+    for size in (None, 1):
+        lines = "".join(encode_batches(firings, size)).splitlines()
+        assert [json.loads(line)["event"] for line in lines] == ["E1", "E2"]
+
+
 def _draw_lengths(rng: random.Random, steps: int) -> list[int]:
     """`steps` lengths in 1..70, every power of two and 2**k +- 1 among them."""
     special = sorted({m for k in range(7) for m in (2**k - 1, 2**k, 2**k + 1) if 1 <= m <= 70})
