@@ -60,7 +60,6 @@ _EXPORTS = {
         "ExploreConfig",
         "ExploreResult",
         "NoInitialEventsError",
-        "RunLimitError",
         "SimConfig",
         "Trace",
         "explore_state_space",

@@ -2,7 +2,8 @@
 
 Machine-readable results (JSON lines or documented text formats) go to
 stdout; human prose goes to stderr.  Exit codes: 0 ok, 1 Error-severity
-diagnostics, 2 usage or I/O error (stdout closed too), 3 analysis limit exceeded.
+diagnostics, 2 usage or I/O error (stdout closed too), 3 analysis limit exceeded
+(for explore, only --max-states; for dedup, a search budget).
 """
 
 from __future__ import annotations
@@ -130,16 +131,12 @@ def cmd_simulate(args: SimpleNamespace) -> int:
 
 
 def cmd_explore(args: SimpleNamespace) -> int:
-    from .sim import ExploreConfig, RunLimitError, explore_state_space
+    from .sim import ExploreConfig, explore_state_space
 
     config = ExploreConfig(
         capacities=args.capacity, channels=args.channels, max_states=args.max_states
     )
-    try:
-        result = explore_state_space(_load(args.file), config)
-    except RunLimitError as exc:
-        _say(str(exc))
-        return LIMIT
+    result = explore_state_space(_load(args.file), config)
     print(result.to_json())
     if not result.bounded:
         _say(f"state limit {args.max_states} exceeded; reachableCount is partial, "

@@ -226,10 +226,14 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
         explicit.add(path)
         stages.setdefault(path, set())
 
-    def add_stages(refs: Sequence[StageRef]) -> None:
+    def add_stages(refs: Sequence[StageRef], span: SourceSpan | None) -> None:
         """Add each stage to its thimac; a thimac met first here is created
         with its missing ancestors, outermost first."""
         for ref in refs:
+            if not ref.thimac:
+                raise AssemblyError(
+                    f"stage {ref} is in the grand thimac, which .tm text cannot name", span
+                )
             kinds = stages.get(ref.thimac)
             if kinds is None:
                 missing = [ref.thimac]
@@ -253,8 +257,8 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
     for decl in decls:
         cls = decl.__class__
         if cls is FlowDecl:
-            add_stages(decl.chain)
             label, span = decl.label, decl.span
+            add_stages(decl.chain, span)
             for src, dst in zip(decl.chain, decl.chain[1:]):
                 key = (label, src, dst)
                 if key in flow_keys:
@@ -277,6 +281,12 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
             region: dict[StageRef, None] = {}
             for member in decl.members:
                 if isinstance(member, StageRef):
+                    if not member.thimac:
+                        raise AssemblyError(
+                            f"event {decl.name!r} names stage {member} of the grand "
+                            "thimac, which .tm text cannot name",
+                            decl.span,
+                        )
                     region[member] = None
                     continue
                 arc = _arc_named(member, flows, triggers)
@@ -295,7 +305,7 @@ def assemble_model(decls: Sequence[Declaration]) -> TMModel:
                 raise InvalidArcError(
                     f"trigger may not point at its own source: {source}", span
                 )
-            add_stages((source, target))
+            add_stages((source, target), span)
             key = (source, target)
             if key in trigger_keys:
                 raise DuplicateArcError(f"duplicate trigger {source} ~> {target}", span)

@@ -20,15 +20,14 @@ from __future__ import annotations
 import json
 import random
 from collections.abc import Iterable, Iterator, Mapping
+from heapq import heappop, heappush
 from itertools import islice
+from math import inf
 
 from .behavior import infer_dependencies
 from .diagnostics import TMError
 from .model import TMModel
 from .records import Record
-
-#: The most firings `explore_state_space` makes on its one run (see `_halt`).
-HALT_STEPS = 1_000_000
 
 
 class ConfigError(TMError):
@@ -39,10 +38,6 @@ class NoInitialEventsError(TMError):
     """The net has no tokens and no start channels: nothing can ever fire."""
 
 
-class RunLimitError(TMError):
-    """`explore_state_space`'s run neither halted nor repeated in HALT_STEPS firings."""
-
-
 class Firing(Record):
     event: str
     marking: tuple[tuple[str, int], ...]  # after the firing
@@ -50,10 +45,6 @@ class Firing(Record):
 
 class Trace(Record):
     firings: tuple[Firing, ...] = ()  # a firing's step is its index here
-
-    def lines(self) -> Iterator[str]:
-        """Each firing's line, cut from `to_jsonl`."""
-        return iter(self.to_jsonl().splitlines(keepends=True))
 
     def to_jsonl(self) -> str:
         """Every firing's line, encoded by `encode_batches` as one batch.
@@ -164,6 +155,7 @@ class _Net(Record):
     fields: tuple[tuple[str, int, int], ...]  # (id, shift, mask) in id order
     part_of: tuple[int, ...]  # per position: the index of its part
     part_masks: tuple[int, ...]  # per part: the bits of its channels' fields
+    channels: tuple[tuple[str, int, int, int | None, int | None], ...]  # see `build_net`
 
     def decode(self, marking: int) -> tuple[tuple[str, int], ...]:
         return tuple([(cid, marking >> at & mask) for cid, at, mask in self.fields])
@@ -303,6 +295,7 @@ def build_net(model: TMModel, config: NetConfig) -> _Net:
         fields=tuple(fields),
         part_of=tuple(part_of),
         part_masks=tuple(part_masks),
+        channels=tuple(channels),
     )
 
 
@@ -419,29 +412,38 @@ def _search_parts(net: _Net, max_states: int) -> int | None:
 def _halt(net: _Net) -> int | None:
     """The marking at which `net` halts, or None when it never halts.
 
-    Each channel has one consumer, its target, and only its source uses its
-    room, so no firing disables another event: the net is persistent
-    (Landweber & Robertson, JACM 25(3), 1978).  It halts at one marking or
-    none, and every maximal run ends there (Keller, LNCS 24, 1975).  This
-    run fires the lowest enabled position; one that repeats a marking never
-    halts.  Brent's test (BIT 20, 1980) keeps only the marking after the
-    last power-of-two step, and sees a repeat within four times the run's
-    distinct markings."""
-    delta, near = net.delta, net.near
-    marking, enabled = net.initial, net.enabled
-    saved, step = marking, 0
-    while enabled:
-        if step == HALT_STEPS:
-            raise RunLimitError(f"deadlock undecided after HALT_STEPS = {HALT_STEPS} firings")
-        p = enabled[0]
-        marking += delta[p]
-        if marking == saved:
-            return None
-        enabled = _retest(enabled, marking, near[p])
-        step += 1
-        if not step & (step - 1):
-            saved = marking
-    return marking
+    Each channel has one producer and one consumer: the net is a persistent
+    marked graph, so every maximal run fires each event t the same number
+    of times x(t) (Keller, LNCS 24, 1975), the least solution of x(t) = min
+    of t's bounds.  A channel from s to g of capacity c and k start tokens
+    bounds x(g) by k + x(s) and x(s) by c - k + x(g).  So x(t) is the
+    distance from what never fires: the outside, events with no input channel,
+    and what Kahn's peel of the weight-0 bounds leaves (tokenless circuits)."""
+    n = len(net.nodes)  # the outside of the net is position n
+    bounds = [[] for _ in range(n + 1)]  # u: each (t, w) with x(t) <= w + x(u)
+    zeros = [0] * (n + 1)  # t: its bounds of weight 0 from events not yet peeled
+    for _, cap, tokens, source, target in net.channels:
+        for u, t, w in ((source, target, tokens), (target, source, cap - tokens)):
+            if t is not None:
+                bounds[n if u is None else u].append((t, w))
+                zeros[t] += not w
+    peeled = [t for t in range(n + 1) if not zeros[t]]
+    for u in peeled:
+        for t, w in bounds[u]:
+            zeros[t] -= not w
+            if not (w or zeros[t]):
+                peeled.append(t)
+    fed = {target for *_, target in net.channels}
+    fires = [0 if zeros[t] or t not in fed else inf for t in range(n + 1)]  # x(t) so far
+    heap = [(0, t) for t, x in enumerate(fires) if not x]  # every other x(t) is inf
+    while heap:
+        x, u = heappop(heap)
+        if x == fires[u]:  # else a shorter bound came later
+            for t, w in bounds[u]:
+                if x + w < fires[t]:
+                    fires[t] = x + w
+                    heappush(heap, (x + w, t))
+    return None if inf in fires else net.initial + sum([x * d for x, d in zip(fires, net.delta)])
 
 
 def explore_state_space(
@@ -453,15 +455,13 @@ def explore_state_space(
     only when all channels have drained, at least one firing led to it,
     and the terminal set (by default: events with no outgoing channels)
     is non-empty; every other halt is a deadlock.  The net halts at one
-    marking or none, found by one run (see `_halt`), so the deadlocks are
-    exact at any `max_states`; above it, only the count is partial: it is
-    `max_states`, with `bounded` False.  Raises ConfigError for
-    `max_states` below 1 (no room for the initial marking) or a terminal
-    event outside the net, and RunLimitError from `_halt`.
+    marking or none, solved for from its structure (see `_halt`), so the
+    deadlocks are exact at any `max_states`; above it, only the count is
+    partial: it is `max_states`, with `bounded` False.  Raises ConfigError
+    for a `max_states` below 1 or a terminal event outside the net.
 
-    Counting costs the sum of the parts' markings, not their product (see
-    `_search_parts`), but a part whose branches interleave, such as a
-    fork-join, costs every interleaving up to `max_states`.
+    Counting costs the sum of the parts' markings (see `_search_parts`),
+    but a fork-join, whose branches interleave, costs every interleaving.
     """
     config = config or ExploreConfig()
     if config.max_states < 1:

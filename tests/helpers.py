@@ -72,6 +72,8 @@ from tmkit.sim import (
     NoInitialEventsError,
     SimConfig,
     Trace,
+    _Net,
+    _retest,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1938,6 +1940,34 @@ def reference_explore_state_space(
         deadlocks=tuple(sorted(deadlocks)),
         bounded=bounded,
     )
+
+
+def reference_halt(net: _Net, steps: int) -> int | None:
+    """The marking at which `net` halts, or None when it never halts, found
+    by running it: `sim._halt` solves for it instead.
+
+    The net is persistent, so it halts at one marking or none, and every
+    maximal run ends there (Keller, LNCS 24, 1975).  This run fires the
+    lowest enabled position; one that repeats a marking never halts.
+    Brent's test (BIT 20, 1980) keeps only the marking after the last
+    power-of-two step, and sees a repeat within four times the run's
+    distinct markings.  A run that neither halts nor repeats within `steps`
+    firings raises RuntimeError."""
+    delta, near = net.delta, net.near
+    marking, enabled = net.initial, net.enabled
+    saved, step = marking, 0
+    while enabled:
+        if step == steps:
+            raise RuntimeError(f"no halt and no repeat in {steps} firings")
+        p = enabled[0]
+        marking += delta[p]
+        if marking == saved:
+            return None
+        enabled = _retest(enabled, marking, near[p])
+        step += 1
+        if not step & (step - 1):
+            saved = marking
+    return marking
 
 
 def _int_at_least(low: int):

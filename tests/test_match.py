@@ -27,7 +27,7 @@ from tmkit import (
 from tmkit import match
 from tmkit.corpus import ALL_NAMES
 from tmkit.match import STRICT, NodeMapping, _masks
-from tmkit.model import FlowDecl, StageRef
+from tmkit.model import AssemblyError, EventDecl, FlowDecl, StageRef, TriggerDecl
 
 from helpers import (
     SRC,
@@ -150,17 +150,19 @@ def test_simplify_matches_the_reference(model):
     assert _splice_outcome(simplify, model) == _splice_outcome(reference_simplify, model)
 
 
-def test_flows_at_the_grand_thimac_simplify_as_the_reference_does():
-    # Built by hand: the grand thimac "" is no path start and holds no node,
-    # so only the flow into it gives an edge, toward an env node.
-    model = assemble_model([
-        FlowDecl("x", (StageRef("A", C), StageRef("", StageKind.RECEIVE))),
-        FlowDecl("y", (StageRef("", StageKind.RELEASE), StageRef("B", P))),
-    ])
-    g = simplify(model)
-    assert g == reference_simplify(model)
-    assert [n.id for n in g.nodes] == ["A.create", "B.process", "env:.receive"]
-    assert [(e.src, e.dst) for e in g.edges] == [("A.create", "env:.receive")]
+def test_stages_of_the_grand_thimac_are_an_assembly_error():
+    # Only declarations built by hand can name the grand thimac "": no .tm
+    # text can, so `simplify` and `fmt` never meet one.
+    grand = StageRef("", P)
+    for decl in (
+        FlowDecl("x", (StageRef("A", C), grand)),
+        FlowDecl("y", (grand, StageRef("B", P))),
+        TriggerDecl(StageRef("A", C), grand),
+        EventDecl("E", (StageRef("A", C), grand)),
+    ):
+        with pytest.raises(AssemblyError, match="grand thimac") as caught:
+            assemble_model([decl])
+        assert caught.value.code == "E_ASSEMBLY"
 
 
 def test_pay_service_nodes_are_exactly_create_and_process_stages():

@@ -32,6 +32,7 @@ from helpers import (
     load_model,
     reference_build_net,
     reference_explore_state_space,
+    reference_halt,
     reference_simulate,
     variant,
 )
@@ -258,7 +259,7 @@ def test_the_engine_draws_as_random_choice(monkeypatch):
         net = _Net(
             nodes=nodes, initial=1, enabled=tuple(range(lengths[0])),
             delta=(1,) * 70, near=({},) * 70, sinks=(), fields=(), part_of=(0,) * 70,
-            part_masks=(0,),
+            part_masks=(0,), channels=(),
         )
         answers = iter(lengths[1:] + [1])
         monkeypatch.setattr("tmkit.sim.build_net", lambda model, config: net)
@@ -327,7 +328,8 @@ def test_equal_separate_records_encode_like_shared_ones():
     assert len({id(f) for f in separate}) == 6
     assert Trace(tuple(separate)).to_jsonl() == Trace(shared).to_jsonl()
     one_marking = Trace((Firing("Produce", produce), Firing("Consume", produce)))
-    assert [json.loads(line)["event"] for line in one_marking.lines()] == ["Produce", "Consume"]
+    lines = one_marking.to_jsonl().splitlines()
+    assert [json.loads(line)["event"] for line in lines] == ["Produce", "Consume"]
 
 
 def test_explore_without_produce_to_consume_channel():
@@ -848,41 +850,53 @@ def test_a_truncated_net_is_searched_once_per_part(monkeypatch):
     assert calls == [(net.initial & mask, 10_000) for mask in net.part_masks]
 
 
-def test_a_run_over_its_step_budget_is_a_limit(monkeypatch, tmp_path, capsys):
-    # A 20-event ring repeats its start after 20 firings; Brent's test
-    # keeps the marking after 32 and sees it again after 52.
-    names = [f"R{i}" for i in range(20)]
-    text = "thimac T { process }\n" + "".join(f"event {n} {{ T.process }}\n" for n in names)
+def test_a_long_run_s_deadlock_is_solved_without_running_it(tmp_path, capsys):
+    # One token laps a 1,000-event ring, and each time R0 fires it also puts
+    # a token on R0->D.  D never fires: it waits on W, which waits on V,
+    # which waits on W.  So the net halts when R0->D is full, after about
+    # 2 M firings.
+    names = [f"R{i}" for i in range(1000)]
+    text = "thimac T { process }\n"
+    text += "".join(f"event {n} {{ T.process }}\n" for n in names + ["D", "W", "V"])
     text += f"behavior {' -> '.join(names + names[:1])}\n"
+    text += "behavior R0 -> D\nbehavior W -> D\nbehavior W -> V -> W\n"
     model = assemble_model(parse(text))
-    monkeypatch.setattr(sim, "HALT_STEPS", 52)
-    assert explore_state_space(model).deadlocks == ()
-    monkeypatch.setattr(sim, "HALT_STEPS", 51)
-    with pytest.raises(sim.RunLimitError, match="HALT_STEPS = 51"):
-        explore_state_space(model)
+    start = time.perf_counter()
+    result = explore_state_space(model, ExploreConfig(capacities=2000, max_states=1))
+    elapsed = time.perf_counter() - start
+    (deadlock,) = result.deadlocks
+    assert {cid: n for cid, n in deadlock if n} == {"R0->D": 2000, "R999->R0": 1}
+    assert len(deadlock) == 1004 and elapsed < 0.1
     f = tmp_path / "ring.tm"
     f.write_text(text, encoding="utf-8")
-    assert cli.run(["explore", str(f)]) == cli.LIMIT
+    assert cli.run(["explore", str(f), "--capacity", "2000", "--max-states", "1"]) == cli.LIMIT
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1 and "HALT_STEPS = 51" in err
+    assert out == result.to_json() + "\n"
+    assert "the deadlocks are exact" in err
+
+
+def _trigger_model(names, edges):
+    """A model of the events `names`, E0, E1, ..., with the chronology
+    `edges`.  Its triggers join the same pairs of distinct events, so in
+    either channel mode the net is that graph (less its self-loops under
+    "inferred")."""
+    text = "".join(f"thimac T{i} {{ process }}\nevent E{i} {{ T{i}.process }}\n"
+                   for i in range(len(names)))
+    text += "".join(f"trigger T{a[1:]}.process ~> T{b[1:]}.process\n" for a, b in edges if a != b)
+    return variant(assemble_model(parse(text)), behavior=BehaviorGraph(tuple(names), tuple(edges)))
 
 
 @st.composite
 def halting_nets(draw):
-    """A model of 1 to 8 events and one explore config.  The chronology is
-    a random graph with cycles and self-loops, often of several parts.  The
-    model's triggers join the same pairs of distinct events, so in either
-    channel mode the net is that graph (less its self-loops under
-    "inferred").  Capacities 1 to 4, random initial events, and no
-    terminal event, so every halt is a deadlock."""
+    """A model of 1 to 8 events (see `_trigger_model`) and one explore
+    config.  The chronology is a random graph with cycles and self-loops,
+    often of several parts.  Capacities 1 to 4, random initial events, and
+    no terminal event, so every halt is a deadlock."""
     names = [f"E{i}" for i in range(draw(st.integers(1, 8)))]
     pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
     ring = list(zip(names, names[1:] + names[:1])) if draw(st.booleans()) else []
     edges = list(dict.fromkeys(ring + draw(st.lists(pairs, max_size=10))))
-    text = "".join(f"thimac T{i} {{ process }}\nevent E{i} {{ T{i}.process }}\n"
-                   for i in range(len(names)))
-    text += "".join(f"trigger T{a[1:]}.process ~> T{b[1:]}.process\n" for a, b in edges if a != b)
-    model = variant(assemble_model(parse(text)), behavior=BehaviorGraph(tuple(names), tuple(edges)))
+    model = _trigger_model(names, edges)
     channels = draw(st.sampled_from(["declared", "inferred"]))
     if channels == "inferred":
         edges = [(a, b) for a, b in edges if a != b]
@@ -899,8 +913,8 @@ def halting_nets(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(halting_nets())
 def test_one_run_ends_at_the_only_halted_marking(run):
-    # The net is persistent, so it halts at one marking or none, and the
-    # run that always fires the lowest enabled position ends there.
+    # The net is persistent, so it halts at one marking or none, and every
+    # run ends there: the solve finds it without one.
     model, config = run
     reference = reference_explore_state_space(model, config)
     assume(reference.bounded)
@@ -908,3 +922,44 @@ def test_one_run_ends_at_the_only_halted_marking(run):
     net = build_net(model, config)
     halted = sim._halt(net)
     assert reference.deadlocks == (() if halted is None else (net.decode(halted),))
+
+
+def _larger_net(rng):
+    """A model of 2 to 40 events (see `_trigger_model`) and one explore
+    config, drawn from `rng`.  One to four parts, each a ring or a chain,
+    with a join of up to three events into one, random edges and
+    self-loops.  Capacities 1 to 6, random initial events, either channel
+    mode."""
+    names = [f"E{i}" for i in range(rng.randint(2, 40))]
+    cuts = sorted(rng.sample(range(1, len(names)), min(rng.randint(0, 3), len(names) - 1)))
+    edges = []
+    for part in (names[a:b] for a, b in zip([0, *cuts], [*cuts, len(names)])):
+        edges += zip(part, part[1:] + part[:1] if rng.random() < 0.5 else part[1:])
+        join = rng.choice(part)
+        edges += [(rng.choice(part), join) for _ in range(rng.randint(0, 3))]
+        edges += [(rng.choice(part), rng.choice(part)) for _ in range(rng.randint(0, 4))]
+        edges += [(e, e) for e in rng.sample(part, rng.randint(0, min(2, len(part))))]
+    edges = list(dict.fromkeys(edges))
+    model = _trigger_model(names, edges)
+    channels = rng.choice(["declared", "inferred"])
+    if channels == "inferred":
+        edges = [(a, b) for a, b in edges if a != b]
+    if rng.random() < 0.5:
+        capacities = rng.randint(1, 6)
+    else:
+        capacities = {e: rng.randint(1, 6) for e in edges if rng.random() < 0.5}
+    initial = rng.sample(names, rng.randint(0, min(3, len(names))))
+    initial = None if rng.random() < 0.3 else frozenset(initial)
+    return model, ExploreConfig(capacities=capacities, initial_events=initial, channels=channels)
+
+
+def test_the_solve_matches_a_run_on_larger_nets():
+    # Nets too large for the breadth-first reference: the run that fires
+    # the lowest enabled event, to its halt or to a repeat, is the oracle.
+    never = 0
+    for seed in range(400):
+        net = build_net(*_larger_net(random.Random(seed)))
+        halted = sim._halt(net)
+        assert halted == reference_halt(net, 10**6), seed
+        never += halted is None
+    assert 40 < never < 360  # both verdicts are drawn often
